@@ -119,6 +119,10 @@ def _cmd_homology(args) -> int:
         if args.coeff == "Z":
             group = cohomology.h_twisted(n, w, args.degree)
         else:
+            # -1 = 1 mod 2, so the twist leaves Z/2 coefficients unchanged,
+            # but it exists only for even orders
+            if w and n % 2:
+                raise _CliInput("orientation twist requires an even group order")
             chain, _ = coefficients_complex(
                 standard_resolution(n, args.degree + 1), coefficient_module("Z2", n)
             )

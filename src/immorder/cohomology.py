@@ -16,10 +16,18 @@ groups have vanishing positive-degree mod-2 cohomology; orders that are
 twice an odd number give a polynomial ring on a degree-1 class; orders
 divisible by 4 give an exterior class in degree 1 over a polynomial class
 in degree 2.
+
+`h_twisted` is memoized (an unbounded `functools.lru_cache`), keyed on
+its exact arguments (n, w, k) with their types, so 4 and 4.0 or 1 and
+True never share an entry.  That is safe because it is a pure function of
+them and its result, an `FgAbelianGroup`, is frozen; the resolution and
+the coefficient complex it builds are not kept.  The computation itself
+stays reachable as `h_twisted.__wrapped__`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -43,18 +51,18 @@ class IllFormedHom(ValueError):
     """The data do not define a homomorphism of cyclic groups."""
 
 
-def _two_part_exponent(n: int) -> int:
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
+def two_adic_valuation(n: int) -> int:
+    """v_2(n): the exponent of the largest power of 2 dividing n >= 1."""
+    if n < 1:
+        raise ValueError("2-adic valuation needs a positive integer")
+    return (n & -n).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
 # twisted integral homology of cyclic groups
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def h_twisted(n: int, w: int, k: int) -> FgAbelianGroup:
     """H_k(Z/n; Z^w): integral homology with w-twisted coefficients.
 
@@ -118,7 +126,7 @@ class CyclicMod2Class:
             return "0"
         if self.degree == 0:
             return "1"
-        v = _two_part_exponent(self.n)
+        v = two_adic_valuation(self.n)
         if v == 1:
             return "t" if self.degree == 1 else f"t^{self.degree}"
         j, eps = divmod(self.degree, 2)
@@ -218,7 +226,7 @@ def cup(x, y):
             return cyclic_zero(x.n, d)
         if x.degree == 0 or y.degree == 0:
             return CyclicMod2Class(x.n, d, 1)
-        v = _two_part_exponent(x.n)
+        v = two_adic_valuation(x.n)
         if v == 0:
             return cyclic_zero(x.n, d)
         if v >= 2 and x.degree % 2 == 1 and y.degree % 2 == 1:
@@ -253,7 +261,7 @@ def sq1(x):
             raise DegreeOutOfRange("Sq^1 output degree exceeds the tabulated range")
         if x.value == 0 or x.n % 2 == 1:
             return cyclic_zero(x.n, x.degree + 1)
-        v = _two_part_exponent(x.n)
+        v = two_adic_valuation(x.n)
         if v == 1:
             return CyclicMod2Class(x.n, x.degree + 1, x.degree % 2)
         return cyclic_zero(x.n, x.degree + 1)

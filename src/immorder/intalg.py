@@ -354,7 +354,8 @@ def solve_linear(a: IntMatrix, b: list[int] | tuple, modulus: int | None = None)
             return None
         x = tuple(s % modulus for s in sol[: a.cols])
         check = a.apply_vec(list(x))
-        assert all((ci - bi) % modulus == 0 for ci, bi in zip(check, b))
+        if any((ci - bi) % modulus for ci, bi in zip(check, b)):
+            raise AssertionError("modular solution fails a @ x == b (mod modulus)")
         return x
     s = smith_normal_form(a)
     c = s.U.apply_vec(b)
@@ -371,7 +372,8 @@ def solve_linear(a: IntMatrix, b: list[int] | tuple, modulus: int | None = None)
         if c[i] != 0:
             return None
     x = s.V.apply_vec(y)
-    assert a.apply_vec(x) == b
+    if a.apply_vec(x) != b:
+        raise AssertionError("solution fails the certificate a @ x == b")
     return tuple(x)
 
 

@@ -21,10 +21,20 @@ rank-4 free-abelian computations use the closed-form exterior cohomology
 ring (the group is a 4-torus group, so reduction of the fundamental class
 is the nonzero mod-2 class and the pairing with degree-4 cohomology is
 coefficient extraction).
+
+`_cyclic_reduction_bit` and `realizable_classes` are memoized (unbounded
+`functools.lru_cache`, keyed on their exact arguments with their types),
+as is `cohomology.h_twisted` underneath them.  They are pure functions of
+their arguments, and what is kept is small and frozen: an int bit and a
+`RealizableSet`.  The chain complexes they build are not kept.  So each
+distinct family is computed once per process, however many
+`ImmersionType`s are built from it, and the computation stays reachable
+as `__wrapped__`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 
@@ -64,8 +74,6 @@ def _validate(family: str, n: int | None, w1: int, w2: str) -> None:
             raise ValueError("odd-order cyclic groups admit no orientation character")
         if w2 == "1" and n % 2 == 1:
             raise ValueError("odd-order cyclic groups have no nonzero degree-2 class")
-        if w2 in ("e12", "e12+e34"):
-            raise ValueError("exterior degree-2 symbols require the rank-4 free-abelian family")
     else:
         if n is not None:
             raise ValueError(f"family {family!r} does not take an order parameter")
@@ -77,13 +85,13 @@ def _validate(family: str, n: int | None, w1: int, w2: str) -> None:
     if family == "Z":
         if w2 == "1":
             raise ValueError("the infinite cyclic group has no nonzero degree-2 class")
-        if w2 in ("e12", "e12+e34"):
-            raise ValueError("exterior degree-2 symbols require the rank-4 free-abelian family")
     if family == "Z4":
         if w1 != 0:
             raise ValueError("rank-4 free-abelian types are supported in the orientable case only")
         if w2 == "1":
             raise ValueError("w2 symbols for the rank-4 family are 0, e12, e12+e34, inf")
+    elif w2 in ("e12", "e12+e34"):
+        raise ValueError("exterior degree-2 symbols require the rank-4 free-abelian family")
 
 
 @dataclass(frozen=True)
@@ -168,6 +176,7 @@ def _w2_class_z4(w2: str) -> Z4Mod2Class:
     raise ValueError(f"no degree-2 class for symbol {w2!r}")
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def _cyclic_reduction_bit(n: int) -> int:
     """Whether the mod-2 reduction H_4(Z/n; Z^w) -> H_4(Z/n; Z/2) is nonzero.
 
@@ -206,7 +215,8 @@ def d2_40(family: str, n: int | None = None, w1: int = 0, w2: str = "0") -> D2Ma
         return D2Map(domain, codomain, (), kernel=Subgroup(1, 0))
     if family == "cyclic":
         domain = h_twisted(n, 1, 4)
-        assert domain == FgAbelianGroup.cyclic(2)
+        if domain != FgAbelianGroup.cyclic(2):
+            raise AssertionError(f"H_4(Z/{n}; Z^w) is {domain}, expected Z/2")
         red = _cyclic_reduction_bit(n)
         c1, c2 = _w_classes_cyclic(n, w1, w2)
         sq_bit = sq2_w(c1, c2, cyclic_generator(n, 2)).value
@@ -283,11 +293,13 @@ def ambient_subgroup_modulus(family: str, n: int | None, w1: int) -> int:
         return 0
     if family == "cyclic" and w1 == 1:
         order = h_twisted(n, 1, 4).order()
-        assert order is not None
+        if order is None:
+            raise AssertionError(f"H_4(Z/{n}; Z^w) is infinite, expected a finite group")
         return order
     return 1
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def realizable_classes(family: str, n: int | None = None, w1: int = 0, w2: str = "0") -> RealizableSet:
     """The set of realized fundamental classes in H_4(pi; Z^w1).
 
@@ -306,7 +318,8 @@ def realizable_classes(family: str, n: int | None = None, w1: int = 0, w2: str =
         full = Subgroup(modulus, 0 if modulus == 1 else 1)
         return RealizableSet(ambient, True, full)
     kernel = d2_40(family, n, w1, w2).kernel
-    assert kernel is not None
+    if kernel is None:
+        raise AssertionError("d2_40 recorded no kernel")
     if kernel.is_trivial():
         return RealizableSet(ambient, True, kernel)
     if family == "cyclic" and w1 == 1 and w2 == "1":

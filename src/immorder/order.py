@@ -24,10 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from . import james
-from .intalg import FgAbelianGroup
+from .cohomology import two_adic_valuation
 
 
 class InvalidType(ValueError):
@@ -48,14 +46,6 @@ class UnsupportedPair(ValueError):
 
 GROUPS = ("trivial", "cyclic", "Z", "Z4")
 _W2_INDEX = {"0": 0, "1": 1, "inf": 2, "e12": 3, "e12+e34": 4}
-
-
-def _two_part(n: int) -> int:
-    t = 1
-    while n % 2 == 0:
-        n //= 2
-        t *= 2
-    return t
 
 
 @dataclass(frozen=True)
@@ -101,12 +91,7 @@ class ImmersionType:
         """v_2 of the cyclic order (canonical types: n = 2^exponent)."""
         if self.group != "cyclic":
             raise InvalidType("exponent is defined for cyclic types only")
-        v = 0
-        n = self.n
-        while n % 2 == 0:
-            n //= 2
-            v += 1
-        return v
+        return two_adic_valuation(self.n)
 
 
 S4 = ImmersionType("trivial", None, 0, "0", 0)
@@ -129,7 +114,7 @@ def canonicalize(t: ImmersionType) -> ImmersionType:
     """
     group, n, w1, w2, c = t.group, t.n, t.w1, t.w2, t.c
     if group == "cyclic":
-        n2 = _two_part(n)
+        n2 = 2 ** two_adic_valuation(n)
         if n2 == 1:
             group, n = "trivial", None
         else:
@@ -304,7 +289,8 @@ def order_graph(types) -> OrderGraph:
     """Hasse diagram of the immersion order on the given types.
 
     Canonicalizes, quotients by mutual immersability, checks the partial-
-    order axioms on the quotient, and reduces transitively.  Raises
+    order axioms on the quotient (a failure raises AssertionError), and
+    keeps the cover relation, which is the transitive reduction.  Raises
     UndecidablePair if any required comparison is undetermined.
     """
     canon = sorted({canonicalize(t) for t in types}, key=_sort_key)
@@ -335,18 +321,18 @@ def order_graph(types) -> OrderGraph:
         else:
             groups.append([t])
     reps = sorted((min(cls, key=_sort_key) for cls in groups), key=_sort_key)
-    g = nx.DiGraph()
-    g.add_nodes_from(reps)
+    above = {a: [b for b in reps if b != a and rel[(a, b)]] for a in reps}
     for a in reps:
-        for b in reps:
-            if a != b and rel[(a, b)]:
-                if rel[(b, a)]:
-                    raise AssertionError("antisymmetry failed on representatives")
-                g.add_edge(a, b)
-    if not nx.is_directed_acyclic_graph(g):
-        raise AssertionError("strict order contains a cycle")
-    reduced = nx.transitive_reduction(g)
-    edges = tuple(sorted((node_name(u), node_name(v)) for u, v in reduced.edges))
+        for b in above[a]:
+            if rel[(b, a)]:
+                raise AssertionError("antisymmetry failed on representatives")
+            # the number of strictly larger elements falls along every
+            # strict relation, so no chain of them can close into a cycle
+            if len(above[b]) >= len(above[a]):
+                raise AssertionError("strict order contains a cycle")
+    # a < b is a cover when no c sits strictly between them
+    covers = [(a, b) for a in reps for b in above[a] if not any(rel[(c, b)] for c in above[a] if c != b)]
+    edges = tuple(sorted((node_name(u), node_name(v)) for u, v in covers))
     return OrderGraph(nodes=tuple(reps), edges=edges)
 
 
@@ -359,16 +345,6 @@ def emit_dot(graph: OrderGraph) -> str:
         lines.append(f'  {u} -> {v} [label="<"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def parse_dot_edges(text: str) -> set[tuple[str, str]]:
-    """Edge set of a DOT digraph as written by emit_dot (round-trip helper)."""
-    import re
-
-    edges = set()
-    for m in re.finditer(r'^\s*"?([A-Za-z0-9_]+)"?\s*->\s*"?([A-Za-z0-9_]+)"?', text, re.MULTILINE):
-        edges.add((m.group(1), m.group(2)))
-    return edges
 
 
 def cyclic_family(max_exp: int, combined: bool = False) -> list[ImmersionType]:

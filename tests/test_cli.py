@@ -17,8 +17,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 from immorder import cli
-from test_order import FROZEN_COMBINED_EDGES
-from immorder.order import parse_dot_edges
+from test_order import FROZEN_COMBINED_EDGES, parse_dot_edges
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 
@@ -102,6 +101,27 @@ def test_homology_mod2_coefficients():
     assert payload["result"] == "Z/2"
 
 
+@pytest.mark.parametrize("coeff", ["Z", "Z2"])
+def test_homology_rejects_twist_on_odd_order(coeff):
+    code, out = run_cli("homology", "--group", "Z/7", "--twist", "w", "--coeff", coeff, "--degree", "2")
+    assert code == 2
+    payload = json.loads(out)
+    Draft7Validator(load_schema("error")).validate(payload)
+    assert payload == {"error": "orientation twist requires an even group order"}
+
+
+@pytest.mark.parametrize("degree", ["0", "1", "2", "3", "4"])
+def test_homology_mod2_twist_is_trivial_on_even_order(degree):
+    # -1 = 1 mod 2: with Z/2 coefficients the twist changes nothing
+    twisted, _ = run_json(
+        "homology", "--group", "Z/6", "--twist", "w", "--coeff", "Z2", "--degree", degree, schema="homology",
+    )
+    plain, _ = run_json(
+        "homology", "--group", "Z/6", "--twist", "0", "--coeff", "Z2", "--degree", degree, schema="homology",
+    )
+    assert twisted["result"] == plain["result"] == "Z/2"
+
+
 def test_homology_rejects_twist_on_rank4():
     code, out = run_cli("homology", "--group", "Z4", "--twist", "w", "--degree", "2")
     assert code == 2
@@ -171,6 +191,15 @@ def test_realizable_rank4_determined_even_subgroup():
     )
     assert payload["kind"] == "Determined"
     assert payload["subgroup"] == "2Z"
+
+
+@pytest.mark.parametrize("w2", ["e12", "e12+e34"])
+def test_realizable_rejects_exterior_w2_on_trivial_group(w2):
+    code, out = run_cli("realizable", "--group", "trivial", "--w2", w2)
+    assert code == 2
+    payload = json.loads(out)
+    Draft7Validator(load_schema("error")).validate(payload)
+    assert payload == {"error": "exterior degree-2 symbols require the rank-4 free-abelian family"}
 
 
 # ---------------------------------------------------------------------------

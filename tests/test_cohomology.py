@@ -21,6 +21,7 @@ from immorder.cohomology import (
     sq1,
     sq2,
     sq2_w,
+    two_adic_valuation,
     z4_class,
     z4_monomials,
 )
@@ -55,6 +56,28 @@ def test_h_twisted_requires_even_order_for_twist():
         h_twisted(3, 1, 4)
     with pytest.raises(InvalidTwist):
         h_twisted(2, 2, 4)
+
+
+def test_cached_h_twisted_matches_computation():
+    for n in range(1, 65):
+        for w in (0, 1) if n % 2 == 0 else (0,):
+            for k in range(7):
+                assert h_twisted(n, w, k) == h_twisted.__wrapped__(n, w, k), (n, w, k)
+
+
+def test_h_twisted_cache_keys_on_argument_types():
+    h_twisted(4, 1, 4)
+    # 4.0 is not an order: it fails as the computation fails, cached 4 or not
+    with pytest.raises(TypeError):
+        h_twisted(4.0, 1, 4)
+
+
+def test_two_adic_valuation():
+    for n in range(1, 200):
+        v = two_adic_valuation(n)
+        assert n % 2**v == 0 and (n // 2**v) % 2 == 1
+    with pytest.raises(ValueError):
+        two_adic_valuation(0)
 
 
 # -- tabulated rings: construction ----------------------------------------------

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from immorder.intalg import FgAbelianGroup
 from immorder.james import (
+    FAMILIES,
+    W2_SYMBOLS,
     Subgroup,
     UnsupportedFamily,
+    _validate,
     ambient_subgroup_modulus,
     d2_31,
     d2_40,
@@ -79,6 +82,13 @@ def test_family_validation():
         d2_40("cyclic", 4, 1, "inf")  # differential needs w2 != inf
     with pytest.raises(ValueError):
         d2_40("Z", 4, 0, "0")  # no order parameter
+
+
+@pytest.mark.parametrize("family", ["trivial", "Z"])
+@pytest.mark.parametrize("w2", ["e12", "e12+e34"])
+def test_exterior_w2_needs_rank4_family(family, w2):
+    with pytest.raises(ValueError, match="exterior degree-2 symbols require the rank-4 free-abelian family"):
+        realizable_classes(family, None, 0, w2)
 
 
 # -- d2_40 kernels ----------------------------------------------------------------
@@ -203,3 +213,26 @@ def test_realizable_subgroup_inside_kernel(k, w2):
         for c in range(2):
             if r.subgroup.contains(c):
                 assert kernel.contains(c)
+
+
+# -- memoization ------------------------------------------------------------------
+
+
+def _valid_families(max_n: int):
+    for family in FAMILIES:
+        for n in range(2, max_n + 1) if family == "cyclic" else (None,):
+            for w1 in (0, 1):
+                for w2 in W2_SYMBOLS:
+                    try:
+                        _validate(family, n, w1, w2)
+                    except ValueError:
+                        continue
+                    yield family, n, w1, w2
+
+
+def test_cached_realizable_classes_match_computation():
+    seen = 0
+    for args in _valid_families(64):
+        assert realizable_classes(*args) == realizable_classes.__wrapped__(*args), args
+        seen += 1
+    assert seen > 200

@@ -11,11 +11,14 @@ group homomorphisms that knows nothing about the packaged rule table.
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from immorder import james, order
+from immorder.cohomology import h_twisted
 from immorder.order import (
     CP2,
     S4,
@@ -36,7 +39,6 @@ from immorder.order import (
     node_label,
     node_name,
     order_graph,
-    parse_dot_edges,
 )
 
 
@@ -46,6 +48,14 @@ def M(n: int) -> ImmersionType:
 
 def N(n: int, w2: str, c: int) -> ImmersionType:
     return ImmersionType("cyclic", n, 1, w2, c)
+
+
+def parse_dot_edges(text: str) -> set[tuple[str, str]]:
+    """Edge set of a DOT digraph as written by emit_dot (round-trip helper)."""
+    edges = set()
+    for m in re.finditer(r'^\s*"?([A-Za-z0-9_]+)"?\s*->\s*"?([A-Za-z0-9_]+)"?', text, re.MULTILINE):
+        edges.add((m.group(1), m.group(2)))
+    return edges
 
 
 # Frozen by hand before implementation: the Hasse diagram of the order on
@@ -363,6 +373,62 @@ def test_rank4_family_graph():
 def test_order_graph_rejects_undecidable_input():
     with pytest.raises(UndecidablePair):
         order_graph([ImmersionType("Z", None, 1, "inf", 0), N(2, "1", 0)])
+
+
+def _brute_force_reduction(nodes) -> set[tuple[str, str]]:
+    """Transitive reduction by its definition: keep a strict relation a < b
+    exactly when b cannot be reached from a once that relation is removed."""
+    succ = {a: [b for b in nodes if b != a and leq(a, b).answer] for a in nodes}
+    kept = set()
+    for a in nodes:
+        for b in succ[a]:
+            seen, todo = {a}, [a]
+            while todo:
+                x = todo.pop()
+                for y in succ[x]:
+                    if (x, y) != (a, b) and y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            if b not in seen:
+                kept.add((node_name(a), node_name(b)))
+    return kept
+
+
+@pytest.mark.parametrize("combined", [False, True])
+@pytest.mark.parametrize("max_exp", [1, 2, 3, 4, 5])
+def test_cover_relation_is_transitive_reduction(max_exp, combined):
+    graph = order_graph(cyclic_family(max_exp, combined=combined))
+    assert len(set(graph.edges)) == len(graph.edges)
+    assert set(graph.edges) == _brute_force_reduction(graph.nodes)
+
+
+def test_order_graph_computes_each_family_once():
+    for fn in (h_twisted, james._cyclic_reduction_bit, james.realizable_classes):
+        fn.cache_clear()
+    family = cyclic_family(5, combined=True)
+    order_graph(family)
+    orders = {t.n for t in family if t.group == "cyclic"}
+    assert james._cyclic_reduction_bit.cache_info().misses <= len(orders)
+    families = {(t.group, t.n, t.w1, t.w2) for t in family}
+    assert james.realizable_classes.cache_info().misses <= len(families)
+
+
+def _patched_leq(monkeypatch, holds):
+    """Replace the rules by the relation `holds` on node names."""
+    monkeypatch.setattr(order, "leq", lambda a, b: LeqVerdict(holds(node_name(a), node_name(b)), ("patched",)))
+
+
+def test_order_graph_rejects_non_reflexive_relation(monkeypatch):
+    _patched_leq(monkeypatch, lambda a, b: a == "S4" and b != "S4")
+    with pytest.raises(AssertionError, match="reflexivity"):
+        order_graph([S4, CP2])
+
+
+def test_order_graph_rejects_non_transitive_relation(monkeypatch):
+    steps = {("S4", "M_1"), ("M_1", "CP2")}
+    _patched_leq(monkeypatch, lambda a, b: a == b or (a, b) in steps)
+    with pytest.raises(AssertionError, match="transitivity"):
+        order_graph([S4, M(2), CP2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,37 @@
+"""Package-wide properties: no `assert` in the sources and no third-party
+import behind the command line."""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import immorder
+
+SRC = Path(immorder.__file__).parent
+
+
+def test_sources_use_no_assert_statements():
+    # `python -O` strips asserts, so certificate checks must raise explicitly
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert sorted(SRC.glob("*.py"))
+    assert found == []
+
+
+def test_cli_import_leaves_networkx_out():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, immorder.cli; print('networkx' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
