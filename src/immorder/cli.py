@@ -123,9 +123,7 @@ def _cmd_homology(args) -> int:
             # but it exists only for even orders
             if w and n % 2:
                 raise _CliInput("orientation twist requires an even group order")
-            chain, _ = coefficients_complex(
-                standard_resolution(n, args.degree + 1), coefficient_module("Z2", n)
-            )
+            chain = coefficients_complex(standard_resolution(n, args.degree + 1), coefficient_module("Z2", n))
             group = chain.homology(args.degree)
     elif family == "Z4":
         if w:

@@ -77,8 +77,7 @@ def h_twisted(n: int, w: int, k: int) -> FgAbelianGroup:
     if w not in (0, 1):
         raise InvalidTwist("w must be 0 or 1")
     coeff = coefficient_module("Zw" if w else "Z", n)
-    chain, _ = coefficients_complex(standard_resolution(n, k + 1), coeff)
-    return chain.homology(k)
+    return coefficients_complex(standard_resolution(n, k + 1), coeff).homology(k)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ Elements of Z[Z/n] are stored as coefficient vectors indexed by powers of
 the generator a.  The module provides the norm element, its twisted
 companion used as the degree-3 boundary of the small model complexes, the
 regular representation, free resolutions of Z over Z[Z/n], and the functor
-that turns a complex of free Z[Z/n]-modules into honest integer matrix
-complexes for a chosen coefficient system (chain and cochain versions).
+that turns a complex of free Z[Z/n]-modules into an integer chain complex
+for a chosen coefficient system; cohomology is read off its transpose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .intalg import IntComplex, IntMatrix
 
@@ -156,6 +156,10 @@ class CoefficientModule:
     action: IntMatrix
     modulus: int
 
+    def transposed(self) -> "CoefficientModule":
+        """The same lattice with a acting by the transposed matrix."""
+        return replace(self, action=self.action.transpose())
+
     def rho(self, x: GroupRingElement) -> IntMatrix:
         """Matrix by which x acts on the module."""
         if x.n != self.n:
@@ -280,53 +284,36 @@ def standard_resolution(n: int, top_degree: int) -> GroupRingComplex:
     return GroupRingComplex(n=n, ranks=(1,) * (top_degree + 1), boundaries=tuple(bounds))
 
 
-def _expand_chain(mat: GroupRingMatrix, coeff: CoefficientModule, rows: int, cols: int) -> IntMatrix:
-    """Block-expand a group-ring matrix through the module action."""
+def _expand(mat: GroupRingMatrix, coeff: CoefficientModule, rows: int, cols: int) -> IntMatrix:
+    """Block-expand a group-ring matrix: rho of entry (i, j) at block (i, j)."""
     r = coeff.rank
     if rows == 0 or cols == 0:
         return IntMatrix.zeros(rows * r, cols * r)
-    blocks = [[coeff.rho(mat[i][j]) for j in range(cols)] for i in range(rows)]
-    out_rows = []
-    for i in range(rows):
-        for bi in range(r):
-            row = []
-            for j in range(cols):
-                row.extend(blocks[i][j].row_list(bi))
-            out_rows.append(row)
-    return IntMatrix.from_rows(out_rows)
+    blocks = [[coeff.rho(e) for e in row] for row in mat]
+    return IntMatrix.from_rows([[x for b in row for x in b.row_list(i)] for row in blocks for i in range(r)])
 
 
-def coefficients_complex(cx: GroupRingComplex, coeff: CoefficientModule) -> tuple[IntComplex, IntComplex]:
-    """Integer chain and cochain complexes of cx with the given coefficients.
+def coefficients_complex(cx: GroupRingComplex, coeff: CoefficientModule) -> IntComplex:
+    """The integer chain complex M (x) cx for the coefficient module M.
 
-    The chain side is the coefficient module tensored over the group ring
-    (each free generator contributes `coeff.rank` integer coordinates, and
-    the boundary element acts through the module structure).  The cochain
-    side consists of the equivariant homomorphisms into the module; since
-    the modules are free, its coboundary in degree k is the action of the
-    degree-(k+1) boundary element as well.  Homology of either side is
-    independent of how far the complex extends beyond the queried degree.
+    Each free generator contributes `coeff.rank` integer coordinates, and
+    the boundary entry d_ij acts through the module structure, so the
+    degree-k boundary has rho(d_ij) at block (i, j).  Its homology is
+    H_k(cx; M), independent of how far cx extends beyond the queried
+    degree.
+
+    Cohomology needs no second complex.  The coboundary of Hom(cx, M)
+    sends f to f o d_k, which puts rho(d_ij) at block (j, i).  That is
+    the transpose of the boundary of M' (x) cx, where M' is M with the
+    transposed action: rho is a polynomial in the action, so rho'(x) is
+    rho(x) transposed.  Hence H^k(cx; M) is
+    `coefficients_complex(cx, coeff.transposed()).cohomology(k)`.  A
+    symmetric action is its own transpose, but the regular module's is
+    not, so the transposed module is always passed.
     """
     if coeff.n != cx.n:
         raise RingMismatch("complex and coefficients over different group rings")
-    dims = tuple(r * coeff.rank for r in cx.ranks)
-    down = []
-    up = []
-    for k in range(1, cx.top + 1):
-        m = _expand_chain(cx.boundary(k), coeff, cx.ranks[k - 1], cx.ranks[k])
-        down.append(m)
-        # Hom(C_{k-1}, M) -> Hom(C_k, M): f |-> f o d_k; in coordinates the
-        # block at (generator j of C_k, generator i of C_{k-1}) is the
-        # action of the (i,j) entry of d_k.
-        mt_blocks = [[coeff.rho(cx.boundary(k)[i][j]) for i in range(cx.ranks[k - 1])] for j in range(cx.ranks[k])]
-        rows_out = []
-        for j in range(cx.ranks[k]):
-            for bi in range(coeff.rank):
-                row = []
-                for i in range(cx.ranks[k - 1]):
-                    row.extend(mt_blocks[j][i].row_list(bi))
-                rows_out.append(row)
-        up.append(IntMatrix.from_rows(rows_out) if rows_out else IntMatrix.zeros(dims[k], dims[k - 1]))
-    chain = IntComplex(dims=dims, down=tuple(down), modulus=coeff.modulus)
-    cochain = IntComplex(dims=dims, up=tuple(up), modulus=coeff.modulus)
-    return chain, cochain
+    down = tuple(
+        _expand(cx.boundary(k), coeff, cx.ranks[k - 1], cx.ranks[k]) for k in range(1, cx.top + 1)
+    )
+    return IntComplex(dims=tuple(r * coeff.rank for r in cx.ranks), down=down, modulus=coeff.modulus)

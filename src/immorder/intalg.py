@@ -153,9 +153,6 @@ class IntMatrix:
             out.append(sum(self.entries[base + j] * vec[j] for j in range(self.cols)))
         return out
 
-    def mod(self, m: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(x % m for x in self.entries))
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form
@@ -466,7 +463,6 @@ class Subquotient:
     `group.torsion` followed by `group.free_rank` copies of Z.
     """
 
-    ambient_dim: int
     sub_basis: IntMatrix
     group: FgAbelianGroup
     _dfull: tuple[int, ...]
@@ -528,7 +524,6 @@ def subquotient(sub_basis: IntMatrix, relations: IntMatrix) -> Subquotient:
     torsion = tuple(d for d in dfull if d >= 2)
     grp = FgAbelianGroup(free_rank=s - sf.rank, torsion=torsion)
     return Subquotient(
-        ambient_dim=sub_basis.rows,
         sub_basis=sub_basis,
         group=grp,
         _dfull=dfull,
@@ -568,30 +563,26 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> FgAbelianGroup:
 
 @dataclass(frozen=True)
 class IntComplex:
-    """A bounded complex of free modules presented by integer matrices.
+    """A bounded chain complex of free modules presented by integer matrices.
 
-    Exactly one of `down`, `up` is set.  `down[k]` is the boundary
-    C_{k+1} -> C_k of a chain complex; `up[k]` is the coboundary
-    C^k -> C^{k+1} of a cochain complex.  `modulus` 0 means coefficients
-    in Z; modulus 2 means the matrices are to be read mod 2 (homology is
-    then computed as an integer subquotient that encodes the mod-2
-    groups exactly).
+    `down[k]` is the boundary C_{k+1} -> C_k.  `modulus` 0 means
+    coefficients in Z; modulus 2 means the matrices are to be read mod 2
+    (homology is then computed as an integer subquotient that encodes the
+    mod-2 groups exactly).  `cohomology` is the homology of the dual
+    complex, whose coboundary C^k -> C^{k+1} is `down[k]` transposed.
     """
 
     dims: tuple[int, ...]
-    down: tuple[IntMatrix, ...] | None = None
-    up: tuple[IntMatrix, ...] | None = None
+    down: tuple[IntMatrix, ...]
     modulus: int = 0
 
     def __post_init__(self) -> None:
-        if (self.down is None) == (self.up is None):
-            raise ValueError("exactly one of down/up must be given")
-        maps = self.down if self.down is not None else self.up
-        if len(maps) != max(len(self.dims) - 1, 0):
+        if self.modulus not in (0, 2):
+            raise ValueError(f"unsupported modulus {self.modulus}")
+        if len(self.down) != max(len(self.dims) - 1, 0):
             raise DimensionMismatch("wrong number of structure maps")
-        for k, m in enumerate(maps):
-            src, dst = (k + 1, k) if self.down is not None else (k, k + 1)
-            if (m.rows, m.cols) != (self.dims[dst], self.dims[src]):
+        for k, m in enumerate(self.down):
+            if (m.rows, m.cols) != (self.dims[k], self.dims[k + 1]):
                 raise DimensionMismatch(f"map {k} has shape {m.rows}x{m.cols}")
 
     @property
@@ -599,27 +590,26 @@ class IntComplex:
         return len(self.dims) - 1
 
     def _pair(self, k: int) -> tuple[IntMatrix, IntMatrix]:
-        """(d_in, d_out) at position k for either orientation."""
+        """(d_in, d_out) of the chain complex at degree k."""
         if not 0 <= k <= self.top:
             raise IndexError(f"degree {k} outside complex of top degree {self.top}")
-        if self.down is not None:
-            d_in = self.down[k] if k < self.top else IntMatrix.zeros(self.dims[k], 0)
-            d_out = self.down[k - 1] if k >= 1 else IntMatrix.zeros(0, self.dims[0])
-        else:
-            d_in = self.up[k - 1] if k >= 1 else IntMatrix.zeros(self.dims[k], 0)
-            d_out = self.up[k] if k < self.top else IntMatrix.zeros(0, self.dims[k])
+        d_in = self.down[k] if k < self.top else IntMatrix.zeros(self.dims[k], 0)
+        d_out = self.down[k - 1] if k >= 1 else IntMatrix.zeros(0, self.dims[0])
         return d_in, d_out
 
+    def _subquotient(self, d_in: IntMatrix, d_out: IntMatrix) -> "Subquotient":
+        return (homology_data_mod2 if self.modulus == 2 else homology_data)(d_in, d_out)
+
     def homology_data(self, k: int) -> "Subquotient":
-        d_in, d_out = self._pair(k)
-        if self.modulus == 0:
-            return homology_data(d_in, d_out)
-        if self.modulus == 2:
-            return homology_data_mod2(d_in, d_out)
-        raise ValueError(f"unsupported modulus {self.modulus}")
+        return self._subquotient(*self._pair(k))
 
     def homology(self, k: int) -> FgAbelianGroup:
         return self.homology_data(k).group
+
+    def cohomology(self, k: int) -> FgAbelianGroup:
+        """Homology at degree k of the transposed boundaries."""
+        d_in, d_out = self._pair(k)
+        return self._subquotient(d_out.transpose(), d_in.transpose()).group
 
 
 def f2_kernel_basis(a: IntMatrix) -> list[list[int]]:

@@ -87,9 +87,8 @@ def model_cohomology(k_exp: int, coeff_name: str, degree: int = 2) -> FgAbelianG
     if k_exp < 1:
         raise ValueError("group-order exponent must be >= 1")
     x = model_complex_X(2 ** (k_exp - 1))
-    coeff = coefficient_module(coeff_name, x.n)
-    cochain = coefficients_complex(x, coeff)[1]
-    return cochain.homology(degree)
+    coeff = coefficient_module(coeff_name, x.n).transposed()
+    return coefficients_complex(x, coeff).cohomology(degree)
 
 
 def lift_exists(k_exp: int, class_bit: int, along: str) -> bool:
@@ -108,17 +107,19 @@ def lift_exists(k_exp: int, class_bit: int, along: str) -> bool:
         return True
     x = model_complex_X(2 ** (k_exp - 1))
     n = x.n
-    cochain_a = coefficients_complex(x, coefficient_module(along, n))[1]
-    cochain_2 = coefficients_complex(x, coefficient_module("Z2", n))[1]
+    # the coboundary C^k -> C^(k+1) of Hom(X, M) is down[k] transposed of
+    # the complex with the transposed action (see coefficients_complex)
+    chain_a = coefficients_complex(x, coefficient_module(along, n).transposed())
+    chain_2 = coefficients_complex(x, coefficient_module("Z2", n).transposed())
     # the label [1] must itself be a mod-2 cocycle in degree 2
-    if not all(e % 2 == 0 for e in cochain_2.up[2].entries):
+    if not all(e % 2 == 0 for e in chain_2.down[2].entries):
         raise AssertionError("degree-2 mod-2 coboundary is nonzero; class labels invalid")
-    cocycles = kernel_basis(cochain_a.up[2])
+    cocycles = kernel_basis(chain_a.down[2].transpose())
     if along == "Z":
         reduction = IntMatrix.from_rows([[1]])
     else:
         reduction = IntMatrix.from_rows([[1, 1]])
-    system = (reduction @ cocycles).hstack(cochain_2.up[1])
+    system = (reduction @ cocycles).hstack(chain_2.down[1].transpose())
     return solve_linear(system, [class_bit], modulus=2) is not None
 
 
@@ -204,7 +205,7 @@ def chain_map_exists(
             row.append(GroupRingElement(l2, tuple(sol[off : off + l2])))
         h_rows.append(row)
     h = gr_matrix(h_rows)
-    if gr_mat_mul(gr_matrix([[e for e in row] for row in d2_d]), h, l2) != rhs:
+    if gr_mat_mul(d2_d, h, l2) != rhs:
         raise AssertionError("solver produced a witness that fails the commutation identity")
     return h
 
@@ -364,7 +365,7 @@ def shift_data(n: int, w: int) -> ShiftData:
     def module_chain(rank: int, action: IntMatrix) -> IntComplex:
         twisted = action.scale(-1) if w else action
         coeff = CoefficientModule("internal", n, rank, twisted, 0)
-        return coefficients_complex(res, coeff)[0]
+        return coefficients_complex(res, coeff)
 
     return ShiftData(
         n=n,

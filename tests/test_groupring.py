@@ -20,6 +20,7 @@ from immorder.groupring import (
     standard_resolution,
     twisted_norm,
 )
+from immorder import intalg
 from immorder.intalg import FgAbelianGroup, IntMatrix
 
 
@@ -138,7 +139,7 @@ def test_complex_validation_rejects_non_complex():
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=5))
 def test_untwisted_homology_of_cyclic_groups(n, top):
     """H_k(Z/n; Z) alternates Z/n (odd k) and 0 (even k > 0), H_0 = Z."""
-    chain, _ = coefficients_complex(standard_resolution(n, top + 1), coefficient_module("Z", n))
+    chain = coefficients_complex(standard_resolution(n, top + 1), coefficient_module("Z", n))
     assert chain.homology(0) == FgAbelianGroup.free(1)
     for k in range(1, top + 1):
         want = FgAbelianGroup.cyclic(n) if k % 2 == 1 else FgAbelianGroup.zero()
@@ -149,24 +150,97 @@ def test_untwisted_homology_of_cyclic_groups(n, top):
 @given(even_orders, st.sampled_from(COEFFICIENT_NAMES), st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
 def test_homology_independent_of_padding(n, name, top_a, extra):
     mod = coefficient_module(name, n)
-    chain_a, cochain_a = coefficients_complex(standard_resolution(n, top_a), mod)
-    chain_b, cochain_b = coefficients_complex(standard_resolution(n, top_a + extra), mod)
+    res_a, res_b = standard_resolution(n, top_a), standard_resolution(n, top_a + extra)
+    chain_a, chain_b = coefficients_complex(res_a, mod), coefficients_complex(res_b, mod)
+    dual_a, dual_b = coefficients_complex(res_a, mod.transposed()), coefficients_complex(res_b, mod.transposed())
     for k in range(top_a):
         assert chain_a.homology(k) == chain_b.homology(k)
-        assert cochain_a.homology(k) == cochain_b.homology(k)
+        assert dual_a.cohomology(k) == dual_b.cohomology(k)
 
 
 @settings(max_examples=40, deadline=None)
 @given(even_orders, st.sampled_from(COEFFICIENT_NAMES), st.integers(min_value=2, max_value=5))
 def test_expanded_boundaries_compose_to_zero(n, name, top):
     mod = coefficient_module(name, n)
-    chain, cochain = coefficients_complex(standard_resolution(n, top), mod)
+    chain = coefficients_complex(standard_resolution(n, top), mod)
+    dual = coefficients_complex(standard_resolution(n, top), mod.transposed())
     for k in range(len(chain.down) - 1):
         assert (chain.down[k] @ chain.down[k + 1]).is_zero()
-        assert (cochain.up[k + 1] @ cochain.up[k]).is_zero()
+        # the coboundaries that cohomology reads
+        assert (dual.down[k + 1].transpose() @ dual.down[k].transpose()).is_zero()
     assert chain.dims == tuple(mod.rank for _ in range(top + 1))
 
 
 def test_coefficients_complex_ring_mismatch():
     with pytest.raises(RingMismatch):
         coefficients_complex(standard_resolution(4, 2), coefficient_module("Z", 6))
+
+
+def _rank_two_complex(n):
+    """Ranks 1, 2, 1 with d1 = (1-a, 1-a^2) and d2 = (1+a, -1)^T; d1 d2 = 0."""
+    one, a = GroupRingElement.one(n), GroupRingElement.gen(n)
+    d1 = gr_matrix([[one - a, one - a * a]])
+    d2 = gr_matrix([[one + a], [-one]])
+    return GroupRingComplex(n=n, ranks=(1, 2, 1), boundaries=(d1, d2))
+
+
+def _block(blocks):
+    """Integer matrix assembled from a grid of equally sized integer blocks."""
+    size = blocks[0][0].rows
+    return IntMatrix.from_rows([[x for b in row for x in b.row_list(i)] for row in blocks for i in range(size)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_cohomology_reads_hom_coboundaries_for_non_symmetric_action(n, monkeypatch):
+    """The coboundary of Hom(cx, M) has rho(d_ij) at block (j, i).
+
+    M is the regular module, whose action is not symmetric, so this fails
+    if `cohomology` were read off the complex of M instead of its
+    transposed-action twin.
+    """
+    cx = _rank_two_complex(n)
+    mod = CoefficientModule("internal", n, n, regular_representation(GroupRingElement.gen(n)), 0)
+    assert mod.action != mod.action.transpose()
+    coboundary = {}
+    for k in (1, 2):
+        d = cx.boundary(k)
+        # Hom(C_{k-1}, M) -> Hom(C_k, M); the regular module acts by the regular representation
+        rows, cols = len(d), len(d[0])
+        coboundary[k - 1] = _block([[regular_representation(d[i][j]) for i in range(rows)] for j in range(cols)])
+    dims = (n, 2 * n, n)
+    want = {
+        0: (IntMatrix.zeros(dims[0], 0), coboundary[0]),
+        1: (coboundary[0], coboundary[1]),
+        2: (coboundary[1], IntMatrix.zeros(0, dims[2])),
+    }
+    seen = []
+    original = intalg.homology_data
+
+    def recording(d_in, d_out):
+        seen.append((d_in, d_out))
+        return original(d_in, d_out)
+
+    monkeypatch.setattr(intalg, "homology_data", recording)
+    dual = coefficients_complex(cx, mod.transposed())
+    for k in range(3):
+        seen.clear()
+        dual.cohomology(k)
+        assert seen == [want[k]]
+    untransposed = coefficients_complex(cx, mod)
+    assert untransposed.down[0].transpose() != coboundary[0]
+
+
+def test_coefficients_complex_computes_rho_once_per_entry(monkeypatch):
+    calls = []
+    original = CoefficientModule.rho
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(CoefficientModule, "rho", counting)
+    coefficients_complex(_rank_two_complex(4), coefficient_module("ZZ2w", 4))
+    assert len(calls) == 2 + 2
+    calls.clear()
+    coefficients_complex(standard_resolution(6, 5), coefficient_module("Zw", 6))
+    assert len(calls) == 5

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from immorder.intalg import (
     DimensionMismatch,
     FgAbelianGroup,
+    IntComplex,
     IntMatrix,
     NotAComplex,
     cokernel,
@@ -343,3 +344,20 @@ def test_homology_mod2_detects_mod2_cycles():
     # Z --0--> Z --2--> Z: middle mod-2 homology Z/2 (kernel of mult-2 mod 2 is everything)
     sq2 = homology_data_mod2(IntMatrix.zeros(1, 1), IntMatrix.from_rows([[2]]))
     assert sq2.group == FgAbelianGroup.cyclic(2)
+
+
+def test_int_complex_rejects_unsupported_modulus():
+    with pytest.raises(ValueError):
+        IntComplex(dims=(1, 1), down=(IntMatrix.from_rows([[2]]),), modulus=3)
+
+
+def test_int_complex_cohomology_is_homology_of_transpose():
+    # Z^2 --diag(2, 0)--> Z^2: H_0 = Z/2 + Z, H^1 = Z/2 + Z
+    down = (IntMatrix.from_rows([[2, 0], [0, 0]]),)
+    cx = IntComplex(dims=(2, 2), down=down)
+    assert cx.homology(0) == FgAbelianGroup(1, (2,))
+    assert cx.homology(1) == FgAbelianGroup.free(1)
+    assert cx.cohomology(0) == FgAbelianGroup.free(1)
+    assert cx.cohomology(1) == FgAbelianGroup(1, (2,))
+    with pytest.raises(IndexError):
+        cx.cohomology(2)
