@@ -172,7 +172,7 @@ def chain_map_exists(
     l2 = d_complex.n
     d2_c = c_complex.boundary(2)
     d2_d = d_complex.boundary(2)
-    rhs = gr_mat_mul(c1, _push_matrix(phi, d2_c), l2)
+    rhs = gr_mat_mul(c1, _push_matrix(phi, d2_c))
     rows_d1, rank_c2, rank_d2 = d_complex.ranks[1], c_complex.ranks[2], d_complex.ranks[2]
     # unknowns: h[u][v] for u < rank_d2, v < rank_c2, each an element of Z[Z/l2]
     blocks = []
@@ -205,7 +205,7 @@ def chain_map_exists(
             row.append(GroupRingElement(l2, tuple(sol[off : off + l2])))
         h_rows.append(row)
     h = gr_matrix(h_rows)
-    if gr_mat_mul(d2_d, h, l2) != rhs:
+    if gr_mat_mul(d2_d, h) != rhs:
         raise AssertionError("solver produced a witness that fails the commutation identity")
     return h
 

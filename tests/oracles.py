@@ -62,6 +62,39 @@ def oracle_homology_group(a_rows: list[list[int]], b_rows: list[list[int]]) -> t
     return free, torsion
 
 
+def cyclic_convolution(a, b) -> tuple[int, ...]:
+    """Coefficients of a * b in Z[Z/n] by the dense double loop.
+
+    The reference for the group-ring product: every pair of nonzero terms
+    a_i a^i, b_j a^j contributes a_i b_j to the coefficient of a^((i+j) mod n).
+    """
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % n] += x * y
+    return tuple(out)
+
+
+def action_power_sum(action_rows: list[list[int]], coeffs) -> list[list[int]]:
+    """sum_i coeffs[i] A^i for the square matrix A, from len(coeffs) products.
+
+    The reference for `CoefficientModule.rho`: it walks through every power
+    A^0, ..., A^(n-1) with no use of the order of A.
+    """
+    r = len(action_rows)
+    out = [[0] * r for _ in range(r)]
+    power = [[int(i == j) for j in range(r)] for i in range(r)]
+    for c in coeffs:
+        for i in range(r):
+            for j in range(r):
+                out[i][j] += c * power[i][j]
+        power = [[sum(action_rows[i][k] * power[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
+    return out
+
+
 def elementary_reachable(start: list[list[int]], goal: list[list[int]], max_steps: int = 6) -> bool:
     """Breadth-first search over elementary row/column operations.
 

@@ -77,6 +77,38 @@ def test_homology_twisted_cyclic():
     assert out == '{"coeff":"Z","degree":4,"group":"Z/8","result":"Z/2","twist":"w"}\n'
 
 
+def test_homology_twisted_order_100000():
+    """The largest order inside the budget answers like every even order."""
+    _, out = run_json(
+        "homology", "--group", "Z/100000", "--twist", "w", "--coeff", "Z",
+        "--degree", "4", schema="homology",
+    )
+    assert out == '{"coeff":"Z","degree":4,"group":"Z/100000","result":"Z/2","twist":"w"}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homology", "--group", "Z/100001", "--degree", "4"),
+        ("realizable", "--group", "Z/1000000000", "--w1", "1", "--w2", "1"),
+        ("sq2w", "--group", "Z/100002", "--w1", "t"),
+        ("shift", "--group", "Z/66"),
+        ("model-cohomology", "--k", "17", "--coeff", "Z"),
+        ("model-cohomology", "--k", "100000000", "--coeff", "ZZ2w"),
+    ],
+    ids=lambda a: " ".join(a[:3]),
+)
+def test_orders_past_the_budget_exit_2(argv):
+    payload, _ = run_json(*argv, schema="error", expect_code=2)
+    assert "exceeds the budget" in payload["error"]
+
+
+def test_help_states_the_budgets():
+    assert "n <= 100000" in run_cli("homology", "--help")[1]
+    assert "n <= 64" in run_cli("shift", "--help")[1]
+    assert "2^k <= 100000" in run_cli("model-cohomology", "--help")[1]
+
+
 def test_homology_untwisted_cyclic_vanishes():
     payload, _ = run_json(
         "homology", "--group", "Z/6", "--degree", "4", schema="homology",
@@ -312,6 +344,13 @@ def test_model_cohomology_pinned_values():
             schema="model_cohomology",
         )
         assert payload["group"] == group, (k, coeff)
+
+
+def test_model_cohomology_closed_forms_at_k_11():
+    """H^2 of the model over Z/2^k: Z/2^k, Z/2 and Z/2^(k-1)."""
+    for coeff, group in (("Z", "Z/2048"), ("Z2", "Z/2"), ("ZZ2w", "Z/1024")):
+        payload, _ = run_json("model-cohomology", "--k", "11", "--coeff", coeff, schema="model_cohomology")
+        assert payload["group"] == group, coeff
 
 
 def test_model_cohomology_output_bytes():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from immorder import groupring
 from immorder.groupring import (
     COEFFICIENT_NAMES,
     CoefficientModule,
@@ -22,6 +25,7 @@ from immorder.groupring import (
 )
 from immorder import intalg
 from immorder.intalg import FgAbelianGroup, IntMatrix
+from oracles import action_power_sum, cyclic_convolution
 
 
 orders = st.integers(min_value=1, max_value=9)
@@ -70,6 +74,78 @@ def test_norm_absorbs_everything(data):
     assert (norm(n) * x).coeffs == norm(n).scale(x.augmentation()).coeffs
 
 
+SWITCH = groupring._SHIFT_ADD_MAX_TERMS
+
+
+@st.composite
+def sparse_coeffs(draw, n):
+    """Length-n coefficients with a chosen number of nonzero terms.
+
+    Term counts cluster at the switch between the two product algorithms,
+    and magnitudes range up to 2^70 so that several digit widths are used.
+    """
+    terms = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=min(n, 3)),
+            st.integers(min_value=max(0, min(n, SWITCH - 1)), max_value=min(n, SWITCH + 2)),
+            st.integers(min_value=0, max_value=n),
+        )
+    )
+    bits = draw(st.sampled_from([2, 8, 33, 70]))
+    rng = draw(st.randoms(use_true_random=False))
+    coeffs = [0] * n
+    for i in rng.sample(range(n), terms):
+        coeffs[i] = rng.choice([-1, 1]) * rng.randint(1, 2**bits)
+    return tuple(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_product_matches_dense_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=300))
+    a = data.draw(sparse_coeffs(n))
+    b = data.draw(sparse_coeffs(n))
+    want = cyclic_convolution(a, b)
+    x, y = GroupRingElement(n, a), GroupRingElement(n, b)
+    assert (x * y).coeffs == want
+    assert (y * x).coeffs == want
+
+
+@pytest.mark.parametrize("terms", [SWITCH - 1, SWITCH, SWITCH + 1, 40])
+@pytest.mark.parametrize("n", [40, 257])
+def test_product_on_both_sides_of_the_switch(n, terms):
+    """Full-length factors, one with exactly `terms` terms, extreme values."""
+    rng = random.Random(n * 100 + terms)
+    short = [0] * n
+    for i in rng.sample(range(n), terms):
+        short[i] = rng.choice([-(2**70), 2**70, -1, 3])
+    dense = tuple(rng.choice([-(2**70), -5, -1, 1, 7, 2**70]) for _ in range(n))
+    want = cyclic_convolution(tuple(short), dense)
+    assert (GroupRingElement(n, tuple(short)) * GroupRingElement(n, dense)).coeffs == want
+    assert (GroupRingElement(n, dense) * GroupRingElement(n, tuple(short))).coeffs == want
+
+
+@pytest.mark.parametrize("n", [SWITCH + 1, 16, 100])
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64, 71, 72])
+def test_product_coefficients_at_the_digit_bound(n, bits):
+    """Constant factors make every coefficient reach the bound n max|a| max|b|.
+
+    With the bound just below, at, and just above a power of two next to a
+    whole number of bytes, a digit width without room for the sign or the
+    bound fails here.
+    """
+    for target in (2**bits - 1, 2**bits, 2**bits + 1):
+        m = max(1, target // n)
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            a, b = (sa * m,) * n, (sb,) * n
+            want = cyclic_convolution(a, b)
+            assert want == (sa * sb * n * m,) * n
+            assert (GroupRingElement(n, a) * GroupRingElement(n, b)).coeffs == want
+        root = max(1, int((target // n) ** 0.5))
+        a = (root,) * n
+        assert (GroupRingElement(n, a) * GroupRingElement(n, a)).coeffs == (n * root * root,) * n
+
+
 def test_regular_representation_of_generator_is_cyclic_permutation():
     m = regular_representation(GroupRingElement.gen(3))
     assert m.to_rows() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
@@ -114,6 +190,75 @@ def test_rho_is_multiplicative(data):
     x = data.draw(elements(n=n))
     y = data.draw(elements(n=n))
     assert (mod.rho(x) @ mod.rho(y)).entries == mod.rho(x * y).entries
+
+
+def _regular_module(n: int) -> CoefficientModule:
+    return CoefficientModule("regular", n, n, regular_representation(GroupRingElement.gen(n)), 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rho_matches_power_sum_reference(data):
+    name = data.draw(st.sampled_from(COEFFICIENT_NAMES + ("regular",)))
+    if name in ("Zw", "ZZ2w"):
+        n = 2 * data.draw(st.integers(min_value=1, max_value=32))
+    else:
+        n = data.draw(st.integers(min_value=1, max_value=64 if name != "regular" else 24))
+    mod = _regular_module(n) if name == "regular" else coefficient_module(name, n)
+    coeffs = tuple(data.draw(st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=n, max_size=n)))
+    for m in (mod, mod.transposed()):
+        assert m.rho(GroupRingElement(n, coeffs)).to_rows() == action_power_sum(m.action.to_rows(), coeffs)
+
+
+def test_rho_takes_no_matrix_products(monkeypatch):
+    """The action's powers are computed at construction, never inside rho."""
+    mods = [coefficient_module(name, 64) for name in COEFFICIENT_NAMES] + [_regular_module(12)]
+    calls = []
+    original = IntMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+    for mod in mods:
+        mod.rho(norm(mod.n))
+        mod.rho(GroupRingElement.one(mod.n) - GroupRingElement.gen(mod.n))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "rows, n",
+    [
+        ([[2]], 4),  # infinite order
+        ([[1, 1], [0, 1]], 4),  # unipotent, infinite order
+        ([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], 4),  # order 3, which does not divide 4
+        ([[-1]], 3),  # order 2 on an odd-order group
+        ([[0, 1], [1, 0]], 1),  # the trivial group acts trivially
+    ],
+)
+def test_module_rejects_action_whose_order_does_not_divide_n(rows, n):
+    action = IntMatrix.from_rows(rows)
+    with pytest.raises(ValueError, match="'twisted-test'"):
+        CoefficientModule("twisted-test", n, action.rows, action, 0)
+
+
+def test_module_accepts_actions_of_dividing_order_and_checks_shape():
+    swap = IntMatrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    assert CoefficientModule("swap", 4, 4, swap, 0).rho(GroupRingElement.gen(4)) == swap
+    cycle = regular_representation(GroupRingElement.gen(4))
+    assert CoefficientModule("cycle", 8, 4, cycle, 0).rho(GroupRingElement.gen(8, 5)) == cycle
+    with pytest.raises(ValueError, match="'wrong-rank'"):
+        CoefficientModule("wrong-rank", 2, 2, IntMatrix.identity(1), 0)
+
+
+def test_twisted_norm_matches_its_definition():
+    for n in range(2, 66, 2):
+        one_minus_a = [1, -1] + [0] * (n - 2)
+        evens = [0] * n
+        for i in range(n // 2 + 1):
+            evens[(2 * i) % n] += 1
+        assert twisted_norm(n).coeffs == cyclic_convolution(one_minus_a, evens)
 
 
 # -- resolutions and expansion --------------------------------------------------
@@ -199,7 +344,7 @@ def test_cohomology_reads_hom_coboundaries_for_non_symmetric_action(n, monkeypat
     transposed-action twin.
     """
     cx = _rank_two_complex(n)
-    mod = CoefficientModule("internal", n, n, regular_representation(GroupRingElement.gen(n)), 0)
+    mod = _regular_module(n)
     assert mod.action != mod.action.transpose()
     coboundary = {}
     for k in (1, 2):
