@@ -7,9 +7,10 @@ with a machine-readable ``{"error": ...}`` object; 3 when a comparison
 falls outside the packaged decision rules, with an
 ``{"answer": "undetermined", "reason": ...}`` object.
 
-Budgets: a cyclic group Z/n needs n <= 100000 (n <= 64 for `shift`), and
-`model-cohomology --k` needs 2^k <= 100000, so k <= 16.  Inputs past a
-budget exit 2 with the reason.
+Budgets: a cyclic group Z/n needs n <= 100000 (n <= 96 for `shift`);
+`model-cohomology --k` and `order-graph --max-exp` need 2^k <= 100000, so
+k <= 16; `chain-verify` needs 2 * source <= 100000 and target <= 500.
+Inputs past a budget exit 2 with the reason.
 """
 
 from __future__ import annotations
@@ -29,10 +30,13 @@ from .order import ImmersionType, UndecidablePair, UndeterminedComparison
 # Ceilings on cyclic group orders, measured with CPython 3.11 on a 2-core
 # x86-64 machine.  On Z/100000, `homology` at degree 40 answers in about
 # 1.2 s and `realizable` in 0.3 s; `model-cohomology --k 16` (Z/65536) in
-# 0.4 s.  `shift` solves integer systems of size about n and answers on
-# Z/64 in about 5 s.
+# 0.4 s and `order-graph --max-exp 16 --combined` in 0.8 s.  `shift` solves
+# integer systems of size about n and answers on Z/96 in about 1.5 s.
+# `chain-verify` solves a dense system of side 2 * target: at target 500
+# it takes up to about 3 s and 130 MB.
 MAX_CYCLIC_ORDER = 100_000
-MAX_SHIFT_ORDER = 64
+MAX_SHIFT_ORDER = 96
+MAX_CHAIN_TARGET = 500
 _GROUP_HELP = f"trivial, Z, Z4 or Z/n with n <= {MAX_CYCLIC_ORDER}"
 
 
@@ -240,6 +244,8 @@ def _cmd_order_graph(args) -> int:
         raise _CliInput("only the cyclic family is available")
     if args.max_exp < 0:
         raise _CliInput("max-exp must be >= 0")
+    if args.max_exp > MAX_CYCLIC_ORDER.bit_length() - 1:
+        raise _CliInput(f"group order 2^{args.max_exp} exceeds the budget of {MAX_CYCLIC_ORDER}")
     graph = order.order_graph(order.cyclic_family(args.max_exp, combined=args.combined))
     if args.format == "dot":
         sys.stdout.write(order.emit_dot(graph))
@@ -316,6 +322,11 @@ def _cmd_integral_lift(args) -> int:
 
 
 def _cmd_chain_verify(args) -> int:
+    # the models live over Z/2k
+    if 2 * args.source > MAX_CYCLIC_ORDER:
+        raise _CliInput(f"source group order {2 * args.source} exceeds the budget of {MAX_CYCLIC_ORDER}")
+    if args.target > MAX_CHAIN_TARGET:
+        raise _CliInput(f"target {args.target} exceeds the budget of {MAX_CHAIN_TARGET}")
     d = postnikov.verify_projection_diagram(args.source, args.target)
     _emit(
         {
@@ -366,7 +377,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("order-graph", help="Hasse diagram of a family of types")
     p.add_argument("--family", default="cyclic")
-    p.add_argument("--max-exp", type=int, required=True)
+    p.add_argument("--max-exp", type=int, required=True, help=f"orders up to 2^max-exp <= {MAX_CYCLIC_ORDER}")
     p.add_argument("--combined", action="store_true")
     p.add_argument("--format", default="dot", choices=["dot", "json"])
     p.set_defaults(func=_cmd_order_graph)
@@ -398,8 +409,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_integral_lift)
 
     p = sub.add_parser("chain-verify", help="projection diagram between chain models")
-    p.add_argument("--source", type=int, required=True)
-    p.add_argument("--target", type=int, required=True)
+    p.add_argument("--source", type=int, required=True, help=f"k of the source group Z/2k; 2k <= {MAX_CYCLIC_ORDER}")
+    p.add_argument("--target", type=int, required=True, help=f"k of the target group Z/2k; k <= {MAX_CHAIN_TARGET}")
     p.set_defaults(func=_cmd_chain_verify)
 
     return parser

@@ -9,12 +9,23 @@ sublattice of Z^n, R a subgroup of L) together with canonical coordinates
 and explicit generator vectors.  The subquotient engine is what lets the
 rest of the package name homology classes, not just their isomorphism
 types.
+
+Every solve goes through one path, `Factorization`: a matrix together
+with its Smith form.  `solve` takes a block of right-hand sides and costs
+one product with U, one with V and one certificate product with the
+matrix, whatever the number of columns; `kernel` reads the kernel basis
+off the same V.  `solve_linear` and `kernel_basis` factor once per call.
+Code that solves against the same matrix again and again keeps a
+factorization on the object that owns the matrix (a `Subquotient` keeps
+one of its sublattice basis for `class_of`), so it dies with its owner;
+nothing caches Smith forms beyond that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 
 
 class DimensionMismatch(ValueError):
@@ -101,6 +112,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if other.cols == 1:
+            # one column: a dot product per row in C beats skipping zeros
+            return IntMatrix(self.rows, 1, tuple(self.apply_vec(other.entries)))
         a, b = self.entries, other.entries
         n, m, p = self.rows, self.cols, other.cols
         out = [0] * (n * p)
@@ -147,11 +161,8 @@ class IntMatrix:
     def apply_vec(self, vec: list[int] | tuple) -> list[int]:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum(self.entries[base + j] * vec[j] for j in range(self.cols)))
-        return out
+        c, e = self.cols, self.entries
+        return [sum(map(mul, e[i * c : (i + 1) * c], vec)) for i in range(self.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +248,6 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
         for k in range(m):
             vj[k] -= c * vii[k]
 
-    def col_negate(i):
-        for r in w:
-            r[i] = -r[i]
-        for r in v:
-            r[i] = -r[i]
-        vi[i] = [-x for x in vi[i]]
-
     t = 0
     lim = min(n, m)
     while t < lim:
@@ -313,11 +317,67 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     return SmithForm(d=d, U=U, V=V, uinv=Ui, vinv=Vi, rows=n, cols=m)
 
 
+@dataclass(frozen=True)
+class Factorization:
+    """A matrix `a` with its Smith form, kept to solve a @ X = B for many B.
+
+    With U a V = D, a solution is x = V y where D y = U b; b is reachable
+    exactly when each (U b)_i is divisible by d_i, and (U b)_i = 0 past
+    the rank.  The columns of V past the rank are a kernel basis.
+    """
+
+    a: IntMatrix
+    snf: SmithForm
+
+    def __post_init__(self) -> None:
+        if (self.snf.rows, self.snf.cols) != (self.a.rows, self.a.cols):
+            raise DimensionMismatch("Smith form does not belong to this matrix")
+
+    @staticmethod
+    def of(a: IntMatrix) -> "Factorization":
+        return Factorization(a, smith_normal_form(a))
+
+    def kernel(self) -> IntMatrix:
+        """Columns form a Z-basis of {x : a @ x = 0}."""
+        return self.snf.V.take_cols(list(range(self.snf.rank, self.a.cols)))
+
+    def solve(self, b: IntMatrix) -> list[tuple[int, ...] | None]:
+        """One solution of a @ x = b_j for each column b_j of b, or None
+        for a column that has no integer solution.
+
+        Every returned solution is checked against a @ x == b_j, on one
+        product a @ X for the whole block.
+        """
+        a, s = self.a, self.snf
+        if b.rows != a.rows:
+            raise DimensionMismatch("rhs length mismatch")
+        p = b.cols
+        c = (s.U @ b).entries
+        y = [0] * (a.cols * p)
+        ok = [True] * p
+        for i in range(a.rows):
+            di = s.d[i] if i < s.rank else 0
+            for j in range(p):
+                cij = c[i * p + j]
+                if di:
+                    q, r = divmod(cij, di)
+                    if r:
+                        ok[j] = False
+                    else:
+                        y[i * p + j] = q
+                elif cij:
+                    ok[j] = False
+        x = (s.V @ IntMatrix(a.cols, p, tuple(y))).entries
+        ax, be = (a @ IntMatrix(a.cols, p, x)).entries, b.entries
+        for j in range(p):
+            if ok[j] and ax[j::p] != be[j::p]:
+                raise AssertionError("solution fails the certificate a @ x == b")
+        return [x[j::p] if ok[j] else None for j in range(p)]
+
+
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns form a Z-basis of {x : a @ x = 0}."""
-    s = smith_normal_form(a)
-    idx = list(range(s.rank, a.cols))
-    return s.V.take_cols(idx)
+    return Factorization.of(a).kernel()
 
 
 def column_space_basis(a: IntMatrix) -> IntMatrix:
@@ -336,42 +396,24 @@ def solve_linear(a: IntMatrix, b: list[int] | tuple, modulus: int | None = None)
     """Solve a @ x = b exactly over Z, or modulo `modulus` if given.
 
     Returns one solution as a tuple, or None when the system is
-    inconsistent.  The modular case reduces to an integer solve on the
-    augmented matrix [a | modulus * I].
+    inconsistent.  Both cases factor once and solve one column through
+    `Factorization`; the modular case factors the augmented matrix
+    [a | modulus * I].
     """
-    b = [int(x) for x in b]
-    if len(b) != a.rows:
+    rhs = IntMatrix.column(b)
+    if rhs.rows != a.rows:
         raise DimensionMismatch("rhs length mismatch")
-    if modulus is not None:
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        aug = a.hstack(IntMatrix.diagonal([modulus] * a.rows))
-        sol = solve_linear(aug, b)
-        if sol is None:
-            return None
-        x = tuple(s % modulus for s in sol[: a.cols])
-        check = a.apply_vec(list(x))
-        if any((ci - bi) % modulus for ci, bi in zip(check, b)):
-            raise AssertionError("modular solution fails a @ x == b (mod modulus)")
-        return x
-    s = smith_normal_form(a)
-    c = s.U.apply_vec(b)
-    y = [0] * a.cols
-    for i in range(min(a.rows, a.cols)):
-        di = s.d[i] if i < s.rank else 0
-        if di:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-        elif c[i] != 0:
-            return None
-    for i in range(a.cols, a.rows):
-        if c[i] != 0:
-            return None
-    x = s.V.apply_vec(y)
-    if a.apply_vec(x) != b:
-        raise AssertionError("solution fails the certificate a @ x == b")
-    return tuple(x)
+    if modulus is None:
+        return Factorization.of(a).solve(rhs)[0]
+    if modulus <= 0:
+        raise ValueError("modulus must be positive")
+    sol = Factorization.of(a.hstack(IntMatrix.diagonal([modulus] * a.rows))).solve(rhs)[0]
+    if sol is None:
+        return None
+    x = tuple(s % modulus for s in sol[: a.cols])
+    if any((ci - bi) % modulus for ci, bi in zip(a.apply_vec(x), rhs.entries)):
+        raise AssertionError("modular solution fails a @ x == b (mod modulus)")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +510,7 @@ class Subquotient:
     _dfull: tuple[int, ...]
     _u: IntMatrix
     _uinv: IntMatrix
+    _basis: Factorization = field(compare=False, repr=False)
 
     @property
     def _rank(self) -> int:
@@ -481,7 +524,7 @@ class Subquotient:
 
     def class_of(self, z: list[int] | tuple) -> tuple[int, ...]:
         """Canonical coordinates of the class of an ambient vector z in L."""
-        q = solve_linear(self.sub_basis, list(z))
+        q = self._basis.solve(IntMatrix.column(z))[0]
         if q is None:
             raise ValueError("vector does not lie in the sublattice (not a cycle)")
         u = self._u.apply_vec(q)
@@ -509,16 +552,11 @@ def subquotient(sub_basis: IntMatrix, relations: IntMatrix) -> Subquotient:
     if sub_basis.rows != relations.rows:
         raise DimensionMismatch("sub_basis and relations ambient dims differ")
     s = sub_basis.cols
-    cols = []
-    for j in range(relations.cols):
-        w = solve_linear(sub_basis, relations.col_list(j))
-        if w is None:
-            raise ValueError("relation does not lie in the sublattice")
-        cols.append(w)
-    if cols:
-        rel = IntMatrix.from_rows([[c[i] for c in cols] for i in range(s)])
-    else:
-        rel = IntMatrix.zeros(s, 0)
+    basis = Factorization.of(sub_basis)
+    cols = basis.solve(relations)
+    if any(w is None for w in cols):
+        raise ValueError("relation does not lie in the sublattice")
+    rel = IntMatrix(s, len(cols), tuple(w[i] for i in range(s) for w in cols))
     sf = smith_normal_form(rel)
     dfull = tuple(sf.d)
     torsion = tuple(d for d in dfull if d >= 2)
@@ -529,6 +567,7 @@ def subquotient(sub_basis: IntMatrix, relations: IntMatrix) -> Subquotient:
         _dfull=dfull,
         _u=sf.U,
         _uinv=sf.uinv,
+        _basis=basis,
     )
 
 

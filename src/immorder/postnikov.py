@@ -18,7 +18,7 @@ snake-lemma connecting homomorphisms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cohomology import CyclicHom, IllFormedHom
 from .groupring import (
@@ -38,6 +38,7 @@ from .groupring import (
     twisted_norm,
 )
 from .intalg import (
+    Factorization,
     FgAbelianGroup,
     IntComplex,
     IntMatrix,
@@ -313,6 +314,7 @@ class ShiftData:
 
     Each complex is the module tensored over the standard resolution,
     degrees 0..5 (chain side), so homology in degrees 1..4 is available.
+    `_incl_i` factors inclusion_i once for every solve against it.
     """
 
     n: int
@@ -326,6 +328,7 @@ class ShiftData:
     complex_z: IntComplex
     complex_i: IntComplex
     complex_n: IntComplex
+    _incl_i: Factorization = field(compare=False, repr=False)
 
 
 def shift_data(n: int, w: int) -> ShiftData:
@@ -337,26 +340,19 @@ def shift_data(n: int, w: int) -> ShiftData:
         raise InvalidTwist("a nontrivial character needs an even group order")
     eps = IntMatrix.from_rows([[1] * n])
     incl_i = kernel_basis(eps)
+    incl = Factorization.of(incl_i)
     gen_action = regular_representation(GroupRingElement.gen(n))
     # action of a on I in the chosen basis
-    moved = gen_action @ incl_i
-    t_cols = []
-    for j in range(n - 1):
-        q = solve_linear(incl_i, moved.col_list(j))
-        if q is None:
-            raise AssertionError("augmentation-ideal basis is not action-invariant")
-        t_cols.append(q)
-    t_i = IntMatrix.from_rows([[t_cols[j][i] for j in range(n - 1)] for i in range(n - 1)])
+    t_cols = incl.solve(gen_action @ incl_i)
+    if any(q is None for q in t_cols):
+        raise AssertionError("augmentation-ideal basis is not action-invariant")
+    t_i = IntMatrix(n - 1, n - 1, tuple(q[i] for i in range(n - 1) for q in t_cols))
     # projection R -> I: multiplication by 1 - a, in I coordinates
     d1 = GroupRingElement.one(n) - GroupRingElement.gen(n)
-    d1_mat = regular_representation(d1)
-    p_cols = []
-    for j in range(n):
-        q = solve_linear(incl_i, d1_mat.col_list(j))
-        if q is None:
-            raise AssertionError("multiplication by 1 - a escaped the augmentation ideal")
-        p_cols.append(q)
-    proj_i = IntMatrix.from_rows([[p_cols[j][i] for j in range(n)] for i in range(n - 1)])
+    p_cols = incl.solve(regular_representation(d1))
+    if any(q is None for q in p_cols):
+        raise AssertionError("multiplication by 1 - a escaped the augmentation ideal")
+    proj_i = IntMatrix(n - 1, n, tuple(q[i] for i in range(n - 1) for q in p_cols))
     incl_n = IntMatrix.column([1] * n)
     if not (eps @ incl_i).is_zero() or not (proj_i @ incl_n).is_zero():
         raise AssertionError("short exact sequences fail to compose to zero")
@@ -379,12 +375,13 @@ def shift_data(n: int, w: int) -> ShiftData:
         complex_z=module_chain(1, IntMatrix.identity(1)),
         complex_i=module_chain(n - 1, t_i),
         complex_n=module_chain(1, IntMatrix.identity(1)),
+        _incl_i=incl,
     )
 
 
 def _connecting(
     data: ShiftData,
-    inclusion: IntMatrix,
+    inclusion: Factorization,
     projection: IntMatrix,
     degree: int,
     cycle,
@@ -395,11 +392,13 @@ def _connecting(
     Lifts the cycle through the projection (adding a random kernel element
     so tests can certify independence of the choice), takes the boundary
     in the ring complex, and pulls the result back through the inclusion.
+    One factorization of the projection gives both the lift and the kernel.
     """
-    particular = solve_linear(projection, list(cycle))
+    proj = Factorization.of(projection)
+    particular = proj.solve(IntMatrix.column(cycle))[0]
     if particular is None:
         raise ValueError("representative is not hit by the projection")
-    ker = kernel_basis(projection)
+    ker = proj.kernel()
     lifted = list(particular)
     for j in range(ker.cols):
         t = rng.randint(-4, 4)
@@ -407,7 +406,7 @@ def _connecting(
         lifted = [x + t * y for x, y in zip(lifted, col)]
     boundary = data.complex_ring.down[degree - 1]
     db = boundary.apply_vec(lifted)
-    pre = solve_linear(inclusion, db)
+    pre = inclusion.solve(IntMatrix.column(db))[0]
     if pre is None:
         raise AssertionError("boundary of the lift escaped the submodule")
     return tuple(pre)
@@ -449,9 +448,9 @@ def shift(n: int, w: int, c: int, seed: int = 0) -> ShiftResult:
     else:
         gen4 = h4.generator(0)
         z4 = tuple(c * x for x in gen4)
-    z3 = _connecting(data, data.inclusion_i, data.proj_z, 4, z4, rng)
-    z2 = _connecting(data, data.inclusion_n, data.proj_i, 3, z3, rng)
-    z1 = _connecting(data, data.inclusion_i, data.proj_n, 2, z2, rng)
+    z3 = _connecting(data, data._incl_i, data.proj_z, 4, z4, rng)
+    z2 = _connecting(data, Factorization.of(data.inclusion_n), data.proj_i, 3, z3, rng)
+    z1 = _connecting(data, data._incl_i, data.proj_n, 2, z2, rng)
     h3 = data.complex_i.homology_data(3)
     h2 = data.complex_n.homology_data(2)
     h1 = data.complex_i.homology_data(1)

@@ -92,9 +92,12 @@ def test_homology_twisted_order_100000():
         ("homology", "--group", "Z/100001", "--degree", "4"),
         ("realizable", "--group", "Z/1000000000", "--w1", "1", "--w2", "1"),
         ("sq2w", "--group", "Z/100002", "--w1", "t"),
-        ("shift", "--group", "Z/66"),
+        ("shift", "--group", "Z/97"),
         ("model-cohomology", "--k", "17", "--coeff", "Z"),
         ("model-cohomology", "--k", "100000000", "--coeff", "ZZ2w"),
+        ("order-graph", "--max-exp", "17", "--combined"),
+        ("chain-verify", "--source", "50001", "--target", "1"),
+        ("chain-verify", "--source", "1503", "--target", "501"),
     ],
     ids=lambda a: " ".join(a[:3]),
 )
@@ -105,8 +108,11 @@ def test_orders_past_the_budget_exit_2(argv):
 
 def test_help_states_the_budgets():
     assert "n <= 100000" in run_cli("homology", "--help")[1]
-    assert "n <= 64" in run_cli("shift", "--help")[1]
+    assert "n <= 96" in run_cli("shift", "--help")[1]
     assert "2^k <= 100000" in run_cli("model-cohomology", "--help")[1]
+    assert "2^max-exp <= 100000" in run_cli("order-graph", "--help")[1]
+    chain_help = run_cli("chain-verify", "--help")[1]
+    assert "2k <= 100000" in chain_help and "k <= 500" in chain_help
 
 
 def test_homology_untwisted_cyclic_vanishes():

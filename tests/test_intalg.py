@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from immorder import intalg
 from immorder.intalg import (
     DimensionMismatch,
+    Factorization,
     FgAbelianGroup,
     IntComplex,
     IntMatrix,
@@ -26,7 +33,7 @@ from immorder.intalg import (
     subquotient,
 )
 
-from oracles import elementary_reachable, invariant_factors_by_minors, oracle_homology_group
+from oracles import det_int, elementary_reachable, invariant_factors_by_minors, oracle_homology_group
 
 
 small_entries = st.integers(min_value=-6, max_value=6)
@@ -153,6 +160,148 @@ def test_solve_mod_m_agrees_with_exhaustion(a, m, data):
     assert (got is None) == (found is None)
     if got is not None:
         assert all((y - z) % m == 0 for y, z in zip(a.apply_vec(list(got)), b))
+
+
+# -- factorizations ---------------------------------------------------------
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Tall, wide, square, rank-deficient and zero-column matrices."""
+    shape = draw(st.sampled_from(["tall", "wide", "square", "rank_deficient", "zero_column"]))
+    if shape == "zero_column":
+        return IntMatrix.zeros(draw(st.integers(min_value=0, max_value=4)), 0)
+    if shape == "rank_deficient":
+        r = draw(st.integers(min_value=2, max_value=4))
+        c = draw(st.integers(min_value=2, max_value=4))
+        k = draw(st.integers(min_value=0, max_value=min(r, c) - 1))
+        left = IntMatrix(r, k, tuple(draw(st.lists(small_entries, min_size=r * k, max_size=r * k))))
+        right = IntMatrix(k, c, tuple(draw(st.lists(small_entries, min_size=k * c, max_size=k * c))))
+        return left @ right
+    k = draw(st.integers(min_value=1, max_value=3))
+    extra = draw(st.integers(min_value=1, max_value=2))
+    r, c = {"tall": (k + extra, k), "wide": (k, k + extra), "square": (k, k)}[shape]
+    return IntMatrix(r, c, tuple(draw(st.lists(small_entries, min_size=r * c, max_size=r * c))))
+
+
+@st.composite
+def systems(draw):
+    """A matrix and a block of right-hand sides, some planted in its
+    column lattice and some drawn at random."""
+    a = draw(shaped_matrices())
+    cols = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if draw(st.booleans()):
+            cols.append(a.apply_vec(draw(st.lists(small_entries, min_size=a.cols, max_size=a.cols))))
+        else:
+            cols.append(draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=a.rows, max_size=a.rows)))
+    b = IntMatrix(a.rows, len(cols), tuple(col[i] for i in range(a.rows) for col in cols))
+    return a, b
+
+
+def _in_column_lattice(a: IntMatrix, col: list[int]) -> bool:
+    """b lies in the lattice L(a) exactly when [a | b] has the invariant
+    factors of a: L(a) has finite index in L([a | b]) when the ranks agree,
+    and that index is the ratio of the products of the invariant factors."""
+    if a.cols == 0:
+        return not any(col)
+    aug = [row + [x] for row, x in zip(a.to_rows(), col)]
+    return invariant_factors_by_minors(a.to_rows()) == invariant_factors_by_minors(aug)
+
+
+@settings(max_examples=120, deadline=None)
+@given(systems())
+def test_block_solve_matches_single_solves(system):
+    a, b = system
+    got = Factorization.of(a).solve(b)
+    assert len(got) == b.cols
+    for j, x in enumerate(got):
+        col = b.col_list(j)
+        assert x == solve_linear(a, col)
+        if x is None:
+            assert not _in_column_lattice(a, col)
+        else:
+            assert len(x) == a.cols
+            assert a.apply_vec(list(x)) == col
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n), min_size=1, max_size=3),
+    )
+))
+def test_square_consistency_agrees_with_cramer(rows_and_rhs):
+    rows, rhs = rows_and_rhs
+    det = det_int(rows)
+    if det == 0:
+        return
+    n = len(rows)
+    a = IntMatrix.from_rows(rows)
+    b = IntMatrix(n, len(rhs), tuple(col[i] for i in range(n) for col in rhs))
+    for x, col in zip(Factorization.of(a).solve(b), rhs):
+        # Cramer: x_j = det(a with column j replaced by b) / det(a)
+        minors = [det_int([row[:j] + [col[i]] + row[j + 1 :] for i, row in enumerate(rows)]) for j in range(n)]
+        if all(m % det == 0 for m in minors):
+            assert x == tuple(m // det for m in minors)
+        else:
+            assert x is None
+
+
+def test_factorization_kernel_is_the_kernel_basis():
+    a = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
+    f = Factorization.of(a)
+    assert f.kernel() == kernel_basis(a)
+    assert (a @ f.kernel()).is_zero() and f.kernel().cols == 2
+
+
+def test_factorization_rejects_a_foreign_smith_form():
+    with pytest.raises(DimensionMismatch):
+        Factorization(IntMatrix.identity(2), smith_normal_form(IntMatrix.identity(3)))
+    with pytest.raises(DimensionMismatch):
+        Factorization.of(IntMatrix.identity(2)).solve(IntMatrix.zeros(3, 1))
+
+
+_TAMPERED_V = """
+from dataclasses import replace
+from immorder.intalg import Factorization, IntMatrix, smith_normal_form
+a = IntMatrix.from_rows([[2, 1], [0, 3]])
+snf = smith_normal_form(a)
+bad = Factorization(a, replace(snf, V=snf.V.scale(2)))
+try:
+    bad.solve(a)
+except AssertionError as e:
+    print(e)
+"""
+
+
+def test_tampered_factorization_fails_its_certificate():
+    a = IntMatrix.from_rows([[2, 1], [0, 3]])
+    snf = smith_normal_form(a)
+    good = Factorization(a, snf)
+    assert good.solve(a) == [(1, 0), (0, 1)]
+    bad = Factorization(a, replace(snf, V=snf.V.scale(2)))
+    with pytest.raises(AssertionError, match="certificate"):
+        bad.solve(a)
+
+
+def test_tampered_factorization_fails_under_python_O():
+    src = Path(intalg.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_V], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "solution fails the certificate a @ x == b"
+
+
+def test_class_of_reuses_the_subquotient_factorization(monkeypatch):
+    sq = homology_data(IntMatrix.from_rows([[2], [0]]), IntMatrix.zeros(0, 2))
+    calls = []
+    monkeypatch.setattr(intalg, "smith_normal_form", lambda a: calls.append(a))
+    assert sq.class_of([1, 0]) == (1, 0)
+    assert sq.class_of([0, 5]) == (0, 5)
+    assert calls == []
 
 
 # -- kernels and column spaces ------------------------------------------------
