@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Print the Smith forms, cokernels, kernels and solutions of a fixed grid.
+
+For each matrix of a seeded grid it prints `d`, `U`, `V`, `uinv` and
+`vinv` from `smith_normal_form`, then `cokernel`, `kernel_basis` and
+`solve_linear` (one consistent right-hand side, one random one and, for
+matrices of at most 8 rows, one modulo 7).  The grid holds dense matrices
+with entries in -9..9 in the shapes of the `dense-snf` benchmark, up to
+18x18 and 16x20, and zero, empty, rank-deficient, 1 x n and n x 1
+matrices.  Comparing the output of two versions byte for byte shows
+whether a change to the elimination moved any transform:
+
+    PYTHONPATH=src python3 scripts/snf_grid.py > snf.txt
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+
+from immorder.intalg import IntMatrix, cokernel, kernel_basis, smith_normal_form, solve_linear
+
+DENSE_SHAPES = ((8, 8), (6, 10), (12, 12), (14, 10), (10, 14), (15, 15), (13, 17), (18, 18), (16, 20))
+ENTRY_BOUND = 9
+
+
+def _dense(rng, r, c, bound=ENTRY_BOUND):
+    return IntMatrix(r, c, tuple(rng.randint(-bound, bound) for _ in range(r * c)))
+
+
+def grid():
+    rng = random.Random(20221)
+    for r, c in DENSE_SHAPES:
+        for _ in range(3):
+            yield f"dense {r}x{c}", _dense(rng, r, c)
+    for r, c in ((0, 0), (0, 3), (3, 0), (1, 1), (3, 4), (5, 2)):
+        yield f"zero {r}x{c}", IntMatrix.zeros(r, c)
+    for r, c, k in ((6, 6, 3), (8, 5, 2), (5, 9, 4), (12, 12, 7), (10, 14, 1)):
+        for _ in range(2):
+            yield f"rank<={k} {r}x{c}", _dense(rng, r, k, 4) @ _dense(rng, k, c, 4)
+    for k in (1, 2, 5, 12, 20):
+        yield f"row 1x{k}", _dense(rng, 1, k)
+        yield f"column {k}x1", _dense(rng, k, 1)
+    yield "divisibility 3x3", IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+
+
+def _rows(m: IntMatrix | None) -> str:
+    return "None" if m is None else repr(m.to_rows())
+
+
+def main() -> None:
+    rng = random.Random(7)
+    out = sys.stdout
+    for label, a in grid():
+        s = smith_normal_form(a)
+        out.write(f"# {label}\n{_rows(a)}\n")
+        out.write(f"d {list(s.d)}\nU {_rows(s.U)}\nV {_rows(s.V)}\n")
+        out.write(f"uinv {_rows(s.uinv)}\nvinv {_rows(s.vinv)}\n")
+        out.write(f"cokernel {cokernel(a).pretty()}\n")
+        out.write(f"kernel {_rows(kernel_basis(a))}\n")
+        x = [rng.randint(-5, 5) for _ in range(a.cols)]
+        b = [rng.randint(-9, 9) for _ in range(a.rows)]
+        out.write(f"solve consistent {solve_linear(a, a.apply_vec(x))}\n")
+        out.write(f"solve random {solve_linear(a, b)}\n")
+        if a.rows <= 8:  # the modular solve factors [a | 7I], whose transforms grow fast
+            out.write(f"solve mod 7 {solve_linear(a, b, modulus=7)}\n")
+
+
+if __name__ == "__main__":
+    main()

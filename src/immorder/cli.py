@@ -8,9 +8,10 @@ falls outside the packaged decision rules, with an
 ``{"answer": "undetermined", "reason": ...}`` object.
 
 Budgets: a cyclic group Z/n needs n <= 100000 (n <= 96 for `shift`);
-`model-cohomology --k` and `order-graph --max-exp` need 2^k <= 100000, so
-k <= 16; `chain-verify` needs 2 * source <= 100000 and target <= 500.
-Inputs past a budget exit 2 with the reason.
+`homology --degree` needs degree <= 64; `model-cohomology --k` and
+`order-graph --max-exp` need 2^k <= 100000, so k <= 16; `chain-verify`
+needs 2 * source <= 100000 and target <= 500.  Inputs past a budget exit
+2 with the reason.
 """
 
 from __future__ import annotations
@@ -27,16 +28,19 @@ from .intalg import FgAbelianGroup
 from .order import ImmersionType, UndecidablePair, UndeterminedComparison
 
 
-# Ceilings on cyclic group orders, measured with CPython 3.11 on a 2-core
-# x86-64 machine.  On Z/100000, `homology` at degree 40 answers in about
-# 1.2 s and `realizable` in 0.3 s; `model-cohomology --k 16` (Z/65536) in
-# 0.4 s and `order-graph --max-exp 16 --combined` in 0.8 s.  `shift` solves
+# Ceilings on cyclic group orders and degrees, measured with CPython 3.11
+# on a 2-core x86-64 machine.  On Z/100000, `homology` at degree 64 answers
+# in about 2 s with every twist and coefficient system (the cost grows
+# about linearly in the degree: 1.2 s at 40, 6 s at 200) and `realizable`
+# in 0.3 s; `model-cohomology --k 16` (Z/65536) answers in 0.4 s and
+# `order-graph --max-exp 16 --combined` in 0.8 s.  `shift` solves
 # integer systems of size about n and answers on Z/96 in about 1.5 s.
 # `chain-verify` solves a dense system of side 2 * target: at target 500
 # it takes up to about 3 s and 130 MB.
 MAX_CYCLIC_ORDER = 100_000
 MAX_SHIFT_ORDER = 96
 MAX_CHAIN_TARGET = 500
+MAX_DEGREE = 64
 _GROUP_HELP = f"trivial, Z, Z4 or Z/n with n <= {MAX_CYCLIC_ORDER}"
 
 
@@ -135,6 +139,8 @@ def _cmd_homology(args) -> int:
     w = _twist_bit(args.twist)
     if args.degree < 0:
         raise _CliInput("degree must be >= 0")
+    if args.degree > MAX_DEGREE:
+        raise _CliInput(f"degree {args.degree} exceeds the budget of {MAX_DEGREE}")
     if family == "cyclic":
         if args.coeff == "Z":
             group = cohomology.h_twisted(n, w, args.degree)
@@ -354,7 +360,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--group", required=True, help=_GROUP_HELP)
     p.add_argument("--twist", default="0", choices=["0", "w"])
     p.add_argument("--coeff", default="Z", choices=["Z", "Z2"])
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=int, required=True, help=f"0 <= degree <= {MAX_DEGREE}")
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("sq2w", help="twisted square on degree-2 classes")

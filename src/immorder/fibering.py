@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intalg import FgAbelianGroup, IntMatrix, kernel_basis, smith_normal_form, solve_linear
+from . import intalg
+from .intalg import FgAbelianGroup, IntMatrix, kernel_basis, solve_linear
 
 # letters are encoded as +-1 (a, a^-1) and +-2 (b, b^-1)
 _CHAR_TO_LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
@@ -173,7 +174,7 @@ def abelianization(p: Presentation) -> FgAbelianGroup:
     form (free rank plus a divisibility chain of torsion coefficients)."""
     if not p.relators:
         return FgAbelianGroup.free(2)
-    factors = smith_normal_form(p.exponent_matrix()).d
+    factors = intalg.smith_normal_form(p.exponent_matrix(), track=()).d
     rank = 2 - len(factors)
     torsion = tuple(v for v in factors if v >= 2)
     return FgAbelianGroup(rank, torsion)

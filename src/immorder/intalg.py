@@ -10,6 +10,13 @@ and explicit generator vectors.  The subquotient engine is what lets the
 rest of the package name homology classes, not just their isomorphism
 types.
 
+There is one Smith elimination, `smith_normal_form`, and each caller
+asks it to track only the transforms it reads (see `SmithForm`).  On a
+dense 18x18 matrix with entries in -9..9 the invariant factors need about
+70 bits while the transforms reach thousands, and updating them is most
+of the work, so a caller that reads only the invariant factors pays for
+none of it.
+
 Every solve goes through one path, `Factorization`: a matrix together
 with its Smith form.  `solve` takes a block of right-hand sides and costs
 one product with U, one with V and one certificate product with the
@@ -23,6 +30,7 @@ nothing caches Smith forms beyond that.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
@@ -99,7 +107,7 @@ class IntMatrix:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
     def col_list(self, j: int) -> list[int]:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        return list(self.entries[j :: self.cols])
 
     def to_rows(self) -> list[list[int]]:
         return [self.row_list(i) for i in range(self.rows)]
@@ -141,7 +149,8 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        e, c = self.entries, self.cols
+        return IntMatrix(c, self.rows, tuple(x for j in range(c) for x in e[j::c]))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -155,8 +164,8 @@ class IntMatrix:
         return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def take_cols(self, idx: list[int]) -> "IntMatrix":
-        rows = [[self.at(i, j) for j in idx] for i in range(self.rows)]
-        return IntMatrix(self.rows, len(idx), tuple(x for row in rows for x in row))
+        e, c = self.entries, self.cols
+        return IntMatrix(self.rows, len(idx), tuple(x for row in zip(*(e[j::c] for j in idx)) for x in row))
 
     def apply_vec(self, vec: list[int] | tuple) -> list[int]:
         if len(vec) != self.cols:
@@ -169,6 +178,9 @@ class IntMatrix:
 # Smith normal form
 
 
+TRANSFORMS = ("U", "V", "uinv", "vinv")
+
+
 @dataclass(frozen=True)
 class SmithForm:
     """Decomposition U @ A @ V = diag(d), with U, V unimodular.
@@ -176,6 +188,15 @@ class SmithForm:
     `d` lists the nonzero invariant factors only (positive, each dividing
     the next); the rank of A is len(d).  `uinv` and `vinv` are the exact
     inverses of U and V, tracked during reduction.
+
+    A transform that `smith_normal_form` was not asked to track is the
+    empty 0x0 matrix, so every field stays an IntMatrix and a transform
+    is tracked exactly when its side matches A (for a side of 0 the two
+    agree).  The callers in this package track what they read:
+    `cokernel` and the abelianization in `fibering` read only `d` and
+    track nothing; `Factorization` solves with U and V; the relation form
+    of `subquotient` names classes with U and generators with U^-1;
+    `column_space_basis` reads U^-1.  The default tracks all four.
     """
 
     d: tuple[int, ...]
@@ -194,61 +215,78 @@ class SmithForm:
         return IntMatrix.diagonal(list(self.d), self.rows, self.cols)
 
 
-def smith_normal_form(a: IntMatrix) -> SmithForm:
+def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> SmithForm:
     """Compute the Smith normal form of an integer matrix.
 
     Returns U, V (and their inverses) with U @ A @ V diagonal, diagonal
     entries non-negative and satisfying the divisibility chain
-    d_1 | d_2 | ... .
+    d_1 | d_2 | ... .  `track` names the transforms to keep, a subset of
+    `TRANSFORMS`; the others are never updated and come back as the empty
+    0x0 matrix.  The pivots and quotients do not depend on `track`, so
+    each tracked transform is the same whatever else is tracked.
     """
+    unknown = set(track) - set(TRANSFORMS)
+    if unknown:
+        raise ValueError(f"unknown transforms {sorted(unknown)}; choose from {TRANSFORMS}")
     n, m = a.rows, a.cols
     w = [a.row_list(i) for i in range(n)]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    ui = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    vi = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def eye(k, name):
+        return [[1 if i == j else 0 for j in range(k)] for i in range(k)] if name in track else None
+
+    # U and V^-1 change by row operations; U^-1 and V change by column
+    # operations, so they are kept transposed (uit, vt) and every update
+    # of a transform is a row operation on a list of rows.
+    u, uit, vt, vi = eye(n, "U"), eye(n, "uinv"), eye(m, "V"), eye(m, "vinv")
+    # Every step works on the trailing block from row and column t on:
+    # rows and columns before t hold finished pivots and are zero off the
+    # diagonal, so row operations touch columns >= t of w and column
+    # operations rows >= t.
+    t = 0
 
     def row_swap(i, j):
         w[i], w[j] = w[j], w[i]
-        u[i], u[j] = u[j], u[i]
-        for r in ui:
-            r[i], r[j] = r[j], r[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+        if uit is not None:
+            uit[i], uit[j] = uit[j], uit[i]
 
     def row_addmul(i, j, c):
-        # row_i += c * row_j ; inverse op on uinv: col_j -= c * col_i
-        wi, wj = w[i], w[j]
-        for k in range(m):
-            wi[k] += c * wj[k]
-        uiw, ujw = u[i], u[j]
-        for k in range(n):
-            uiw[k] += c * ujw[k]
-        for r in ui:
-            r[j] -= c * r[i]
+        # row_i += c * row_j ; inverse op on uinv: col_j -= c * col_i,
+        # which is row j of its transpose
+        w[i][t:] = [x + c * y for x, y in zip(w[i][t:], w[j][t:])]
+        if u is not None:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        if uit is not None:
+            uit[j] = [x - c * y for x, y in zip(uit[j], uit[i])]
 
     def row_negate(i):
-        w[i] = [-x for x in w[i]]
-        u[i] = [-x for x in u[i]]
-        for r in ui:
-            r[i] = -r[i]
+        w[i][t:] = [-x for x in w[i][t:]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
+        if uit is not None:
+            uit[i] = [-x for x in uit[i]]
 
     def col_swap(i, j):
-        for r in w:
+        for k in range(t, n):
+            r = w[k]
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
+        if vt is not None:
+            vt[i], vt[j] = vt[j], vt[i]
+        if vi is not None:
+            vi[i], vi[j] = vi[j], vi[i]
 
     def col_addmul(i, j, c):
-        # col_i += c * col_j ; inverse op on vinv: row_j -= c * row_i
-        for r in w:
+        # col_i += c * col_j (row i of the transpose of V) ; inverse op on
+        # vinv: row_j -= c * row_i
+        for k in range(t, n):
+            r = w[k]
             r[i] += c * r[j]
-        for r in v:
-            r[i] += c * r[j]
-        vj, vii = vi[j], vi[i]
-        for k in range(m):
-            vj[k] -= c * vii[k]
+        if vt is not None:
+            vt[i] = [x + c * y for x, y in zip(vt[i], vt[j])]
+        if vi is not None:
+            vi[j] = [x - c * y for x, y in zip(vi[j], vi[i])]
 
-    t = 0
     lim = min(n, m)
     while t < lim:
         # find a pivot of minimal absolute value in the trailing submatrix
@@ -310,11 +348,15 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
 
     diag = [w[i][i] for i in range(lim)]
     d = tuple(x for x in diag if x != 0)
-    U = IntMatrix.from_rows(u) if n else IntMatrix.zeros(0, 0)
-    Ui = IntMatrix.from_rows(ui) if n else IntMatrix.zeros(0, 0)
-    V = IntMatrix.from_rows(v) if m else IntMatrix.zeros(0, 0)
-    Vi = IntMatrix.from_rows(vi) if m else IntMatrix.zeros(0, 0)
-    return SmithForm(d=d, U=U, V=V, uinv=Ui, vinv=Vi, rows=n, cols=m)
+
+    def out(rows, k, transposed=False):
+        if rows is None:
+            return IntMatrix(0, 0, ())
+        if transposed:
+            rows = zip(*rows)
+        return IntMatrix(k, k, tuple(x for row in rows for x in row))
+
+    return SmithForm(d=d, U=out(u, n), V=out(vt, m, True), uinv=out(uit, n, True), vinv=out(vi, m), rows=n, cols=m)
 
 
 @dataclass(frozen=True)
@@ -332,10 +374,12 @@ class Factorization:
     def __post_init__(self) -> None:
         if (self.snf.rows, self.snf.cols) != (self.a.rows, self.a.cols):
             raise DimensionMismatch("Smith form does not belong to this matrix")
+        if (self.snf.U.rows, self.snf.V.rows) != (self.a.rows, self.a.cols):
+            raise ValueError("a factorization needs a Smith form that tracks U and V")
 
     @staticmethod
     def of(a: IntMatrix) -> "Factorization":
-        return Factorization(a, smith_normal_form(a))
+        return Factorization(a, smith_normal_form(a, track=("U", "V")))
 
     def kernel(self) -> IntMatrix:
         """Columns form a Z-basis of {x : a @ x = 0}."""
@@ -381,15 +425,12 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
 
 
 def column_space_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form a Z-basis of the lattice spanned by the columns of a."""
-    s = smith_normal_form(a)
-    cols = []
-    for i in range(s.rank):
-        col = [s.uinv.at(r, i) * s.d[i] for r in range(a.rows)]
-        cols.append(col)
-    if not cols:
-        return IntMatrix.zeros(a.rows, 0)
-    return IntMatrix.from_rows([[c[r] for c in cols] for r in range(a.rows)])
+    """Columns form a Z-basis of the lattice spanned by the columns of a:
+    the first rank columns of U^-1, scaled by the invariant factors."""
+    s = smith_normal_form(a, track=("uinv",))
+    n, r = a.rows, s.rank
+    e = s.uinv.entries
+    return IntMatrix(n, r, tuple(e[i * n + j] * s.d[j] for i in range(n) for j in range(r)))
 
 
 def solve_linear(a: IntMatrix, b: list[int] | tuple, modulus: int | None = None) -> tuple[int, ...] | None:
@@ -483,7 +524,7 @@ class FgAbelianGroup:
 
 def cokernel(a: IntMatrix) -> FgAbelianGroup:
     """Z^rows / (column span of a)."""
-    s = smith_normal_form(a)
+    s = smith_normal_form(a, track=())
     torsion = tuple(d for d in s.d if d >= 2)
     return FgAbelianGroup(free_rank=a.rows - s.rank, torsion=torsion)
 
@@ -557,7 +598,7 @@ def subquotient(sub_basis: IntMatrix, relations: IntMatrix) -> Subquotient:
     if any(w is None for w in cols):
         raise ValueError("relation does not lie in the sublattice")
     rel = IntMatrix(s, len(cols), tuple(w[i] for i in range(s) for w in cols))
-    sf = smith_normal_form(rel)
+    sf = smith_normal_form(rel, track=("U", "uinv"))
     dfull = tuple(sf.d)
     torsion = tuple(d for d in dfull if d >= 2)
     grp = FgAbelianGroup(free_rank=s - sf.rank, torsion=torsion)

@@ -1,0 +1,214 @@
+"""Property test of the command-line contract over every subcommand.
+
+Hypothesis draws argument lists for each subcommand from small values
+inside the budgets, values past them and malformed text.  Whatever it
+draws, `cli.run` must return 0, 2 or 3 without raising and without
+writing to stderr; stdout must validate against the subcommand's schema
+on exit 0, against the `error` schema on exit 2, and against the
+undetermined verdict on exit 3.  The inputs stay small, so the budgets,
+not a clock, keep every case fast.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+from jsonschema import Draft7Validator
+
+from immorder import cli
+
+SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
+
+
+def validator(name: str) -> Draft7Validator:
+    return Draft7Validator(json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text()))
+
+
+class Payload(str):
+    """Text for a `leq` payload file; the test writes it and passes its path."""
+
+
+def ints(lo: int, hi: int, over: int) -> tuple[st.SearchStrategy[str], st.SearchStrategy[str]]:
+    """Integer text in lo..hi, and text past the budget (hi < x <= over),
+    negative or not an integer."""
+    bad = st.one_of(
+        st.integers(hi + 1, over).map(str),
+        st.integers(-10**6, -1).map(str),
+        st.sampled_from(["", "x", "1.5", "2e3", "--", "0x10"]),
+    )
+    return st.integers(lo, hi).map(str), bad
+
+
+def pick(good: list[str], bad: list[str]) -> tuple[st.SearchStrategy[str], st.SearchStrategy[str]]:
+    return st.sampled_from(good), st.sampled_from(bad)
+
+
+junk = st.text(alphabet="aAbBZ/|<>,=-0129 tx", max_size=12)
+cyclic = st.integers(1, 12).map(lambda n: f"Z/{n}")
+groups = (
+    st.one_of(st.sampled_from(["trivial", "1", "Z", "Z4"]), cyclic),
+    st.one_of(st.integers(cli.MAX_CYCLIC_ORDER + 1, 10**12).map(lambda n: f"Z/{n}"), junk),
+)
+words = st.text(alphabet="aAbB", min_size=1, max_size=10)
+
+
+def _balance(word: str) -> str:
+    """Append a^-1 or a until the character a=1, b=1 kills the word."""
+    total = sum(1 if x in "ab" else -1 for x in word)
+    return word + ("A" if total > 0 else "a") * abs(total)
+
+
+# killed by a=1, b=1, so some draws get past the fibering checks
+balanced = words.map(_balance)
+presentations = (st.lists(words, min_size=1, max_size=3).map(lambda rs: "<a,b|" + ",".join(rs) + ">"), junk)
+
+
+def assignments(lo: int, hi: int) -> tuple[st.SearchStrategy[str], st.SearchStrategy[str]]:
+    good = st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(lambda ab: f"a={ab[0]},b={ab[1]}")
+    return good, junk
+
+
+def command(name: str, *options) -> st.SearchStrategy[list[str]]:
+    """Argument lists for one subcommand: either every option with a good
+    value, or each option absent, good or bad.  An option is
+    (flag, (good values, bad values))."""
+
+    def flatten(parts):
+        return [name, *(x for part in parts for x in part)]
+
+    every = st.tuples(*(good.map(lambda v, f=flag: [f, v]) for flag, (good, _) in options))
+    noisy = st.tuples(
+        *(st.one_of(st.just([]), st.one_of(good, bad).map(lambda v, f=flag: [f, v])) for flag, (good, bad) in options)
+    )
+    return st.one_of(every, noisy).map(flatten)
+
+
+type_payloads = st.one_of(
+    st.one_of(
+        st.fixed_dictionaries({"group": st.just("trivial"), "w2": st.sampled_from(["0", "inf"])}),
+        st.fixed_dictionaries(
+            {
+                "group": st.just("cyclic"),
+                "n": st.sampled_from([2, 3, 4, 6, 8, 16]),
+                "w1": st.sampled_from([0, 1]),
+                "w2": st.sampled_from(["0", "1", "inf"]),
+            }
+        ),
+        st.fixed_dictionaries({"group": st.just("Z"), "w1": st.sampled_from([0, 1]), "w2": st.sampled_from(["0", "inf"])}),
+        st.fixed_dictionaries({"group": st.just("Z4"), "w2": st.sampled_from(["0", "e12", "e12+e34", "inf"])}),
+    )
+    .flatmap(lambda d: st.integers(-40, 40).map(lambda c: {**d, "c": c}))
+    .map(json.dumps),
+    st.fixed_dictionaries(
+        {"group": st.sampled_from(["cyclic", "Q8"])},
+        optional={
+            "n": st.sampled_from(["8", 2.5]),
+            "w1": st.sampled_from([2, "1"]),
+            "w2": st.sampled_from(["s", 1]),
+            "c": st.just("x"),
+        },
+    ).map(json.dumps),
+    st.sampled_from(["", "{not json", "[1]", "null", '{"n": 4}', '{"group": "cyclic", "bogus": 1}']),
+).map(Payload)
+
+invocations = st.one_of(
+    command(
+        "homology",
+        ("--group", groups),
+        ("--twist", pick(["0", "w"], ["x"])),
+        ("--coeff", pick(["Z", "Z2"], ["Q"])),
+        ("--degree", ints(0, 8, 10**12)),
+    ),
+    command(
+        "sq2w",
+        ("--group", groups),
+        ("--w1", pick(["0", "t"], ["x"])),
+        ("--w2", pick(["0", "s", "e12", "e12+e34"], ["x"])),
+        ("--degree", ints(2, 2, 10**6)),
+    ),
+    command(
+        "realizable",
+        ("--group", groups),
+        ("--w1", pick(["0", "1"], ["2", "x"])),
+        ("--w2", pick(["0", "1", "inf", "e12", "e12+e34"], ["x"])),
+    ),
+    st.tuples(type_payloads, type_payloads).map(lambda ab: ["leq", *ab]),
+    command(
+        "order-graph",
+        ("--family", pick(["cyclic"], ["dihedral"])),
+        ("--max-exp", ints(1, 4, 10**9)),
+        ("--format", pick(["dot", "json"], ["svg"])),
+    ).flatmap(lambda argv: st.sampled_from([argv, [*argv, "--combined"]])),
+    command("model-cohomology", ("--k", ints(1, 6, 10**9)), ("--coeff", pick(["Z", "Z2", "ZZ2w"], ["Q"]))),
+    command(
+        "shift",
+        ("--group", (cyclic, groups[1])),
+        ("--w", pick(["0", "w"], ["x"])),
+        ("--c", ints(-9, 9, 10**30)),
+        ("--seed", ints(0, 5, 10**9)),
+    ),
+    command(
+        "fibered",
+        ("--relator", (balanced, st.one_of(words, junk))),
+        ("--phi", (st.one_of(st.just("a=1,b=1"), assignments(-2, 2)[0]), junk)),
+    ),
+    command("abelianization", ("--presentation", presentations)),
+    command("integral-lift", ("--presentation", presentations), ("--w1", assignments(0, 1))),
+    command("chain-verify", ("--source", ints(1, 20, 10**9)), ("--target", ints(1, 6, 10**9))),
+    st.lists(junk, max_size=3),
+)
+
+SCHEMAS = {
+    "homology": "homology",
+    "sq2w": "sq2w",
+    "realizable": "realizable",
+    "leq": "leq",
+    "order-graph": "order_graph",
+    "model-cohomology": "model_cohomology",
+    "shift": "shift",
+    "fibered": "fibered",
+    "abelianization": "abelianization",
+    "integral-lift": "integral_lift",
+    "chain-verify": "chain_verify",
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        args = []
+        for i, arg in enumerate(argv):
+            if isinstance(arg, Payload):
+                path = Path(tmp) / f"payload{i}.json"
+                path.write_text(arg)
+                arg = str(path)
+            args.append(arg)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(invocations)
+def test_every_invocation_exits_0_2_or_3_with_schema_valid_stdout(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 2, 3), (argv, code, out)
+    assert err == "", (argv, err)
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "dot"
+    if code == 0 and argv[0] == "order-graph" and fmt == "dot":
+        assert out.startswith("digraph immersion_order {\n") and out.endswith("}\n"), (argv, out)
+        return
+    assert out.endswith("\n") and out.count("\n") == 1, (argv, out)
+    payload = json.loads(out)
+    if code == 2:
+        validator("error").validate(payload)
+    elif code == 3:
+        validator("leq").validate(payload)
+        assert payload["answer"] == "undetermined"
+    else:
+        validator(SCHEMAS[argv[0]]).validate(payload)

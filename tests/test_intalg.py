@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from immorder import intalg
+from immorder import fibering, intalg
 from immorder.intalg import (
     DimensionMismatch,
     Factorization,
@@ -100,6 +100,77 @@ def test_smith_properties(a):
 def test_smith_matches_minors_oracle(a):
     s = smith_normal_form(a)
     assert list(s.d) == invariant_factors_by_minors(a.to_rows())
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Matrices up to 7x7 with a zero side allowed, some of low rank."""
+    r = draw(st.integers(min_value=0, max_value=7))
+    c = draw(st.integers(min_value=0, max_value=7))
+    k = draw(st.integers(min_value=0, max_value=max(r, c)))
+    left = IntMatrix(r, k, tuple(draw(st.lists(small_entries, min_size=r * k, max_size=r * k))))
+    right = IntMatrix(k, c, tuple(draw(st.lists(small_entries, min_size=k * c, max_size=k * c))))
+    if draw(st.booleans()):
+        return left @ right
+    return IntMatrix(r, c, tuple(draw(st.lists(st.integers(-9, 9), min_size=r * c, max_size=r * c))))
+
+
+TRANSFORM_SUBSETS = [
+    frozenset(sub) for k in range(len(intalg.TRANSFORMS) + 1) for sub in itertools.combinations(intalg.TRANSFORMS, k)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped_matrices())
+def test_tracking_a_subset_changes_no_tracked_transform(a):
+    full = smith_normal_form(a)
+    empty = IntMatrix.zeros(0, 0)
+    for track in TRANSFORM_SUBSETS:
+        s = smith_normal_form(a, track=track)
+        assert (s.d, s.rows, s.cols) == (full.d, full.rows, full.cols)
+        for name in intalg.TRANSFORMS:
+            assert getattr(s, name) == (getattr(full, name) if name in track else empty), (track, name)
+
+
+def test_smith_rejects_unknown_transform_names():
+    with pytest.raises(ValueError, match="unknown transforms"):
+        smith_normal_form(IntMatrix.identity(2), track=("U", "W"))
+
+
+def test_factorization_rejects_a_form_without_u_and_v():
+    a = IntMatrix.from_rows([[2, 1], [0, 3]])
+    for track in (("U",), ("V",), ("uinv", "vinv"), ()):
+        with pytest.raises(ValueError, match="tracks U and V"):
+            Factorization(a, smith_normal_form(a, track=track))
+
+
+def test_each_caller_tracks_only_what_it_reads(monkeypatch):
+    tracked = []
+    snf = intalg.smith_normal_form
+
+    def recorded(a, *, track=intalg.TRANSFORMS):
+        tracked.append(frozenset(track))
+        return snf(a, track=track)
+
+    monkeypatch.setattr(intalg, "smith_normal_form", recorded)
+    a = IntMatrix.from_rows([[2, 4, 0], [6, 8, 2]])
+
+    def calls(fn, *args):
+        tracked.clear()
+        fn(*args)
+        return list(tracked)
+
+    assert calls(cokernel, a) == [frozenset()]
+    assert calls(fibering.abelianization, fibering.Presentation.parse("<a,b|aab,bbAB>")) == [frozenset()]
+    assert calls(Factorization.of, a) == [frozenset({"U", "V"})]
+    assert calls(kernel_basis, a) == [frozenset({"U", "V"})]
+    assert calls(solve_linear, a, [2, 6]) == [frozenset({"U", "V"})]
+    assert calls(column_space_basis, a) == [frozenset({"uinv"})]
+    # subquotient factors its sublattice basis to solve, then reads the
+    # relation form with U (classes) and U^-1 (generators)
+    basis = IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
+    rel = IntMatrix.from_rows([[2], [4], [0]])
+    assert calls(subquotient, basis, rel) == [frozenset({"U", "V"}), frozenset({"U", "uinv"})]
 
 
 # -- solving -----------------------------------------------------------------
@@ -298,7 +369,7 @@ def test_tampered_factorization_fails_under_python_O():
 def test_class_of_reuses_the_subquotient_factorization(monkeypatch):
     sq = homology_data(IntMatrix.from_rows([[2], [0]]), IntMatrix.zeros(0, 2))
     calls = []
-    monkeypatch.setattr(intalg, "smith_normal_form", lambda a: calls.append(a))
+    monkeypatch.setattr(intalg, "smith_normal_form", lambda a, **kw: calls.append(a))
     assert sq.class_of([1, 0]) == (1, 0)
     assert sq.class_of([0, 5]) == (0, 5)
     assert calls == []
