@@ -6,7 +6,13 @@ products and `rho`: `homology` for Z/n with n 1..64, both twists, Z and
 Z/2 coefficients and degrees 0..6; `model-cohomology` for k 1..12 with
 every coefficient system; `realizable` for Z/n with n 1..64; `shift` on
 the orders 8, 16, 24, 32, 40 (twist w) and 9, 10, 11, 21, 27 (twist 0);
-and `chain-verify` for targets 2..20.  Commands run in-process, through
+`chain-verify` for targets 2..20; and the free-word subcommands on a
+fixed list of words and presentations: `fibered` for every word of
+length 1..4 under five characters, `abelianization` and, with each of
+the four mod-2 characters, `integral-lift` for the empty presentation,
+every one-relator presentation with a relator of length 1..3, every
+two-relator presentation with relators of length 2, and a few longer
+and malformed ones.  Commands run in-process, through
 `immorder.cli.run`.  Comparing the output of two versions byte for byte
 shows whether a refactor changed any answer, error message or exit code:
 
@@ -16,10 +22,38 @@ shows whether a refactor changed any answer, error message or exit code:
 from __future__ import annotations
 
 import io
+import itertools
 import sys
 from contextlib import redirect_stdout
 
 from immorder import cli
+
+PHIS = ("a=1,b=1", "a=1,b=-1", "a=2,b=-1", "a=-3,b=2", "a=0,b=1")
+EXTRA_PRESENTATIONS = (
+    "<a,b|aaaBAAAbbaaababb,aaabAAbbaaaBABAAAB>",
+    "<a,b|aaaaaabb,aaBBBB>",
+    "<a,b|aaaa,bbbbbb,abAB>",
+    "<a,b|aabbaabb>",
+    "<a,b|aA>",
+    "<a,b|ax>",
+    "<a,c|ab>",
+    "a,b|ab",
+    "<a,b|ab,,b>",
+)
+
+
+def words(length):
+    return ("".join(w) for w in itertools.product("aAbB", repeat=length))
+
+
+def presentations():
+    yield "<a,b|>"
+    for length in (1, 2, 3):
+        for w in words(length):
+            yield f"<a,b|{w}>"
+    for u, v in itertools.product(list(words(2)), repeat=2):
+        yield f"<a,b|{u},{v}>"
+    yield from EXTRA_PRESENTATIONS
 
 
 def grid():
@@ -42,6 +76,14 @@ def grid():
     for target in range(2, 21):
         for source in (3 * target, 5 * target):
             yield ["chain-verify", "--source", str(source), "--target", str(target)]
+    for length in (1, 2, 3, 4):
+        for w in words(length):
+            for phi in PHIS:
+                yield ["fibered", "--relator", w, "--phi", phi]
+    for p in presentations():
+        yield ["abelianization", "--presentation", p]
+        for w1 in ("a=0,b=0", "a=1,b=0", "a=0,b=1", "a=1,b=1"):
+            yield ["integral-lift", "--presentation", p, "--w1", w1]
 
 
 def main() -> None:

@@ -10,8 +10,10 @@ falls outside the packaged decision rules, with an
 Budgets: a cyclic group Z/n needs n <= 100000 (n <= 96 for `shift`);
 `homology --degree` needs degree <= 64; `model-cohomology --k` and
 `order-graph --max-exp` need 2^k <= 100000, so k <= 16; `chain-verify`
-needs 2 * source <= 100000 and target <= 500.  Inputs past a budget exit
-2 with the reason.
+needs 2 * source <= 100000 and target <= 500; the `--relator` and
+`--presentation` text of `fibered`, `abelianization` and `integral-lift`
+needs at most 1000000 characters.  Inputs past a budget exit 2 with the
+reason.
 """
 
 from __future__ import annotations
@@ -36,12 +38,15 @@ from .order import ImmersionType, UndecidablePair, UndeterminedComparison
 # `order-graph --max-exp 16 --combined` in 0.8 s.  `shift` solves
 # integer systems of size about n and answers on Z/96 in about 1.5 s.
 # `chain-verify` solves a dense system of side 2 * target: at target 500
-# it takes up to about 3 s and 130 MB.
+# it takes up to about 3 s and 130 MB.  Free-word text of 10^6
+# characters answers in about 2 s.
 MAX_CYCLIC_ORDER = 100_000
 MAX_SHIFT_ORDER = 96
 MAX_CHAIN_TARGET = 500
 MAX_DEGREE = 64
+MAX_WORD_TEXT = 1_000_000
 _GROUP_HELP = f"trivial, Z, Z4 or Z/n with n <= {MAX_CYCLIC_ORDER}"
+_WORD_HELP = f"at most {MAX_WORD_TEXT} characters"
 
 
 class _CliInput(ValueError):
@@ -113,21 +118,29 @@ def _read_payload(arg: str, stdin_used: list[bool]):
     return json.loads(Path(arg).read_text())
 
 
+def _word_text(text: str) -> str:
+    if len(text) > MAX_WORD_TEXT:
+        raise argparse.ArgumentTypeError(f"text of {len(text)} characters exceeds the budget of {MAX_WORD_TEXT}")
+    return text
+
+
 def _type_from_payload(payload) -> ImmersionType:
+    """Check a payload against the shipped `immersion_type` schema and build the type."""
     if not isinstance(payload, dict):
         raise _CliInput("immersion-type payload must be a JSON object")
     unknown = set(payload) - {"group", "n", "w1", "w2", "c"}
     if unknown:
         raise _CliInput(f"unknown immersion-type keys {sorted(unknown)}")
-    if "group" not in payload:
-        raise _CliInput("immersion-type payload needs a 'group'")
-    return ImmersionType(
-        group=payload["group"],
-        n=payload.get("n"),
-        w1=payload.get("w1", 0),
-        w2=str(payload.get("w2", "0")),
-        c=payload.get("c", 0),
-    )
+    if payload.get("group") not in order.GROUPS:
+        raise _CliInput(f"immersion-type payload needs a 'group', one of {', '.join(order.GROUPS)}")
+    for key, kind in (("n", int), ("w1", int), ("w2", str), ("c", int)):  # type() refuses bool and float
+        if key in payload and type(payload[key]) is not kind:
+            raise _CliInput(f"immersion-type {key!r} must be {'a string' if kind is str else 'an integer'}")
+    if not 1 <= payload.get("n", 1) <= MAX_CYCLIC_ORDER:
+        raise _CliInput(f"immersion-type 'n' = {payload['n']} is below 1 or exceeds the budget of {MAX_CYCLIC_ORDER}")
+    if payload.get("w1", 0) not in (0, 1):
+        raise _CliInput("immersion-type 'w1' must be 0 or 1")
+    return ImmersionType(**payload)
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +414,16 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_shift)
 
     p = sub.add_parser("fibered", help="unique-extrema fibering criterion")
-    p.add_argument("--relator", required=True)
+    p.add_argument("--relator", required=True, type=_word_text, help=_WORD_HELP)
     p.add_argument("--phi", required=True, help="a=INT,b=INT")
     p.set_defaults(func=_cmd_fibered)
 
     p = sub.add_parser("abelianization", help="abelianization of a presentation")
-    p.add_argument("--presentation", required=True)
+    p.add_argument("--presentation", required=True, type=_word_text, help=_WORD_HELP)
     p.set_defaults(func=_cmd_abelianization)
 
     p = sub.add_parser("integral-lift", help="integral lift of a mod-2 character")
-    p.add_argument("--presentation", required=True)
+    p.add_argument("--presentation", required=True, type=_word_text, help=_WORD_HELP)
     p.add_argument("--w1", required=True, help="a=BIT,b=BIT")
     p.set_defaults(func=_cmd_integral_lift)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intalg
-from .intalg import FgAbelianGroup, IntMatrix, kernel_basis, solve_linear
+from .intalg import FgAbelianGroup, IntMatrix, f2_solvable, kernel_basis
 
 # letters are encoded as +-1 (a, a^-1) and +-2 (b, b^-1)
 _CHAR_TO_LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
@@ -85,12 +85,13 @@ def parse_word(s: str) -> FreeWord:
 
 
 def cyclically_reduce(w: FreeWord) -> FreeWord:
-    """Shortest word conjugate to w: free reduction plus end-cancellation."""
-    letters = list(free_reduce(w.letters))
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        letters = letters[1:-1]
-        letters = list(free_reduce(letters))
-    return FreeWord(tuple(letters))
+    """Shortest word conjugate to w: free reduction plus end-cancellation
+    (the middle of a freely reduced word is freely reduced, so one slice)."""
+    letters = free_reduce(w.letters)
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i, j = i + 1, j - 1
+    return FreeWord(letters[i:j])
 
 
 def rotate(w: FreeWord, k: int) -> FreeWord:
@@ -279,8 +280,8 @@ def integral_lift_exists(p: Presentation, w1a: int, w1b: int) -> bool:
     """Is the mod-2 character (w1a, w1b) the reduction of an integral one?
 
     The assignment must vanish mod 2 on every relator (NotACharacter
-    otherwise).  Decided by solving for an integer combination of the
-    character lattice congruent to (w1a, w1b) mod 2.
+    otherwise).  Decided by asking whether (w1a, w1b) lies in the mod-2
+    span of the character lattice.
     """
     w = (w1a % 2, w1b % 2)
     for r in p.relators:
@@ -288,7 +289,7 @@ def integral_lift_exists(p: Presentation, w1a: int, w1b: int) -> bool:
         if (ea * w[0] + eb * w[1]) % 2 != 0:
             raise NotACharacter("the assignment does not vanish on all relators mod 2")
     lattice = _character_lattice(p)
-    return solve_linear(lattice, [w[0], w[1]], modulus=2) is not None
+    return f2_solvable(lattice, [w[0], w[1]])
 
 
 def no_lift_certificate(p: Presentation, w1a: int, w1b: int) -> bool:

@@ -3,7 +3,7 @@
 Everything here works with arbitrary-precision Python ints; no floating
 point is ever involved.  The module provides immutable integer matrices,
 Smith normal form with unimodular transform tracking, exact linear solving
-(over Z and modulo m), finitely generated abelian group invariants, and a
+over Z, finitely generated abelian group invariants, and a
 small "subquotient" engine that presents groups of the form L / R (L a
 sublattice of Z^n, R a subgroup of L) together with canonical coordinates
 and explicit generator vectors.  The subquotient engine is what lets the
@@ -26,6 +26,10 @@ Code that solves against the same matrix again and again keeps a
 factorization on the object that owns the matrix (a `Subquotient` keeps
 one of its sublattice basis for `class_of`), so it dies with its owner;
 nothing caches Smith forms beyond that.
+
+Mod-2 questions take one path, the F2 elimination `_f2_echelon`:
+`f2_kernel_basis`, `f2_rank`, `f2_solvable` and the cycle lattice of
+`homology_data_mod2` are read off its reduced echelon form.
 """
 
 from __future__ import annotations
@@ -194,9 +198,9 @@ class SmithForm:
     is tracked exactly when its side matches A (for a side of 0 the two
     agree).  The callers in this package track what they read:
     `cokernel` and the abelianization in `fibering` read only `d` and
-    track nothing; `Factorization` solves with U and V; the relation form
-    of `subquotient` names classes with U and generators with U^-1;
-    `column_space_basis` reads U^-1.  The default tracks all four.
+    track nothing; `kernel_basis` reads V; `Factorization` solves with U
+    and V; the relation form of `subquotient` names classes with U and
+    generators with U^-1.  The default tracks all four.
     """
 
     d: tuple[int, ...]
@@ -420,41 +424,19 @@ class Factorization:
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form a Z-basis of {x : a @ x = 0}."""
-    return Factorization.of(a).kernel()
+    """Columns form a Z-basis of {x : a @ x = 0}, read off V alone."""
+    s = smith_normal_form(a, track=("V",))
+    return s.V.take_cols(list(range(s.rank, a.cols)))
 
 
-def column_space_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form a Z-basis of the lattice spanned by the columns of a:
-    the first rank columns of U^-1, scaled by the invariant factors."""
-    s = smith_normal_form(a, track=("uinv",))
-    n, r = a.rows, s.rank
-    e = s.uinv.entries
-    return IntMatrix(n, r, tuple(e[i * n + j] * s.d[j] for i in range(n) for j in range(r)))
-
-
-def solve_linear(a: IntMatrix, b: list[int] | tuple, modulus: int | None = None) -> tuple[int, ...] | None:
-    """Solve a @ x = b exactly over Z, or modulo `modulus` if given.
+def solve_linear(a: IntMatrix, b: list[int] | tuple) -> tuple[int, ...] | None:
+    """Solve a @ x = b exactly over Z.
 
     Returns one solution as a tuple, or None when the system is
-    inconsistent.  Both cases factor once and solve one column through
-    `Factorization`; the modular case factors the augmented matrix
-    [a | modulus * I].
+    inconsistent.  Factors a once and solves one column through
+    `Factorization`.
     """
-    rhs = IntMatrix.column(b)
-    if rhs.rows != a.rows:
-        raise DimensionMismatch("rhs length mismatch")
-    if modulus is None:
-        return Factorization.of(a).solve(rhs)[0]
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    sol = Factorization.of(a.hstack(IntMatrix.diagonal([modulus] * a.rows))).solve(rhs)[0]
-    if sol is None:
-        return None
-    x = tuple(s % modulus for s in sol[: a.cols])
-    if any((ci - bi) % modulus for ci, bi in zip(a.apply_vec(x), rhs.entries)):
-        raise AssertionError("modular solution fails a @ x == b (mod modulus)")
-    return x
+    return Factorization.of(a).solve(IntMatrix.column(b))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -692,42 +674,39 @@ class IntComplex:
         return self._subquotient(d_out.transpose(), d_in.transpose()).group
 
 
-def f2_kernel_basis(a: IntMatrix) -> list[list[int]]:
-    """Basis of the mod-2 kernel of a, as 0/1 integer vectors."""
+def _f2_echelon(a: IntMatrix) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of a mod 2: its nonzero rows, as 0/1
+    lists, and their pivot columns, found left to right."""
     rows = [[x % 2 for x in a.row_list(i)] for i in range(a.rows)]
-    n, m = a.rows, a.cols
-    pivots: dict[int, int] = {}
-    r = 0
-    for j in range(m):
-        sel = None
-        for i in range(r, n):
-            if rows[i][j]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(n):
-            if i != r and rows[i][j]:
-                rows[i] = [(x + y) % 2 for x, y in zip(rows[i], rows[r])]
-        pivots[j] = r
-        r += 1
-    basis = []
-    for j in range(m):
-        if j in pivots:
-            continue
-        vec = [0] * m
-        vec[j] = 1
-        for pj, pr in pivots.items():
-            if rows[pr][j]:
-                vec[pj] = 1
-        basis.append(vec)
-    return basis
+    pivots: list[int] = []
+    for j in range(a.cols):
+        r = len(pivots)
+        sel = next((i for i in range(r, a.rows) if rows[i][j]), None)
+        if sel is not None:
+            rows[r], rows[sel] = rows[sel], rows[r]
+            rows = [[x ^ y for x, y in zip(row, rows[r])] if i != r and row[j] else row for i, row in enumerate(rows)]
+            pivots.append(j)
+    return rows[: len(pivots)], pivots
+
+
+def f2_kernel_basis(a: IntMatrix) -> list[list[int]]:
+    """Basis of the mod-2 kernel of a, as 0/1 integer vectors: one for
+    each free column j, with 1 at j and at the pivots whose row has 1 at j."""
+    rows, pivots = _f2_echelon(a)
+    row_of = dict(zip(pivots, rows))
+    free = [j for j in range(a.cols) if j not in row_of]
+    return [[row_of[k][j] if k in row_of else int(k == j) for k in range(a.cols)] for j in free]
 
 
 def f2_rank(a: IntMatrix) -> int:
     """Rank of a over the field with two elements."""
-    return a.cols - len(f2_kernel_basis(a))
+    return len(_f2_echelon(a)[1])
+
+
+def f2_solvable(a: IntMatrix, b: list[int] | tuple) -> bool:
+    """Is f2_rank([a | b]) == f2_rank(a), that is, has a @ x = b a
+    solution mod 2?  Exactly when the last column of [a | b] has no pivot."""
+    return a.cols not in _f2_echelon(a.hstack(IntMatrix.column(b)))[1]
 
 
 def homology_data_mod2(d_in: IntMatrix, d_out: IntMatrix) -> Subquotient:
@@ -736,15 +715,17 @@ def homology_data_mod2(d_in: IntMatrix, d_out: IntMatrix) -> Subquotient:
     Presents {z : d_out z = 0 mod 2} / (im d_in + 2 Z^n) as a subquotient
     of Z^n, so classes of integer vectors can be named.  Every element has
     order dividing 2.
+
+    The lattice basis is 2 e_p for each pivot p of the mod-2 echelon form
+    of d_out and the 0/1 kernel lift for each free column: the identity
+    with row p the echelon row, pivot doubled; det 2^rank is the index.
     """
     if d_in.rows != d_out.cols:
         raise DimensionMismatch("boundary shapes incompatible")
     if not all(x % 2 == 0 for x in (d_out @ d_in).entries):
         raise NotAComplex("d_out @ d_in != 0 mod 2")
     n = d_in.rows
-    lifts = f2_kernel_basis(d_out)
-    gens = [[v[i] for v in lifts] for i in range(n)]
-    gen_mat = IntMatrix.from_rows(gens) if lifts else IntMatrix.zeros(n, 0)
-    lattice = column_space_basis(gen_mat.hstack(IntMatrix.diagonal([2] * n)))
-    relations = d_in.hstack(IntMatrix.diagonal([2] * n))
-    return subquotient(lattice, relations)
+    basis = IntMatrix.identity(n).to_rows()
+    for row, p in zip(*_f2_echelon(d_out)):
+        basis[p] = row[:p] + [2] + row[p + 1 :]
+    return subquotient(IntMatrix.from_rows(basis), d_in.hstack(IntMatrix.diagonal([2] * n)))

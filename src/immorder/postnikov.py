@@ -42,6 +42,7 @@ from .intalg import (
     FgAbelianGroup,
     IntComplex,
     IntMatrix,
+    f2_solvable,
     kernel_basis,
     solve_linear,
 )
@@ -121,7 +122,7 @@ def lift_exists(k_exp: int, class_bit: int, along: str) -> bool:
     else:
         reduction = IntMatrix.from_rows([[1, 1]])
     system = (reduction @ cocycles).hstack(chain_2.down[1].transpose())
-    return solve_linear(system, [class_bit], modulus=2) is not None
+    return f2_solvable(system, [class_bit])
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,32 @@ def test_help_states_the_budgets():
     assert "2^max-exp <= 100000" in run_cli("order-graph", "--help")[1]
     chain_help = run_cli("chain-verify", "--help")[1]
     assert "2k <= 100000" in chain_help and "k <= 500" in chain_help
+    for command in ("fibered", "abelianization", "integral-lift"):
+        assert "at most 1000000 characters" in run_cli(command, "--help")[1]
+
+
+OVER_BUDGET_WORD = "ab" * 250_000 + "AB" * 250_000 + "aA"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fibered", "--phi", "a=1,b=1", "--relator", OVER_BUDGET_WORD),
+        ("abelianization", "--presentation", f"<a,b|{OVER_BUDGET_WORD}>"),
+        ("integral-lift", "--w1", "a=0,b=0", "--presentation", f"<a,b|{OVER_BUDGET_WORD}>"),
+    ],
+    ids=lambda a: a[0],
+)
+def test_word_text_past_the_budget_exits_2(argv):
+    payload, _ = run_json(*argv, schema="error", expect_code=2)
+    assert "exceeds the budget of 1000000" in payload["error"]
+
+
+def test_word_text_at_the_budget_answers():
+    presentation = "<a,b|" + "a" * (cli.MAX_WORD_TEXT - 7) + "b>"
+    assert len(presentation) == cli.MAX_WORD_TEXT
+    payload, _ = run_json("integral-lift", "--presentation", presentation, "--w1", "a=1,b=1", schema="integral_lift")
+    assert payload["lift_exists"] is True
 
 
 def test_homology_untwisted_cyclic_vanishes():
@@ -295,6 +321,33 @@ def test_leq_malformed_json_exits_2(tmp_path):
     bad.write_text("{not json")
     b = payload_file(tmp_path, "b.json", S4)
     assert run_cli("leq", str(bad), b)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "bad, key",
+    [
+        ({"group": "cyclic", "n": 8, "c": 1e300}, "'c'"),
+        ({"group": "cyclic", "n": 8, "w2": 1}, "'w2'"),
+        ({"group": "cyclic", "n": 2.5}, "'n'"),
+        ({"group": "cyclic", "n": True}, "'n'"),
+        ({"group": "cyclic", "n": 0}, "'n'"),
+        ({"group": "cyclic", "n": None}, "'n'"),
+        ({"group": "cyclic", "n": 100_002}, "'n'"),
+        ({"group": "Z", "w1": True}, "'w1'"),
+        ({"group": "Z", "w1": 1.0}, "'w1'"),
+        ({"group": "Z", "w1": 2}, "'w1'"),
+        ({"group": "Q8"}, "'group'"),
+        ({"group": 4}, "'group'"),
+        ({"group": "trivial", "c": False}, "'c'"),
+    ],
+    ids=lambda x: json.dumps(x) if isinstance(x, dict) else x,
+)
+def test_leq_payload_outside_the_schema_exits_2(tmp_path, bad, key):
+    a = payload_file(tmp_path, "a.json", bad)
+    b = payload_file(tmp_path, "b.json", S4)
+    payload, _ = run_json("leq", a, b, schema="error", expect_code=2)
+    assert key in payload["error"]
+    assert payload["error"].startswith("immersion-type")
 
 
 def test_leq_unknown_payload_key_exits_2(tmp_path):

@@ -5,8 +5,9 @@ inside the budgets, values past them and malformed text.  Whatever it
 draws, `cli.run` must return 0, 2 or 3 without raising and without
 writing to stderr; stdout must validate against the subcommand's schema
 on exit 0, against the `error` schema on exit 2, and against the
-undetermined verdict on exit 3.  The inputs stay small, so the budgets,
-not a clock, keep every case fast.
+undetermined verdict on exit 3, and a `leq` payload that is not JSON or
+fails the shipped `immersion_type` schema must exit 2.  The inputs stay
+small, so the budgets, not a clock, keep every case fast.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ groups = (
     st.one_of(st.integers(cli.MAX_CYCLIC_ORDER + 1, 10**12).map(lambda n: f"Z/{n}"), junk),
 )
 words = st.text(alphabet="aAbB", min_size=1, max_size=10)
+# one letter past the budget on the text of --relator and --presentation
+long_word = "ab" * (cli.MAX_WORD_TEXT // 2) + "a"
 
 
 def _balance(word: str) -> str:
@@ -65,7 +68,10 @@ def _balance(word: str) -> str:
 
 # killed by a=1, b=1, so some draws get past the fibering checks
 balanced = words.map(_balance)
-presentations = (st.lists(words, min_size=1, max_size=3).map(lambda rs: "<a,b|" + ",".join(rs) + ">"), junk)
+presentations = (
+    st.lists(words, min_size=1, max_size=3).map(lambda rs: "<a,b|" + ",".join(rs) + ">"),
+    st.one_of(junk, st.just(f"<a,b|{long_word}>")),
+)
 
 
 def assignments(lo: int, hi: int) -> tuple[st.SearchStrategy[str], st.SearchStrategy[str]]:
@@ -88,31 +94,34 @@ def command(name: str, *options) -> st.SearchStrategy[list[str]]:
     return st.one_of(every, noisy).map(flatten)
 
 
-type_payloads = st.one_of(
-    st.one_of(
-        st.fixed_dictionaries({"group": st.just("trivial"), "w2": st.sampled_from(["0", "inf"])}),
-        st.fixed_dictionaries(
-            {
-                "group": st.just("cyclic"),
-                "n": st.sampled_from([2, 3, 4, 6, 8, 16]),
-                "w1": st.sampled_from([0, 1]),
-                "w2": st.sampled_from(["0", "1", "inf"]),
-            }
-        ),
-        st.fixed_dictionaries({"group": st.just("Z"), "w1": st.sampled_from([0, 1]), "w2": st.sampled_from(["0", "inf"])}),
-        st.fixed_dictionaries({"group": st.just("Z4"), "w2": st.sampled_from(["0", "e12", "e12+e34", "inf"])}),
-    )
-    .flatmap(lambda d: st.integers(-40, 40).map(lambda c: {**d, "c": c}))
-    .map(json.dumps),
+good_types = st.one_of(
+    st.fixed_dictionaries({"group": st.just("trivial"), "w2": st.sampled_from(["0", "inf"])}),
     st.fixed_dictionaries(
-        {"group": st.sampled_from(["cyclic", "Q8"])},
-        optional={
-            "n": st.sampled_from(["8", 2.5]),
-            "w1": st.sampled_from([2, "1"]),
-            "w2": st.sampled_from(["s", 1]),
-            "c": st.just("x"),
-        },
-    ).map(json.dumps),
+        {
+            "group": st.just("cyclic"),
+            "n": st.sampled_from([2, 3, 4, 6, 8, 16]),
+            "w1": st.sampled_from([0, 1]),
+            "w2": st.sampled_from(["0", "1", "inf"]),
+        }
+    ),
+    st.fixed_dictionaries({"group": st.just("Z"), "w1": st.sampled_from([0, 1]), "w2": st.sampled_from(["0", "inf"])}),
+    st.fixed_dictionaries({"group": st.just("Z4"), "w2": st.sampled_from(["0", "e12", "e12+e34", "inf"])}),
+).flatmap(lambda d: st.integers(-40, 40).map(lambda c: {**d, "c": c}))
+# wrongly typed or out-of-range values, one of which replaces a key of a
+# good payload
+BAD_TYPE_VALUES = {
+    "group": ["Q8", 4, None, True],
+    "n": ["8", 2.5, 8.0, True, 0, -4, None, cli.MAX_CYCLIC_ORDER + 2],
+    "w1": [2, "1", True, 1.0, None],
+    "w2": ["s", 1, None, ["1"]],
+    "c": ["x", 1e300, 2.5, False, None],
+}
+bad_types = st.tuples(good_types, st.sampled_from(sorted(BAD_TYPE_VALUES))).flatmap(
+    lambda dk: st.sampled_from(BAD_TYPE_VALUES[dk[1]]).map(lambda v: {**dk[0], dk[1]: v})
+)
+type_payloads = st.one_of(
+    good_types.map(json.dumps),
+    bad_types.map(json.dumps),
     st.sampled_from(["", "{not json", "[1]", "null", '{"n": 4}', '{"group": "cyclic", "bogus": 1}']),
 ).map(Payload)
 
@@ -154,7 +163,7 @@ invocations = st.one_of(
     ),
     command(
         "fibered",
-        ("--relator", (balanced, st.one_of(words, junk))),
+        ("--relator", (balanced, st.one_of(words, junk, st.just(long_word)))),
         ("--phi", (st.one_of(st.just("a=1,b=1"), assignments(-2, 2)[0]), junk)),
     ),
     command("abelianization", ("--presentation", presentations)),
@@ -193,6 +202,14 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _fits_type_schema(text: str) -> bool:
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        return False
+    return validator("immersion_type").is_valid(payload)
+
+
 @settings(max_examples=400, deadline=None)
 @given(invocations)
 def test_every_invocation_exits_0_2_or_3_with_schema_valid_stdout(argv):
@@ -212,3 +229,13 @@ def test_every_invocation_exits_0_2_or_3_with_schema_valid_stdout(argv):
         assert payload["answer"] == "undetermined"
     else:
         validator(SCHEMAS[argv[0]]).validate(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(type_payloads, type_payloads)
+def test_leq_payload_outside_the_type_schema_exits_2(a, b):
+    code, out, err = _run(["leq", a, b])
+    assert err == "", (a, b, err)
+    if not (_fits_type_schema(a) and _fits_type_schema(b)):
+        assert code == 2, (a, b, out)
+        validator("error").validate(json.loads(out))

@@ -60,6 +60,13 @@ def test_parse_and_reduce_examples():
     assert parse_word(R2).exponents() == (0, 0)
 
 
+def test_cyclic_reduction_of_a_long_conjugate():
+    # a^k b a^-k: k end pairs cancel; a reduction quadratic in k takes
+    # about 35 s at this k
+    k = 20_000
+    assert cyclically_reduce(FreeWord((1,) * k + (2,) + (-1,) * k)) == FreeWord((2,))
+
+
 def test_parse_rejects_bad_characters():
     with pytest.raises(BadCharacter):
         parse_word("abc")

@@ -21,9 +21,9 @@ from immorder.intalg import (
     IntMatrix,
     NotAComplex,
     cokernel,
-    column_space_basis,
     f2_kernel_basis,
     f2_rank,
+    f2_solvable,
     homology_at,
     homology_data,
     homology_data_mod2,
@@ -163,14 +163,18 @@ def test_each_caller_tracks_only_what_it_reads(monkeypatch):
     assert calls(cokernel, a) == [frozenset()]
     assert calls(fibering.abelianization, fibering.Presentation.parse("<a,b|aab,bbAB>")) == [frozenset()]
     assert calls(Factorization.of, a) == [frozenset({"U", "V"})]
-    assert calls(kernel_basis, a) == [frozenset({"U", "V"})]
+    assert calls(kernel_basis, a) == [frozenset({"V"})]
     assert calls(solve_linear, a, [2, 6]) == [frozenset({"U", "V"})]
-    assert calls(column_space_basis, a) == [frozenset({"uinv"})]
     # subquotient factors its sublattice basis to solve, then reads the
     # relation form with U (classes) and U^-1 (generators)
     basis = IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
     rel = IntMatrix.from_rows([[2], [4], [0]])
-    assert calls(subquotient, basis, rel) == [frozenset({"U", "V"}), frozenset({"U", "uinv"})]
+    subquotient_calls = [frozenset({"U", "V"}), frozenset({"U", "uinv"})]
+    assert calls(subquotient, basis, rel) == subquotient_calls
+    # the mod-2 cycle lattice comes from the F2 elimination, so the only
+    # Smith forms are the subquotient's two
+    assert calls(homology_data_mod2, IntMatrix.from_rows([[1], [1], [0]]), a) == subquotient_calls
+    assert calls(f2_solvable, a, [1, 0]) == []
 
 
 # -- solving -----------------------------------------------------------------
@@ -179,8 +183,6 @@ def test_each_caller_tracks_only_what_it_reads(monkeypatch):
 def test_solve_examples():
     a = IntMatrix.from_rows([[2]])
     assert solve_linear(a, [3]) is None
-    x = solve_linear(a, [2], modulus=4)
-    assert x is not None and (2 * x[0] - 2) % 4 == 0
     assert solve_linear(a, [6]) == (3,)
 
 
@@ -214,23 +216,6 @@ def test_solve_none_means_no_solution_mod_m(a, data):
     if a.cols <= 3:
         for cand in itertools.product(range(-8, 9), repeat=a.cols):
             assert a.apply_vec(list(cand)) != b
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices, st.integers(min_value=2, max_value=9), st.data())
-def test_solve_mod_m_agrees_with_exhaustion(a, m, data):
-    if a.cols > 3:
-        return
-    b = data.draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=a.rows, max_size=a.rows))
-    got = solve_linear(a, b, modulus=m)
-    found = None
-    for cand in itertools.product(range(m), repeat=a.cols):
-        if all((y - z) % m == 0 for y, z in zip(a.apply_vec(list(cand)), b)):
-            found = cand
-            break
-    assert (got is None) == (found is None)
-    if got is not None:
-        assert all((y - z) % m == 0 for y, z in zip(a.apply_vec(list(got)), b))
 
 
 # -- factorizations ---------------------------------------------------------
@@ -392,18 +377,6 @@ def test_kernel_basis_spans_kernel(a):
                 assert solve_linear(k, list(cand)) is not None
 
 
-@settings(max_examples=80, deadline=None)
-@given(matrices)
-def test_column_space_basis_generates(a):
-    b = column_space_basis(a)
-    # each original column lies in the lattice spanned by the basis
-    for j in range(a.cols):
-        assert solve_linear(b, a.col_list(j)) is not None
-    # each basis vector lies in the original column lattice
-    for j in range(b.cols):
-        assert solve_linear(a, b.col_list(j)) is not None
-
-
 # -- groups -------------------------------------------------------------------
 
 
@@ -543,6 +516,47 @@ def test_f2_kernel_exhaustive(a):
         if all(sum(x * y for x, y in zip(a.row_list(i), v)) % 2 == 0 for i in range(a.rows))
     }
     assert span == true_kernel
+
+
+@settings(max_examples=120, deadline=None)
+@given(shaped_matrices(), st.data())
+def test_f2_solvable_agrees_with_exhaustion(a, data):
+    b = data.draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=a.rows, max_size=a.rows))
+    found = any(
+        all((y - z) % 2 == 0 for y, z in zip(a.apply_vec(list(cand)), b))
+        for cand in itertools.product((0, 1), repeat=a.cols)
+    )
+    assert f2_solvable(a, b) == found
+
+
+def test_f2_solvable_examples():
+    a = IntMatrix.from_rows([[2], [3]])
+    assert f2_solvable(a, [0, 1]) and f2_solvable(a, [4, -1])
+    assert not f2_solvable(a, [1, 1])
+    assert f2_solvable(IntMatrix.zeros(2, 0), [2, 0])
+    assert not f2_solvable(IntMatrix.zeros(2, 0), [0, 1])
+    with pytest.raises(DimensionMismatch):
+        f2_solvable(a, [1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(shaped_matrices())
+def test_homology_mod2_lattice_is_the_mod2_cycles(d_out):
+    n = d_out.cols
+    lattice = homology_data_mod2(IntMatrix.zeros(n, 0), d_out).sub_basis
+    assert (lattice.rows, lattice.cols) == (n, n)
+    # every basis column is a mod-2 cycle
+    assert all(x % 2 == 0 for x in (d_out @ lattice).entries)
+    # index 2^rank in Z^n, so the columns are independent
+    assert abs(det_int(lattice.to_rows())) == 2 ** f2_rank(d_out)
+    # every mod-2 cycle in a box lies in their span
+    cycles = [
+        list(z)
+        for z in itertools.product(range(-1, 3), repeat=n)
+        if all(x % 2 == 0 for x in d_out.apply_vec(list(z)))
+    ]
+    block = IntMatrix(n, len(cycles), tuple(z[i] for i in range(n) for z in cycles))
+    assert all(x is not None for x in Factorization.of(lattice).solve(block))
 
 
 def test_homology_mod2_of_doubling():
