@@ -36,7 +36,8 @@ from .order import ImmersionType, UndecidablePair, UndeterminedComparison
 # about linearly in the degree: 1.2 s at 40, 6 s at 200) and `realizable`
 # in 0.3 s; `model-cohomology --k 16` (Z/65536) answers in 0.4 s and
 # `order-graph --max-exp 16 --combined` in 0.8 s.  `shift` solves
-# integer systems of size about n and answers on Z/96 in about 1.5 s.
+# integer systems of size about n and answers on Z/64 in about 0.4 s and
+# on Z/96 in about 0.75 s.
 # `chain-verify` solves a dense system of side 2 * target: at target 500
 # it takes up to about 3 s and 130 MB.  Free-word text of 10^6
 # characters answers in about 2 s.

@@ -21,9 +21,14 @@ shift-and-add is 2-8 times faster at 1-4 terms and Kronecker substitution
 the twisted norm, so each of their products is O(n).
 
 A coefficient module finds the order o of its action once, at
-construction, and `rho(x)` folds the n coefficients of x modulo o and sums
-o scaled powers: O(n + o r^2) for rank r, which is O(n) for the named
-modules (o <= 2).
+construction, and keeps the powers a^0, ..., a^(o-1) as their nonzero
+entries, each built from the last with one multiply-add per pair of
+nonzeros that meet.  `rho(x)` folds the n coefficients of x modulo o and
+adds each power's nonzeros, scaled: O(n + z) for z nonzeros in the o
+powers.  That is O(n) for the named modules (o <= 2, rank <= 2), and
+O(n^2) for the regular module and the augmentation ideal of
+`postnikov.shift_data`, whose powers have at most about 2n nonzeros each,
+where dense powers cost O(n^3).
 """
 
 from __future__ import annotations
@@ -196,7 +201,9 @@ class CoefficientModule:
     `action` is the matrix by which the generator a acts; its order must
     divide n (over the integers, also when modulus=2), or construction
     raises ValueError.  The powers I, a, ..., a^(o-1) of the action are
-    computed once, here, and shared by every `rho` call.  Supported names:
+    computed once, here, as (flat row-major index, value) pairs for their
+    nonzero entries, and shared by every `rho` call: with z nonzeros in
+    all o powers, `rho` costs O(n + z).  Supported names:
 
     - "Z":    rank 1, trivial action.
     - "Zw":   rank 1, a acts by -1 (orientation twist; n must be even).
@@ -210,21 +217,31 @@ class CoefficientModule:
     rank: int
     action: IntMatrix
     modulus: int
-    _powers: tuple[IntMatrix, ...] = field(init=False, repr=False, compare=False)
+    _powers: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if (self.action.rows, self.action.cols) != (self.rank, self.rank):
-            raise ValueError(f"module {self.name!r}: action must be a {self.rank}x{self.rank} matrix")
-        identity = IntMatrix.identity(self.rank)
-        powers = [identity]
-        power = self.action
+        r = self.rank
+        if (self.action.rows, self.action.cols) != (r, r):
+            raise ValueError(f"module {self.name!r}: action must be a {r}x{r} matrix")
+        entries = self.action.entries
+        # the nonzeros (column, value) of each row of the action
+        action_rows = [[(j, x) for j, x in enumerate(entries[i * r : (i + 1) * r]) if x] for i in range(r)]
+        identity = {i * r + i: 1 for i in range(r)}
+        powers = [tuple(identity.items())]
+        power = {flat: x for flat, x in enumerate(entries) if x}
         # the order of the action divides n exactly when a^n = I, and then
         # it is at most n, so n steps decide both
         while power != identity:
             if len(powers) >= self.n:
                 raise ValueError(f"module {self.name!r}: the action has no order dividing {self.n}")
-            powers.append(power)
-            power = self.action @ power
+            powers.append(tuple(power.items()))
+            # a^(k+1) = a^k a: entry (i, k) of a^k times row k of a
+            nxt: dict[int, int] = {}
+            for flat, x in power.items():
+                i, k = divmod(flat, r)
+                for j, y in action_rows[k]:
+                    nxt[i * r + j] = nxt.get(i * r + j, 0) + x * y
+            power = {flat: x for flat, x in nxt.items() if x}
         if self.n % len(powers):
             raise ValueError(f"module {self.name!r}: the action has order {len(powers)}, which does not divide {self.n}")
         object.__setattr__(self, "_powers", tuple(powers))
@@ -238,15 +255,18 @@ class CoefficientModule:
 
         With o the order of the action, a^i acts as the power a^(i mod o),
         so the coefficients of x are summed over each residue class mod o
-        and the o powers are scaled by those sums.
+        and each power adds its nonzeros, scaled by that sum.
         """
         if x.n != self.n:
             raise RingMismatch("element and module live over different group rings")
         o = len(self._powers)
-        folded = [sum(x.coeffs[j::o]) for j in range(o)]
-        terms = [(c, p.entries) for c, p in zip(folded, self._powers) if c]
-        entries = tuple(sum(c * e[k] for c, e in terms) for k in range(self.rank * self.rank))
-        return IntMatrix(self.rank, self.rank, entries)
+        out = [0] * (self.rank * self.rank)
+        for j, power in enumerate(self._powers):
+            c = sum(x.coeffs[j::o])
+            if c:
+                for flat, y in power:
+                    out[flat] += c * y
+        return IntMatrix(self.rank, self.rank, tuple(out))
 
 
 COEFFICIENT_NAMES = ("Z", "Zw", "Z2", "ZZ2w")

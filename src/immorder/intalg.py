@@ -28,8 +28,8 @@ one of its sublattice basis for `class_of`), so it dies with its owner;
 nothing caches Smith forms beyond that.
 
 Mod-2 questions take one path, the F2 elimination `_f2_echelon`:
-`f2_kernel_basis`, `f2_rank`, `f2_solvable` and the cycle lattice of
-`homology_data_mod2` are read off its reduced echelon form.
+`f2_rank`, `f2_solvable` and the cycle lattice of `homology_data_mod2`
+are read off its reduced echelon form.
 """
 
 from __future__ import annotations
@@ -687,15 +687,6 @@ def _f2_echelon(a: IntMatrix) -> tuple[list[list[int]], list[int]]:
             rows = [[x ^ y for x, y in zip(row, rows[r])] if i != r and row[j] else row for i, row in enumerate(rows)]
             pivots.append(j)
     return rows[: len(pivots)], pivots
-
-
-def f2_kernel_basis(a: IntMatrix) -> list[list[int]]:
-    """Basis of the mod-2 kernel of a, as 0/1 integer vectors: one for
-    each free column j, with 1 at j and at the pivots whose row has 1 at j."""
-    rows, pivots = _f2_echelon(a)
-    row_of = dict(zip(pivots, rows))
-    free = [j for j in range(a.cols) if j not in row_of]
-    return [[row_of[k][j] if k in row_of else int(k == j) for k in range(a.cols)] for j in free]
 
 
 def f2_rank(a: IntMatrix) -> int:

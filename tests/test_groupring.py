@@ -196,23 +196,55 @@ def _regular_module(n: int) -> CoefficientModule:
     return CoefficientModule("regular", n, n, regular_representation(GroupRingElement.gen(n)), 0)
 
 
+def _twisted_regular_module(n: int) -> CoefficientModule:
+    """The regular module twisted by w: a acts by -P, for even n."""
+    return CoefficientModule("twisted-regular", n, n, regular_representation(GroupRingElement.gen(n)).scale(-1), 0)
+
+
+def _ideal_module(n: int) -> CoefficientModule:
+    """a acting on the augmentation ideal in `kernel_basis` coordinates.
+
+    Built as `postnikov.shift_data` builds it: the action is no
+    permutation, and its first row is all -1.
+    """
+    incl = intalg.kernel_basis(IntMatrix.from_rows([[1] * n]))
+    cols = intalg.Factorization.of(incl).solve(regular_representation(GroupRingElement.gen(n)) @ incl)
+    action = IntMatrix(n - 1, n - 1, tuple(q[i] for i in range(n - 1) for q in cols))
+    return CoefficientModule("ideal", n, n - 1, action, 0)
+
+
+# name -> (least n, greatest n, step): the twisted modules need even n, and
+# the oracle's dense products keep the modules of rank about n small
+REFERENCE_ORDERS = {
+    "Z": (1, 64, 1),
+    "Z2": (1, 64, 1),
+    "Zw": (2, 64, 2),
+    "ZZ2w": (2, 64, 2),
+    "regular": (1, 24, 1),
+    "twisted-regular": (2, 24, 2),
+    "ideal": (2, 24, 1),
+}
+TEST_MODULES = {"regular": _regular_module, "twisted-regular": _twisted_regular_module, "ideal": _ideal_module}
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_rho_matches_power_sum_reference(data):
-    name = data.draw(st.sampled_from(COEFFICIENT_NAMES + ("regular",)))
-    if name in ("Zw", "ZZ2w"):
-        n = 2 * data.draw(st.integers(min_value=1, max_value=32))
-    else:
-        n = data.draw(st.integers(min_value=1, max_value=64 if name != "regular" else 24))
-    mod = _regular_module(n) if name == "regular" else coefficient_module(name, n)
+    name = data.draw(st.sampled_from(sorted(REFERENCE_ORDERS)))
+    least, greatest, step = REFERENCE_ORDERS[name]
+    n = step * data.draw(st.integers(min_value=least // step, max_value=greatest // step))
+    make = TEST_MODULES.get(name)
+    mod = make(n) if make else coefficient_module(name, n)
     coeffs = tuple(data.draw(st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=n, max_size=n)))
     for m in (mod, mod.transposed()):
         assert m.rho(GroupRingElement(n, coeffs)).to_rows() == action_power_sum(m.action.to_rows(), coeffs)
 
 
 def test_rho_takes_no_matrix_products(monkeypatch):
-    """The action's powers are computed at construction, never inside rho."""
-    mods = [coefficient_module(name, 64) for name in COEFFICIENT_NAMES] + [_regular_module(12)]
+    """The action's powers are computed from their nonzeros, with no matrix
+    product: neither at construction, nor for the transposed copy, nor
+    inside rho."""
+    ideal = _ideal_module(12)
     calls = []
     original = IntMatrix.__matmul__
 
@@ -221,7 +253,9 @@ def test_rho_takes_no_matrix_products(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counting)
-    for mod in mods:
+    mods = [coefficient_module(name, 64) for name in COEFFICIENT_NAMES]
+    mods += [_regular_module(64), _twisted_regular_module(64), ideal]
+    for mod in mods + [mod.transposed() for mod in mods]:
         mod.rho(norm(mod.n))
         mod.rho(GroupRingElement.one(mod.n) - GroupRingElement.gen(mod.n))
     assert calls == []

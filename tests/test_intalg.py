@@ -21,7 +21,6 @@ from immorder.intalg import (
     IntMatrix,
     NotAComplex,
     cokernel,
-    f2_kernel_basis,
     f2_rank,
     f2_solvable,
     homology_at,
@@ -222,7 +221,7 @@ def test_solve_none_means_no_solution_mod_m(a, data):
 
 
 @st.composite
-def shaped_matrices(draw):
+def factor_shapes(draw):
     """Tall, wide, square, rank-deficient and zero-column matrices."""
     shape = draw(st.sampled_from(["tall", "wide", "square", "rank_deficient", "zero_column"]))
     if shape == "zero_column":
@@ -244,7 +243,7 @@ def shaped_matrices(draw):
 def systems(draw):
     """A matrix and a block of right-hand sides, some planted in its
     column lattice and some drawn at random."""
-    a = draw(shaped_matrices())
+    a = draw(factor_shapes())
     cols = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         if draw(st.booleans()):
@@ -491,13 +490,34 @@ def test_subquotient_rejects_outside_vectors():
 # -- mod 2 ---------------------------------------------------------------------
 
 
+def _f2_kernel(a: IntMatrix) -> set[tuple[int, ...]]:
+    """The mod-2 kernel of a, by exhaustion over {0,1}^cols."""
+    return {
+        v
+        for v in itertools.product((0, 1), repeat=a.cols)
+        if all(sum(x * y for x, y in zip(a.row_list(i), v)) % 2 == 0 for i in range(a.rows))
+    }
+
+
+def _f2_span(basis: IntMatrix) -> set[tuple[int, ...]]:
+    """Every 0/1 combination of the columns of basis, reduced mod 2."""
+    cols = [basis.col_list(j) for j in range(basis.cols)]
+    return {
+        tuple(sum(c * col[i] for c, col in zip(coeffs, cols)) % 2 for i in range(basis.rows))
+        for coeffs in itertools.product((0, 1), repeat=len(cols))
+    }
+
+
+def _mod2_cycle_lattice(a: IntMatrix) -> IntMatrix:
+    return homology_data_mod2(IntMatrix.zeros(a.cols, 0), a).sub_basis
+
+
 def test_f2_kernel_and_rank():
     a = IntMatrix.from_rows([[2, 1], [0, 1]])
     # mod 2 this is [[0,1],[0,1]]: kernel = span{(1,0)}, rank 1
     assert f2_rank(a) == 1
-    basis = f2_kernel_basis(a)
-    assert len(basis) == 1
-    assert all((sum(r * x for r, x in zip(a.row_list(i), basis[0])) % 2 == 0) for i in range(2))
+    assert _f2_kernel(a) == {(0, 0), (1, 0)}
+    assert _f2_span(_mod2_cycle_lattice(a)) == {(0, 0), (1, 0)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -505,21 +525,13 @@ def test_f2_kernel_and_rank():
 def test_f2_kernel_exhaustive(a):
     if a.cols > 4:
         return
-    basis = f2_kernel_basis(a)
-    span = set()
-    for coeffs in itertools.product((0, 1), repeat=len(basis)):
-        v = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % 2 for i in range(a.cols))
-        span.add(v)
-    true_kernel = {
-        v
-        for v in itertools.product((0, 1), repeat=a.cols)
-        if all(sum(x * y for x, y in zip(a.row_list(i), v)) % 2 == 0 for i in range(a.rows))
-    }
-    assert span == true_kernel
+    true_kernel = _f2_kernel(a)
+    assert len(true_kernel) == 2 ** (a.cols - f2_rank(a))
+    assert _f2_span(_mod2_cycle_lattice(a)) == true_kernel
 
 
 @settings(max_examples=120, deadline=None)
-@given(shaped_matrices(), st.data())
+@given(factor_shapes(), st.data())
 def test_f2_solvable_agrees_with_exhaustion(a, data):
     b = data.draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=a.rows, max_size=a.rows))
     found = any(
@@ -540,7 +552,7 @@ def test_f2_solvable_examples():
 
 
 @settings(max_examples=80, deadline=None)
-@given(shaped_matrices())
+@given(factor_shapes())
 def test_homology_mod2_lattice_is_the_mod2_cycles(d_out):
     n = d_out.cols
     lattice = homology_data_mod2(IntMatrix.zeros(n, 0), d_out).sub_basis
