@@ -12,7 +12,11 @@ length 1..4 under five characters, `abelianization` and, with each of
 the four mod-2 characters, `integral-lift` for the empty presentation,
 every one-relator presentation with a relator of length 1..3, every
 two-relator presentation with relators of length 2, and a few longer
-and malformed ones.  Commands run in-process, through
+and malformed ones; `order-graph` for `--max-exp` -1..17, with and
+without `--combined`, in both formats; and `leq` on every ordered pair
+of a fixed list of type payloads, canonical, non-canonical and invalid,
+which are written to a temporary directory (the command lines print
+their file names only).  Commands run in-process, through
 `immorder.cli.run`.  Comparing the output of two versions byte for byte
 shows whether a refactor changed any answer, error message or exit code:
 
@@ -23,7 +27,10 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
+import os
 import sys
+import tempfile
 from contextlib import redirect_stdout
 
 from immorder import cli
@@ -41,6 +48,31 @@ EXTRA_PRESENTATIONS = (
     "<a,b|ab,,b>",
 )
 
+PAYLOADS = (
+    {"group": "trivial"},
+    {"group": "trivial", "w2": "inf"},
+    {"group": "Z", "w1": 1},
+    {"group": "Z", "w1": 1, "w2": "inf"},
+    {"group": "Z", "w2": "0"},
+    {"group": "cyclic", "n": 2, "w2": "1"},
+    {"group": "cyclic", "n": 4, "w2": "1"},
+    {"group": "cyclic", "n": 12, "w2": "1"},
+    {"group": "cyclic", "n": 3},
+    {"group": "cyclic", "n": 6, "w2": "inf"},
+    {"group": "cyclic", "n": 2, "w1": 1, "w2": "0"},
+    {"group": "cyclic", "n": 4, "w1": 1, "w2": "1", "c": 1},
+    {"group": "cyclic", "n": 12, "w1": 1, "w2": "1", "c": 0},
+    {"group": "cyclic", "n": 8, "w1": 1, "w2": "inf", "c": 1},
+    {"group": "cyclic", "n": 6, "w1": 1, "w2": "inf", "c": -1},
+    {"group": "cyclic", "n": 4, "w1": 1, "w2": "inf", "c": 6},
+    {"group": "cyclic", "n": 3, "w1": 1},
+    {"group": "Z4", "w2": "0"},
+    {"group": "Z4", "w2": "e12"},
+    {"group": "Z4", "w2": "e12", "c": 2},
+    {"group": "Z4", "w2": "e12+e34", "c": 4},
+    {"group": "Z4", "w2": "e12+e34", "c": -6},
+)
+
 
 def words(length):
     return ("".join(w) for w in itertools.product("aAbB", repeat=length))
@@ -56,7 +88,7 @@ def presentations():
     yield from EXTRA_PRESENTATIONS
 
 
-def grid():
+def grid(payload_dir):
     for n in range(1, 65):
         for twist in ("0", "w"):
             for coeff in ("Z", "Z2"):
@@ -84,14 +116,27 @@ def grid():
         yield ["abelianization", "--presentation", p]
         for w1 in ("a=0,b=0", "a=1,b=0", "a=0,b=1", "a=1,b=1"):
             yield ["integral-lift", "--presentation", p, "--w1", w1]
+    for max_exp in range(-1, 18):
+        for fmt in ("dot", "json"):
+            yield ["order-graph", "--max-exp", str(max_exp), "--format", fmt]
+            yield ["order-graph", "--max-exp", str(max_exp), "--combined", "--format", fmt]
+    files = []
+    for i, payload in enumerate(PAYLOADS):
+        files.append(os.path.join(payload_dir, f"type{i:02d}.json"))
+        with open(files[-1], "w") as f:
+            json.dump(payload, f)
+    for a, b in itertools.product(files, repeat=2):
+        yield ["leq", a, b]
 
 
 def main() -> None:
-    for argv in grid():
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = cli.run(argv)
-        sys.stdout.write(f"$ {' '.join(argv)}\nexit {code}\n{buf.getvalue()}")
+    with tempfile.TemporaryDirectory() as payload_dir:
+        for argv in grid(payload_dir):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = cli.run(argv)
+            line = " ".join(argv).replace(payload_dir + os.sep, "")
+            sys.stdout.write(f"$ {line}\nexit {code}\n{buf.getvalue()}")
 
 
 if __name__ == "__main__":

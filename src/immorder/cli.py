@@ -9,11 +9,11 @@ falls outside the packaged decision rules, with an
 
 Budgets: a cyclic group Z/n needs n <= 100000 (n <= 96 for `shift`);
 `homology --degree` needs degree <= 64; `model-cohomology --k` and
-`order-graph --max-exp` need 2^k <= 100000, so k <= 16; `chain-verify`
-needs 2 * source <= 100000 and target <= 500; the `--relator` and
-`--presentation` text of `fibered`, `abelianization` and `integral-lift`
-needs at most 1000000 characters.  Inputs past a budget exit 2 with the
-reason.
+`order-graph --max-exp` need 2^k <= 100000, so k <= 16 (and max-exp
+>= 1); `chain-verify` needs 2 * source <= 100000 and target <= 500; the
+`--relator` and `--presentation` text of `fibered`, `abelianization` and
+`integral-lift` needs at most 1000000 characters.  Inputs past a budget
+exit 2 with the reason.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .order import ImmersionType, UndecidablePair, UndeterminedComparison
 # in about 2 s with every twist and coefficient system (the cost grows
 # about linearly in the degree: 1.2 s at 40, 6 s at 200) and `realizable`
 # in 0.3 s; `model-cohomology --k 16` (Z/65536) answers in 0.4 s and
-# `order-graph --max-exp 16 --combined` in 0.8 s.  `shift` solves
+# `order-graph --max-exp 16 --combined` in about 0.35 s.  `shift` solves
 # integer systems of size about n and answers on Z/64 in about 0.4 s and
 # on Z/96 in about 0.75 s.
 # `chain-verify` solves a dense system of side 2 * target: at target 500
@@ -262,8 +262,8 @@ def _cmd_leq(args) -> int:
 def _cmd_order_graph(args) -> int:
     if args.family != "cyclic":
         raise _CliInput("only the cyclic family is available")
-    if args.max_exp < 0:
-        raise _CliInput("max-exp must be >= 0")
+    if args.max_exp < 1:
+        raise _CliInput("max-exp must be >= 1")
     if args.max_exp > MAX_CYCLIC_ORDER.bit_length() - 1:
         raise _CliInput(f"group order 2^{args.max_exp} exceeds the budget of {MAX_CYCLIC_ORDER}")
     graph = order.order_graph(order.cyclic_family(args.max_exp, combined=args.combined))
@@ -397,7 +397,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("order-graph", help="Hasse diagram of a family of types")
     p.add_argument("--family", default="cyclic")
-    p.add_argument("--max-exp", type=int, required=True, help=f"orders up to 2^max-exp <= {MAX_CYCLIC_ORDER}")
+    p.add_argument("--max-exp", type=int, required=True, help=f"orders up to 2^max-exp <= {MAX_CYCLIC_ORDER}; max-exp >= 1")
     p.add_argument("--combined", action="store_true")
     p.add_argument("--format", default="dot", choices=["dot", "json"])
     p.set_defaults(func=_cmd_order_graph)

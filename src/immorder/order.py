@@ -70,8 +70,6 @@ class ImmersionType:
     def __post_init__(self) -> None:
         try:
             james._validate(self.group, self.n, self.w1, self.w2)
-        except james.UnsupportedFamily as exc:
-            raise InvalidType(str(exc)) from exc
         except ValueError as exc:
             raise InvalidType(str(exc)) from exc
         modulus = james.ambient_subgroup_modulus(self.group, self.n, self.w1)
@@ -110,20 +108,21 @@ def canonicalize(t: ImmersionType) -> ImmersionType:
     collapse to the trivial group); spin types become the 4-sphere class;
     orientable non-almost-spin types become the projective-plane class;
     the non-orientable infinite-cyclic type with w2 = 0 is already the
-    twisted-product class.
+    twisted-product class.  A type that is already canonical is returned
+    itself, so comparing canonical types constructs nothing.
     """
-    group, n, w1, w2, c = t.group, t.n, t.w1, t.w2, t.c
+    group, n = t.group, t.n
     if group == "cyclic":
-        n2 = 2 ** two_adic_valuation(n)
-        if n2 == 1:
+        n = 2 ** two_adic_valuation(n)
+        if n == 1:
             group, n = "trivial", None
-        else:
-            n = n2
-    if w1 == 0 and w2 == "0":
+    if t.w1 == 0 and t.w2 == "0":
         return S4
-    if w1 == 0 and w2 == "inf":
+    if t.w1 == 0 and t.w2 == "inf":
         return CP2
-    return ImmersionType(group, n, w1, w2, c)
+    if group == t.group and n == t.n:
+        return t
+    return ImmersionType(group, n, t.w1, t.w2, t.c)
 
 
 @dataclass(frozen=True)
@@ -292,48 +291,62 @@ def order_graph(types) -> OrderGraph:
     order axioms on the quotient (a failure raises AssertionError), and
     keeps the cover relation, which is the transitive reduction.  Raises
     UndecidablePair if any required comparison is undetermined.
+
+    The relation on the N sorted canonical types is held as one int
+    bitset per type: bit j of up[i] is set when canon[i] <= canon[j].
+    Transitivity is "up[j] is a subset of up[i] for every j in up[i]",
+    and the classes, the strictly-larger sets and the covers are read off
+    the same bitsets, so after the N^2 comparisons the assembly costs
+    O(N^2) operations on N-bit integers.
     """
     canon = sorted({canonicalize(t) for t in types}, key=_sort_key)
-    rel: dict[tuple[ImmersionType, ImmersionType], bool] = {}
-    for a in canon:
-        for b in canon:
+    up = [0] * len(canon)
+    for i, a in enumerate(canon):
+        for j, b in enumerate(canon):
             v = leq(a, b)
             if v.answer is None:
                 raise UndecidablePair(f"cannot compare {node_label(a)} and {node_label(b)}: {v.reason}")
-            rel[(a, b)] = v.answer
-    for a in canon:
-        if not rel[(a, a)]:
+            if v.answer:
+                up[i] |= 1 << j
+    for i, a in enumerate(canon):
+        if not up[i] >> i & 1:
             raise AssertionError(f"reflexivity failed at {node_label(a)}")
-    for a in canon:
-        for b in canon:
-            if rel[(a, b)]:
-                for c in canon:
-                    if rel[(b, c)] and not rel[(a, c)]:
-                        raise AssertionError(
-                            f"transitivity failed: {node_label(a)} <= {node_label(b)} <= {node_label(c)}"
-                        )
-    groups: list[list[ImmersionType]] = []
-    for t in canon:
-        for cls in groups:
-            if rel[(t, cls[0])] and rel[(cls[0], t)]:
-                cls.append(t)
-                break
-        else:
-            groups.append([t])
-    reps = sorted((min(cls, key=_sort_key) for cls in groups), key=_sort_key)
-    above = {a: [b for b in reps if b != a and rel[(a, b)]] for a in reps}
-    for a in reps:
-        for b in above[a]:
-            if rel[(b, a)]:
+    for i, a in enumerate(canon):
+        for j in _bits(up[i]):
+            missing = up[j] & ~up[i]
+            if missing:
+                c = canon[(missing & -missing).bit_length() - 1]
+                raise AssertionError(
+                    f"transitivity failed: {node_label(a)} <= {node_label(canon[j])} <= {node_label(c)}"
+                )
+    # a type represents its mutual class when no earlier type is in it
+    reps = [i for i in range(len(canon)) if not any(up[j] >> i & 1 for j in _bits(up[i] & ((1 << i) - 1)))]
+    rep_mask = sum(1 << i for i in reps)
+    above = {i: up[i] & rep_mask & ~(1 << i) for i in reps}
+    for i in reps:
+        for j in _bits(above[i]):
+            if up[j] >> i & 1:
                 raise AssertionError("antisymmetry failed on representatives")
             # the number of strictly larger elements falls along every
             # strict relation, so no chain of them can close into a cycle
-            if len(above[b]) >= len(above[a]):
+            if above[j].bit_count() >= above[i].bit_count():
                 raise AssertionError("strict order contains a cycle")
     # a < b is a cover when no c sits strictly between them
-    covers = [(a, b) for a in reps for b in above[a] if not any(rel[(c, b)] for c in above[a] if c != b)]
-    edges = tuple(sorted((node_name(u), node_name(v)) for u, v in covers))
-    return OrderGraph(nodes=tuple(reps), edges=edges)
+    edges = []
+    for i in reps:
+        between = 0
+        for j in _bits(above[i]):
+            between |= above[j]
+        edges.extend((node_name(canon[i]), node_name(canon[j])) for j in _bits(above[i] & ~between))
+    return OrderGraph(nodes=tuple(canon[i] for i in reps), edges=tuple(sorted(edges)))
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def emit_dot(graph: OrderGraph) -> str:

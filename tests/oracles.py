@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths of the package under test: minors
 are expanded combinatorially, determinants use Bareiss elimination, ranks
-come from sympy, and group-theoretic answers are derived from classical
-formulas rather than from the package's own Smith-form pipeline.
+come from sympy, group-theoretic answers are derived from classical
+formulas rather than from the package's own Smith-form pipeline, and Hasse
+diagrams are assembled from a dict on pairs rather than from bitsets.
 """
 
 from __future__ import annotations
@@ -395,3 +396,54 @@ def exhaustive_connecting_classes(projection, inclusion, boundary, cycle, classi
         classes.add(classify(pre))
     assert count > 0, "no preimages found inside the search box"
     return classes
+
+
+def hasse_by_pairs(types, leq):
+    """Hasse diagram by the pair-dict algorithm, the reference for `order_graph`.
+
+    Shares canonicalization, sort order and node names with the package but
+    keeps the relation as a dict on pairs of types, checks transitivity by
+    the O(N^3) triple loop, groups mutual classes by comparing with each
+    class's first member, and finds covers pair by pair.  Raises the same
+    errors as `order_graph` on the same axiom failures.
+    """
+    from immorder.order import OrderGraph, UndecidablePair, _sort_key, canonicalize, node_label, node_name
+
+    canon = sorted({canonicalize(t) for t in types}, key=_sort_key)
+    rel = {}
+    for a in canon:
+        for b in canon:
+            v = leq(a, b)
+            if v.answer is None:
+                raise UndecidablePair(f"cannot compare {node_label(a)} and {node_label(b)}: {v.reason}")
+            rel[(a, b)] = v.answer
+    for a in canon:
+        if not rel[(a, a)]:
+            raise AssertionError(f"reflexivity failed at {node_label(a)}")
+    for a in canon:
+        for b in canon:
+            if rel[(a, b)]:
+                for c in canon:
+                    if rel[(b, c)] and not rel[(a, c)]:
+                        raise AssertionError(
+                            f"transitivity failed: {node_label(a)} <= {node_label(b)} <= {node_label(c)}"
+                        )
+    groups = []
+    for t in canon:
+        for cls in groups:
+            if rel[(t, cls[0])] and rel[(cls[0], t)]:
+                cls.append(t)
+                break
+        else:
+            groups.append([t])
+    reps = sorted((min(cls, key=_sort_key) for cls in groups), key=_sort_key)
+    above = {a: [b for b in reps if b != a and rel[(a, b)]] for a in reps}
+    for a in reps:
+        for b in above[a]:
+            if rel[(b, a)]:
+                raise AssertionError("antisymmetry failed on representatives")
+            if len(above[b]) >= len(above[a]):
+                raise AssertionError("strict order contains a cycle")
+    covers = [(a, b) for a in reps for b in above[a] if not any(rel[(c, b)] for c in above[a] if c != b)]
+    edges = tuple(sorted((node_name(u), node_name(v)) for u, v in covers))
+    return OrderGraph(nodes=tuple(reps), edges=edges)

@@ -112,7 +112,8 @@ def test_help_states_the_budgets():
     assert "n <= 100000" in homology_help and "degree <= 64" in homology_help
     assert "n <= 96" in run_cli("shift", "--help")[1]
     assert "2^k <= 100000" in run_cli("model-cohomology", "--help")[1]
-    assert "2^max-exp <= 100000" in run_cli("order-graph", "--help")[1]
+    order_graph_help = run_cli("order-graph", "--help")[1]
+    assert "2^max-exp <= 100000" in order_graph_help and "max-exp >= 1" in order_graph_help
     chain_help = run_cli("chain-verify", "--help")[1]
     assert "2k <= 100000" in chain_help and "k <= 500" in chain_help
     for command in ("fibered", "abelianization", "integral-lift"):
@@ -385,6 +386,8 @@ def test_order_graph_json():
 
 def test_order_graph_rejects_bad_inputs():
     assert run_cli("order-graph", "--max-exp", "-1")[0] == 2
+    payload, _ = run_json("order-graph", "--max-exp", "0", schema="error", expect_code=2)
+    assert payload["error"] == "max-exp must be >= 1"
     assert run_cli("order-graph", "--family", "dihedral", "--max-exp", "1")[0] == 2
 
 

@@ -41,6 +41,8 @@ from immorder.order import (
     order_graph,
 )
 
+from oracles import hasse_by_pairs
+
 
 def M(n: int) -> ImmersionType:
     return ImmersionType("cyclic", n, 0, "1", 0)
@@ -341,17 +343,19 @@ def test_partial_order_axioms_on_combined_family():
                     assert rel[(a, c)], (node_name(a), node_name(b), node_name(c))
 
 
+RANK4_FAMILY = [
+    S4,
+    CP2,
+    ImmersionType("Z4", None, 0, "e12", 0),
+    ImmersionType("Z4", None, 0, "e12", 2),
+    ImmersionType("Z4", None, 0, "e12+e34", 0),
+    ImmersionType("Z4", None, 0, "e12+e34", 2),
+    ImmersionType("Z4", None, 0, "e12+e34", 4),
+]
+
+
 def test_rank4_family_graph():
-    types = [
-        S4,
-        CP2,
-        ImmersionType("Z4", None, 0, "e12", 0),
-        ImmersionType("Z4", None, 0, "e12", 2),
-        ImmersionType("Z4", None, 0, "e12+e34", 0),
-        ImmersionType("Z4", None, 0, "e12+e34", 2),
-        ImmersionType("Z4", None, 0, "e12+e34", 4),
-    ]
-    graph = order_graph(types)
+    graph = order_graph(RANK4_FAMILY)
     # the two e12 classes are mutually immersable and collapse to one node
     assert {node_name(t) for t in graph.nodes} == {
         "S4",
@@ -429,6 +433,98 @@ def test_order_graph_rejects_non_transitive_relation(monkeypatch):
     _patched_leq(monkeypatch, lambda a, b: a == b or (a, b) in steps)
     with pytest.raises(AssertionError, match="transitivity"):
         order_graph([S4, M(2), CP2])
+
+
+def test_order_graph_of_empty_family():
+    assert order_graph([]) == hasse_by_pairs([], leq) == OrderGraph(nodes=(), edges=())
+
+
+def _outcome(build, *args):
+    """The graph `build(*args)` assembles, or the error it raises."""
+    try:
+        return build(*args)
+    except (AssertionError, UndecidablePair) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([cyclic_family(6, combined=True), RANK4_FAMILY, POOL]).flatmap(
+        lambda family: st.lists(st.sampled_from(family), unique=True)
+    )
+)
+def test_order_graph_matches_pair_reference_on_subfamilies(types):
+    assert _outcome(order_graph, types) == _outcome(hasse_by_pairs, types, leq)
+
+
+PLANT_FAMILY = cyclic_family(3, combined=True)
+PLANT_SIZE = len(PLANT_FAMILY)
+PLANT_INDEX = {node_name(t): i for i, t in enumerate(PLANT_FAMILY)}
+
+
+def _planted_outcomes(pairs):
+    """`order_graph` (through a patched `order.leq`) and the reference on
+    the relation given as a set of index pairs of PLANT_FAMILY."""
+
+    def planted(a, b):
+        return LeqVerdict((PLANT_INDEX[node_name(a)], PLANT_INDEX[node_name(b)]) in pairs, ("planted",))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(order, "leq", planted)
+        return _outcome(order_graph, PLANT_FAMILY), _outcome(hasse_by_pairs, PLANT_FAMILY, planted)
+
+
+@st.composite
+def planted_preorders(draw):
+    """Preorders on PLANT_FAMILY: each type gets one of six labels (so some
+    labels are shared and mutual classes are non-trivial), and a type lies
+    below another when its label reaches theirs in a random digraph."""
+    labels = draw(st.lists(st.integers(0, 5), min_size=PLANT_SIZE, max_size=PLANT_SIZE))
+    reach = {(x, x) for x in range(6)} | draw(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))))
+    for y, x, z in itertools.product(range(6), repeat=3):
+        if (x, y) in reach and (y, z) in reach:
+            reach.add((x, z))
+    return {(i, j) for i in range(PLANT_SIZE) for j in range(PLANT_SIZE) if (labels[i], labels[j]) in reach}
+
+
+@given(planted_preorders())
+def test_order_graph_matches_pair_reference_on_planted_preorders(pairs):
+    graph, reference = _planted_outcomes(pairs)
+    assert isinstance(graph, OrderGraph)
+    assert len(graph.nodes) < PLANT_SIZE
+    assert graph == reference
+
+
+@given(
+    st.sets(st.tuples(st.integers(0, PLANT_SIZE - 1), st.integers(0, PLANT_SIZE - 1))),
+    st.lists(st.integers(0, PLANT_SIZE - 1), min_size=3, max_size=3, unique=True),
+)
+def test_order_graph_matches_pair_reference_on_non_transitive_relations(pairs, triple):
+    x, y, z = triple
+    pairs = (pairs | {(i, i) for i in range(PLANT_SIZE)} | {(x, y), (y, z)}) - {(x, z)}
+    graph, reference = _planted_outcomes(pairs)
+    assert graph == reference
+    assert graph[0] == "AssertionError" and "transitivity" in graph[1]
+
+
+@pytest.mark.parametrize("family", [cyclic_family(5, combined=True), RANK4_FAMILY], ids=["cyclic", "rank4"])
+def test_canonicalize_returns_canonical_types_themselves(family):
+    for t in {canonicalize(t) for t in family}:
+        assert canonicalize(t) is t
+
+
+def test_order_graph_constructs_no_types(monkeypatch):
+    family = cyclic_family(8, combined=True)
+    post_init = ImmersionType.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ImmersionType, "__post_init__", counted)
+    order_graph(family)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
