@@ -3,10 +3,12 @@
 
 The grid covers the subcommands whose answers come from group-ring
 products and `rho`: `homology` for Z/n with n 1..64, both twists, Z and
-Z/2 coefficients and degrees 0..6; `model-cohomology` for k 1..12 with
+Z/2 coefficients and degrees 0..6, and for Z/2, Z/6, Z/64 and Z/1000 at
+degrees 20, 63 and 64, where the resolution repeats its period many
+times; `model-cohomology` for k 1..12 with
 every coefficient system; `realizable` for Z/n with n 1..64; `shift` on
 the orders 8, 16, 24, 32, 40 (twist w) and 9, 10, 11, 21, 27 (twist 0);
-`chain-verify` for targets 2..20; and the free-word subcommands on a
+`chain-verify` for targets 2..20 and for a source or target below 1; and the free-word subcommands on a
 fixed list of words and presentations: `fibered` for every word of
 length 1..4 under five characters, `abelianization` and, with each of
 the four mod-2 characters, `integral-lift` for the empty presentation,
@@ -94,6 +96,11 @@ def grid(payload_dir):
             for coeff in ("Z", "Z2"):
                 for degree in range(7):
                     yield ["homology", "--group", f"Z/{n}", "--twist", twist, "--coeff", coeff, "--degree", str(degree)]
+    for n in (2, 6, 64, 1000):
+        for twist in ("0", "w"):
+            for coeff in ("Z", "Z2"):
+                for degree in (20, 63, 64):
+                    yield ["homology", "--group", f"Z/{n}", "--twist", twist, "--coeff", coeff, "--degree", str(degree)]
     for k in range(1, 13):
         for coeff in ("Z", "Z2", "ZZ2w"):
             yield ["model-cohomology", "--k", str(k), "--coeff", coeff]
@@ -108,6 +115,8 @@ def grid(payload_dir):
     for target in range(2, 21):
         for source in (3 * target, 5 * target):
             yield ["chain-verify", "--source", str(source), "--target", str(target)]
+    for source, target in ((-2, 1), (0, 0)):
+        yield ["chain-verify", "--source", str(source), "--target", str(target)]
     for length in (1, 2, 3, 4):
         for w in words(length):
             for phi in PHIS:

@@ -94,14 +94,6 @@ def cyclically_reduce(w: FreeWord) -> FreeWord:
     return FreeWord(letters[i:j])
 
 
-def rotate(w: FreeWord, k: int) -> FreeWord:
-    """Cyclic rotation by k letters (conjugation by the length-k prefix)."""
-    if not w.letters:
-        return w
-    k %= len(w.letters)
-    return FreeWord(w.letters[k:] + w.letters[:k])
-
-
 @dataclass(frozen=True)
 class Presentation:
     """A presentation with the two fixed generators a and b."""
@@ -165,9 +157,6 @@ class ZMap:
     def on_word(self, w: FreeWord) -> int:
         ea, eb = w.exponents()
         return ea * self.a + eb * self.b
-
-    def kills(self, p: Presentation) -> bool:
-        return all(self.on_word(r) == 0 for r in p.relators)
 
 
 def abelianization(p: Presentation) -> FgAbelianGroup:
@@ -290,33 +279,3 @@ def integral_lift_exists(p: Presentation, w1a: int, w1b: int) -> bool:
             raise NotACharacter("the assignment does not vanish on all relators mod 2")
     lattice = _character_lattice(p)
     return f2_solvable(lattice, [w[0], w[1]])
-
-
-def no_lift_certificate(p: Presentation, w1a: int, w1b: int) -> bool:
-    """Sufficient condition for the absence of an integral lift.
-
-    Applies when the abelianization is Z plus nontrivial torsion, some
-    relator passes the fibering criterion for the unique character, and
-    the mod-2 assignment differs from both reductions 0 and phi mod 2.
-    Sufficient only; integral_lift_exists is the decision procedure and
-    is never overridden by this check.
-    """
-    ab = abelianization(p)
-    if ab.free_rank != 1 or not ab.torsion:
-        return False
-    epis = epimorphisms_to_Z(p)
-    if len(epis.maps) != 1:
-        return False
-    phi = epis.maps[0]
-    if phi.a == 0 or phi.b == 0:
-        return False
-    witness = False
-    for r in p.relators:
-        if phi.on_word(r) == 0 and cyclically_reduce(r).letters == r.letters:
-            if brown_fibered(r, phi).fibered:
-                witness = True
-                break
-    if not witness:
-        return False
-    w = (w1a % 2, w1b % 2)
-    return w != (0, 0) and w != (phi.a % 2, phi.b % 2)

@@ -20,6 +20,13 @@ shift-and-add is 2-8 times faster at 1-4 terms and Kronecker substitution
 2-3 times faster at 16-32.  The resolutions multiply 1 - a, the norm and
 the twisted norm, so each of their products is O(n).
 
+Every complex here has rank one in each degree, so a boundary is one
+element.  The resolution of Z repeats the same two element objects, 1 - a
+and the norm, in every degree; the compose-to-zero check multiplies each
+distinct adjacent pair once and `coefficients_complex` calls `rho` once per
+distinct element, so a resolution of any length costs two products and two
+`rho` calls, and degrees of the same parity share one integer matrix.
+
 A coefficient module finds the order o of its action once, at
 construction, and keeps the powers a^0, ..., a^(o-1) as their nonzero
 entries, each built from the last with one multiply-add per pair of
@@ -292,70 +299,33 @@ def coefficient_module(name: str, n: int) -> CoefficientModule:
 # complexes of free modules
 
 
-GroupRingMatrix = tuple[tuple[GroupRingElement, ...], ...]
-
-
-def gr_matrix(rows: list[list[GroupRingElement]]) -> GroupRingMatrix:
-    return tuple(tuple(row) for row in rows)
-
-
-def gr_mat_mul(a: GroupRingMatrix, b: GroupRingMatrix) -> GroupRingMatrix:
-    ra, ca = len(a), len(a[0]) if a else 0
-    rb, cb = len(b), len(b[0]) if b else 0
-    if ca != rb:
-        raise RingMismatch("group-ring matrix shape mismatch")
-    out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
-            # ca >= 1 here: ca = rb, and b has no columns when it has no rows
-            acc = a[i][0] * b[0][j]
-            for k in range(1, ca):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return gr_matrix(out)
-
-
 @dataclass(frozen=True)
 class GroupRingComplex:
-    """A bounded complex of finitely generated free Z[Z/n]-modules.
+    """A bounded complex of free Z[Z/n]-modules of rank one.
 
-    ranks[k] is the rank of the degree-k module; boundaries[k-1] is the
-    matrix of d_k : C_k -> C_{k-1} (entries act on the left of column
-    vectors).  Consecutive boundaries must compose to zero.
+    C_0, ..., C_top are each Z[Z/n], and d_k : C_k -> C_(k-1) is
+    multiplication by boundaries[k-1].  Consecutive boundaries must
+    compose to zero.  Each distinct adjacent pair is multiplied once; pairs
+    are keyed on object identity, because hashing n coefficients per degree
+    costs as much as the product it would save.
     """
 
     n: int
-    ranks: tuple[int, ...]
-    boundaries: tuple[GroupRingMatrix, ...]
+    boundaries: tuple[GroupRingElement, ...]
 
     def __post_init__(self) -> None:
-        if len(self.boundaries) != max(len(self.ranks) - 1, 0):
-            raise ValueError("wrong number of boundary matrices")
-        for k, mat in enumerate(self.boundaries):
-            want = (self.ranks[k], self.ranks[k + 1])
-            got = (len(mat), len(mat[0]) if mat else 0)
-            if want[0] == 0 or want[1] == 0:
-                continue
-            if got != want:
-                raise ValueError(f"boundary {k + 1} has shape {got}, expected {want}")
-            for row in mat:
-                for e in row:
-                    if e.n != self.n:
-                        raise RingMismatch("boundary entry over wrong group ring")
-        for k in range(len(self.boundaries) - 1):
-            if self.ranks[k] and self.ranks[k + 2]:
-                prod = gr_mat_mul(self.boundaries[k], self.boundaries[k + 1])
-                if not all(e.is_zero() for row in prod for e in row):
-                    raise ValueError("consecutive boundaries do not compose to zero")
+        if any(d.n != self.n for d in self.boundaries):
+            raise RingMismatch("boundary over wrong group ring")
+        pairs = {(id(d_out), id(d_in)): (d_out, d_in) for d_out, d_in in zip(self.boundaries, self.boundaries[1:])}
+        if not all((d_out * d_in).is_zero() for d_out, d_in in pairs.values()):
+            raise ValueError("consecutive boundaries do not compose to zero")
 
     @property
     def top(self) -> int:
-        return len(self.ranks) - 1
+        return len(self.boundaries)
 
-    def boundary(self, k: int) -> GroupRingMatrix:
-        """Matrix of d_k : C_k -> C_{k-1} (1 <= k <= top)."""
+    def boundary(self, k: int) -> GroupRingElement:
+        """The element by which d_k : C_k -> C_{k-1} multiplies (1 <= k <= top)."""
         if not 1 <= k <= self.top:
             raise IndexError(f"no boundary at degree {k}")
         return self.boundaries[k - 1]
@@ -365,7 +335,8 @@ def standard_resolution(n: int, top_degree: int) -> GroupRingComplex:
     """The periodic free resolution of Z over Z[Z/n].
 
     Rank one in every degree; the boundary alternates between
-    multiplication by 1 - a (odd degrees) and by the norm (even degrees).
+    multiplication by 1 - a (odd degrees) and by the norm (even degrees),
+    and every degree of the same parity holds the same element object.
     """
     if n < 1:
         raise ValueError("group order must be >= 1")
@@ -373,33 +344,21 @@ def standard_resolution(n: int, top_degree: int) -> GroupRingComplex:
         raise ValueError("top degree must be >= 0")
     one_minus_a = GroupRingElement.one(n) - GroupRingElement.gen(n)
     nm = norm(n)
-    bounds = []
-    for k in range(1, top_degree + 1):
-        bounds.append(gr_matrix([[one_minus_a if k % 2 == 1 else nm]]))
-    return GroupRingComplex(n=n, ranks=(1,) * (top_degree + 1), boundaries=tuple(bounds))
-
-
-def _expand(mat: GroupRingMatrix, coeff: CoefficientModule, rows: int, cols: int) -> IntMatrix:
-    """Block-expand a group-ring matrix: rho of entry (i, j) at block (i, j)."""
-    r = coeff.rank
-    if rows == 0 or cols == 0:
-        return IntMatrix.zeros(rows * r, cols * r)
-    blocks = [[coeff.rho(e) for e in row] for row in mat]
-    return IntMatrix.from_rows([[x for b in row for x in b.row_list(i)] for row in blocks for i in range(r)])
+    return GroupRingComplex(n, tuple(one_minus_a if k % 2 else nm for k in range(1, top_degree + 1)))
 
 
 def coefficients_complex(cx: GroupRingComplex, coeff: CoefficientModule) -> IntComplex:
     """The integer chain complex M (x) cx for the coefficient module M.
 
-    Each free generator contributes `coeff.rank` integer coordinates, and
-    the boundary entry d_ij acts through the module structure, so the
-    degree-k boundary has rho(d_ij) at block (i, j).  Its homology is
-    H_k(cx; M), independent of how far cx extends beyond the queried
-    degree.
+    Each degree is M itself, `coeff.rank` integer coordinates, and the
+    degree-k boundary is rho(d_k), the matrix by which the boundary element
+    acts on M.  Its homology is H_k(cx; M), independent of how far cx
+    extends beyond the queried degree.  `rho` runs once per distinct
+    element object, so degrees that repeat an element share one matrix.
 
     Cohomology needs no second complex.  The coboundary of Hom(cx, M)
-    sends f to f o d_k, which puts rho(d_ij) at block (j, i).  That is
-    the transpose of the boundary of M' (x) cx, where M' is M with the
+    sends f to f o d_k, which is f followed by rho(d_k).  That is the
+    transpose of the boundary of M' (x) cx, where M' is M with the
     transposed action: rho is a polynomial in the action, so rho'(x) is
     rho(x) transposed.  Hence H^k(cx; M) is
     `coefficients_complex(cx, coeff.transposed()).cohomology(k)`.  A
@@ -408,7 +367,7 @@ def coefficients_complex(cx: GroupRingComplex, coeff: CoefficientModule) -> IntC
     """
     if coeff.n != cx.n:
         raise RingMismatch("complex and coefficients over different group rings")
-    down = tuple(
-        _expand(cx.boundary(k), coeff, cx.ranks[k - 1], cx.ranks[k]) for k in range(1, cx.top + 1)
-    )
-    return IntComplex(dims=tuple(r * coeff.rank for r in cx.ranks), down=down, modulus=coeff.modulus)
+    distinct = {id(d): d for d in cx.boundaries}
+    expanded = {key: coeff.rho(d) for key, d in distinct.items()}
+    down = tuple(expanded[id(d)] for d in cx.boundaries)
+    return IntComplex(dims=(coeff.rank,) * (cx.top + 1), down=down, modulus=coeff.modulus)

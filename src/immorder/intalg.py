@@ -215,9 +215,6 @@ class SmithForm:
     def rank(self) -> int:
         return len(self.d)
 
-    def diagonal_matrix(self) -> IntMatrix:
-        return IntMatrix.diagonal(list(self.d), self.rows, self.cols)
-
 
 def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> SmithForm:
     """Compute the Smith normal form of an integer matrix.
@@ -616,11 +613,6 @@ def homology_data(d_in: IntMatrix, d_out: IntMatrix) -> Subquotient:
     _check_complex(d_in, d_out)
     k = kernel_basis(d_out)
     return subquotient(k, d_in)
-
-
-def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> FgAbelianGroup:
-    """Isomorphism type of ker(d_out)/im(d_in)."""
-    return homology_data(d_in, d_out).group
 
 
 @dataclass(frozen=True)

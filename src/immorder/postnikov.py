@@ -25,13 +25,10 @@ from .groupring import (
     CoefficientModule,
     GroupRingComplex,
     GroupRingElement,
-    GroupRingMatrix,
     InvalidTwist,
     RingMismatch,
     coefficient_module,
     coefficients_complex,
-    gr_mat_mul,
-    gr_matrix,
     norm,
     regular_representation,
     standard_resolution,
@@ -70,11 +67,7 @@ def model_complex_X(k: int) -> GroupRingComplex:
         raise ValueError("k must be >= 1")
     n = 2 * k
     d1 = GroupRingElement.one(n) - GroupRingElement.gen(n)
-    return GroupRingComplex(
-        n=n,
-        ranks=(1, 1, 1, 1),
-        boundaries=(gr_matrix([[d1]]), gr_matrix([[norm(n)]]), gr_matrix([[twisted_norm(n)]])),
-    )
+    return GroupRingComplex(n, (d1, norm(n), twisted_norm(n)))
 
 
 def model_cohomology(k_exp: int, coeff_name: str, degree: int = 2) -> FgAbelianGroup:
@@ -140,74 +133,31 @@ def push_forward(phi: CyclicHom, x: GroupRingElement) -> GroupRingElement:
     return GroupRingElement(phi.l2, tuple(out))
 
 
-def _push_matrix(phi: CyclicHom, mat: GroupRingMatrix) -> GroupRingMatrix:
-    return gr_matrix([[push_forward(phi, e) for e in row] for row in mat])
-
-
 def chain_map_exists(
     c_complex: GroupRingComplex,
     d_complex: GroupRingComplex,
     phi: CyclicHom,
-    c1: GroupRingElement | GroupRingMatrix,
-) -> GroupRingMatrix | None:
+    c1: GroupRingElement,
+) -> GroupRingElement | None:
     """Solve for a degree-2 vertical h with d2_D . h = c1 . phi#(d2_C).
 
-    c1 is the prescribed degree-1 vertical (a group-ring matrix over the
-    target ring, shape D-rank-1 by C-rank-1; a bare element is accepted
-    when both ranks are one).  Returns the witness matrix h (shape
-    D-rank-2 by C-rank-2) or None when no integral solution exists; a
+    c1 is the prescribed degree-1 vertical, an element of the target ring.
+    Returns the witness h or None when no integral solution exists; a
     returned witness is re-verified by exact group-ring multiplication.
     """
     if phi.l1 != c_complex.n or phi.l2 != d_complex.n:
         raise IllFormedHom("homomorphism does not connect the two group rings")
     if c_complex.top < 2 or d_complex.top < 2:
         raise ValueError("both complexes need degrees up to 2")
-    if isinstance(c1, GroupRingElement):
-        c1 = gr_matrix([[c1]])
-    d1_rows, c1_rows = d_complex.ranks[1], c_complex.ranks[1]
-    if (len(c1), len(c1[0]) if c1 else 0) != (d1_rows, c1_rows):
-        raise ValueError("degree-1 vertical has the wrong shape")
-    for row in c1:
-        for e in row:
-            if e.n != d_complex.n:
-                raise RingMismatch("degree-1 vertical must live over the target ring")
-    l2 = d_complex.n
-    d2_c = c_complex.boundary(2)
+    if c1.n != d_complex.n:
+        raise RingMismatch("degree-1 vertical must live over the target ring")
     d2_d = d_complex.boundary(2)
-    rhs = gr_mat_mul(c1, _push_matrix(phi, d2_c))
-    rows_d1, rank_c2, rank_d2 = d_complex.ranks[1], c_complex.ranks[2], d_complex.ranks[2]
-    # unknowns: h[u][v] for u < rank_d2, v < rank_c2, each an element of Z[Z/l2]
-    blocks = []
-    b: list[int] = []
-    zero_block = IntMatrix.zeros(l2, l2)
-    for i in range(rows_d1):
-        for v in range(rank_c2):
-            row_blocks = []
-            for u in range(rank_d2):
-                for vp in range(rank_c2):
-                    row_blocks.append(regular_representation(d2_d[i][u]) if vp == v else zero_block)
-            blocks.append(row_blocks)
-            b.extend(rhs[i][v].coeffs)
-    system_rows = []
-    for row_blocks in blocks:
-        for r in range(l2):
-            line: list[int] = []
-            for blk in row_blocks:
-                line.extend(blk.row_list(r))
-            system_rows.append(line)
-    system = IntMatrix.from_rows(system_rows) if system_rows else IntMatrix.zeros(0, rank_d2 * rank_c2 * l2)
-    sol = solve_linear(system, b)
+    rhs = c1 * push_forward(phi, c_complex.boundary(2))
+    sol = solve_linear(regular_representation(d2_d), rhs.coeffs)
     if sol is None:
         return None
-    h_rows = []
-    for u in range(rank_d2):
-        row = []
-        for v in range(rank_c2):
-            off = (u * rank_c2 + v) * l2
-            row.append(GroupRingElement(l2, tuple(sol[off : off + l2])))
-        h_rows.append(row)
-    h = gr_matrix(h_rows)
-    if gr_mat_mul(d2_d, h) != rhs:
+    h = GroupRingElement(d_complex.n, sol)
+    if d2_d * h != rhs:
         raise AssertionError("solver produced a witness that fails the commutation identity")
     return h
 
@@ -239,7 +189,9 @@ def verify_projection_diagram(source_k: int, target_k: int) -> ProjectionDiagram
     runs the solver, whose witness is forced to share the candidate's
     augmentation m.
     """
-    if target_k < 1 or source_k < 1 or source_k % target_k != 0:
+    if source_k < 1 or target_k < 1:
+        raise ValueError("source and target must be >= 1")
+    if source_k % target_k != 0:
         raise ValueError("source must be a multiple of the target")
     m = source_k // target_k
     if m % 2 == 0:
@@ -249,24 +201,23 @@ def verify_projection_diagram(source_k: int, target_k: int) -> ProjectionDiagram
     phi = CyclicHom(c.n, d.n, 1)
     p = GroupRingElement.one(d.n)
     # degree-1 square with verticals (p, p): phi#(1 - a) = 1 - a
-    if push_forward(phi, c.boundary(1)[0][0]) != d.boundary(1)[0][0]:
+    if push_forward(phi, c.boundary(1)) != d.boundary(1):
         raise AssertionError("degree-1 square fails for the projection")
     # candidate degree-2 vertical m*p satisfies the identity on the nose:
     # N(2k) * (m*p) = p * phi#(N(2km)) = m * N(2k)
     candidate = p.scale(m)
-    lhs = d.boundary(2)[0][0] * candidate
-    rhs = p * push_forward(phi, c.boundary(2)[0][0])
+    lhs = d.boundary(2) * candidate
+    rhs = p * push_forward(phi, c.boundary(2))
     if lhs != rhs:
         raise AssertionError("candidate degree-2 vertical fails the identity")
-    h = chain_map_exists(c, d, phi, p)
-    witness = h[0][0] if h is not None else None
+    witness = chain_map_exists(c, d, phi, p)
     if witness is not None and witness.augmentation() != m:
         raise AssertionError("witness augmentation disagrees with the diagram index")
     return ProjectionDiagram(
         source_k=source_k,
         target_k=target_k,
         index=m,
-        exists=h is not None,
+        exists=witness is not None,
         witness=witness,
         candidate=candidate,
     )
@@ -315,6 +266,8 @@ class ShiftData:
 
     Each complex is the module tensored over the standard resolution,
     degrees 0..5 (chain side), so homology in degrees 1..4 is available.
+    Z and (N) are both the trivial module twisted by w, so `complex_z` and
+    `complex_n` are one complex.
     `_incl_i` factors inclusion_i once for every solve against it.
     """
 
@@ -364,6 +317,7 @@ def shift_data(n: int, w: int) -> ShiftData:
         coeff = CoefficientModule("internal", n, rank, twisted, 0)
         return coefficients_complex(res, coeff)
 
+    trivial = module_chain(1, IntMatrix.identity(1))
     return ShiftData(
         n=n,
         w=w,
@@ -373,9 +327,9 @@ def shift_data(n: int, w: int) -> ShiftData:
         proj_i=proj_i,
         proj_n=eps,
         complex_ring=module_chain(n, gen_action),
-        complex_z=module_chain(1, IntMatrix.identity(1)),
+        complex_z=trivial,
         complex_i=module_chain(n - 1, t_i),
-        complex_n=module_chain(1, IntMatrix.identity(1)),
+        complex_n=trivial,
         _incl_i=incl,
     )
 
@@ -452,9 +406,10 @@ def shift(n: int, w: int, c: int, seed: int = 0) -> ShiftResult:
     z3 = _connecting(data, data._incl_i, data.proj_z, 4, z4, rng)
     z2 = _connecting(data, Factorization.of(data.inclusion_n), data.proj_i, 3, z3, rng)
     z1 = _connecting(data, data._incl_i, data.proj_n, 2, z2, rng)
-    h3 = data.complex_i.homology_data(3)
+    # the resolution repeats its boundaries with period 2, so complex_i has
+    # the same boundary objects at degrees 3 and 1 and one subquotient serves both
+    h1 = h3 = data.complex_i.homology_data(1)
     h2 = data.complex_n.homology_data(2)
-    h1 = data.complex_i.homology_data(1)
     return ShiftResult(
         n=n,
         w=w,

@@ -96,6 +96,29 @@ def action_power_sum(action_rows: list[list[int]], coeffs) -> list[list[int]]:
     return out
 
 
+def reference_resolution_boundaries(n: int, top: int, action_rows: list[list[int]]) -> list[list[list[int]]]:
+    """rho(d_1), ..., rho(d_top) on the periodic resolution of Z over Z[Z/n].
+
+    The full-length reference for `standard_resolution` and
+    `coefficients_complex`, which share one period: every degree gets a
+    fresh coefficient vector, 1 - a in odd degrees and the norm in even
+    ones, every adjacent pair is checked to compose to zero by the dense
+    convolution, and every degree runs its own `action_power_sum` for the
+    module whose generator acts by `action_rows`.
+    """
+
+    def one_minus_a():
+        d = [0] * n
+        d[0] += 1
+        d[1 % n] -= 1
+        return d
+
+    bounds = [one_minus_a() if k % 2 else [1] * n for k in range(1, top + 1)]
+    for d_out, d_in in zip(bounds, bounds[1:]):
+        assert not any(cyclic_convolution(d_out, d_in)), "consecutive boundaries do not compose to zero"
+    return [action_power_sum(action_rows, d) for d in bounds]
+
+
 def elementary_reachable(start: list[list[int]], goal: list[list[int]], max_steps: int = 6) -> bool:
     """Breadth-first search over elementary row/column operations.
 
@@ -228,7 +251,7 @@ class DiagonalOracle:
         self.n = n
         self.top = top
         res = standard_resolution(n, top)
-        elts = [None] + [res.boundary(k)[0][0] for k in range(1, top + 1)]
+        elts = [None] + [res.boundary(k) for k in range(1, top + 1)]
         rr = [regular_representation(e).to_rows() if e is not None else None for e in elts]
         eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         gen_rr = regular_representation(GroupRingElement.gen(n)).to_rows()
@@ -298,7 +321,7 @@ def bockstein_oracle(n: int, degree: int) -> int:
 
     mod = coefficient_module("Z", n)
     res = standard_resolution(n, degree + 2)
-    elt = res.boundary(degree + 1)[0][0]
+    elt = res.boundary(degree + 1)
     delta = mod.rho(elt).at(0, 0)  # integral coboundary multiplier
     assert delta % 2 == 0, "generator rep is not a mod-2 cocycle"
     return (delta // 2) % 2
@@ -323,8 +346,8 @@ def pullback_multiplier_oracle(l1: int, l2: int, m: int, degree: int) -> int:
     res2 = standard_resolution(l2, degree)
     u = GroupRingElement.one(l2)
     for k in range(1, degree + 1):
-        rhs = push(res1.boundary(k)[0][0]) * u
-        mat = regular_representation(res2.boundary(k)[0][0])
+        rhs = push(res1.boundary(k)) * u
+        mat = regular_representation(res2.boundary(k))
         sol = solve_linear(mat, list(rhs.coeffs))
         assert sol is not None, "chain map extension failed"
         u = GroupRingElement(l2, tuple(sol))

@@ -115,7 +115,7 @@ def test_help_states_the_budgets():
     order_graph_help = run_cli("order-graph", "--help")[1]
     assert "2^max-exp <= 100000" in order_graph_help and "max-exp >= 1" in order_graph_help
     chain_help = run_cli("chain-verify", "--help")[1]
-    assert "2k <= 100000" in chain_help and "k <= 500" in chain_help
+    assert "k >= 1 and 2k <= 100000" in chain_help and "1 <= k <= 500" in chain_help
     for command in ("fibered", "abelianization", "integral-lift"):
         assert "at most 1000000 characters" in run_cli(command, "--help")[1]
 
@@ -537,6 +537,12 @@ def test_chain_verify_rejects_even_index():
     code, out = run_cli("chain-verify", "--source", "4", "--target", "2")
     assert code == 2
     Draft7Validator(load_schema("error")).validate(json.loads(out))
+
+
+@pytest.mark.parametrize("source, target", [("-2", "1"), ("0", "0")])
+def test_chain_verify_rejects_source_or_target_below_one(source, target):
+    payload, _ = run_json("chain-verify", "--source", source, "--target", target, schema="error", expect_code=2)
+    assert payload["error"] == "source and target must be >= 1"
 
 
 # ---------------------------------------------------------------------------

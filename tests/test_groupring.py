@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from immorder import groupring
 from immorder.groupring import (
@@ -17,15 +17,14 @@ from immorder.groupring import (
     RingMismatch,
     coefficient_module,
     coefficients_complex,
-    gr_matrix,
     norm,
     regular_representation,
     standard_resolution,
     twisted_norm,
 )
 from immorder import intalg
-from immorder.intalg import FgAbelianGroup, IntMatrix
-from oracles import action_power_sum, cyclic_convolution
+from immorder.intalg import FgAbelianGroup, IntComplex, IntMatrix
+from oracles import action_power_sum, cyclic_convolution, reference_resolution_boundaries
 
 
 orders = st.integers(min_value=1, max_value=9)
@@ -298,20 +297,38 @@ def test_twisted_norm_matches_its_definition():
 # -- resolutions and expansion --------------------------------------------------
 
 
-def test_standard_resolution_shape():
+def test_standard_resolution_shape(monkeypatch):
     r = standard_resolution(4, 5)
-    assert r.ranks == (1,) * 6
-    assert r.boundary(1)[0][0].coeffs == (1, -1, 0, 0)
-    assert r.boundary(2)[0][0] == norm(4)
+    assert r.top == 5
+    assert r.boundary(1).coeffs == (1, -1, 0, 0)
+    assert r.boundary(2) == norm(4)
     with pytest.raises(IndexError):
         r.boundary(6)
+    # one period of two elements: the compose-to-zero check makes one
+    # product per distinct adjacent pair, whatever the length
+    products = []
+    original = GroupRingElement.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(GroupRingElement, "__mul__", counting)
+    long = standard_resolution(4, 40)
+    assert len(products) == 2
+    assert all(long.boundary(k) is long.boundary(k + 2) for k in range(1, 39))
 
 
 def test_complex_validation_rejects_non_complex():
     n = 4
     one = GroupRingElement.one(n)
     with pytest.raises(ValueError):
-        GroupRingComplex(n=n, ranks=(1, 1, 1), boundaries=(gr_matrix([[one]]), gr_matrix([[one]])))
+        GroupRingComplex(n, (one, one))
+    # the pair that fails comes after one that composes to zero
+    with pytest.raises(ValueError):
+        GroupRingComplex(n, (one - GroupRingElement.gen(n), norm(n), one))
+    with pytest.raises(RingMismatch):
+        GroupRingComplex(n, (norm(n), GroupRingElement.one(2)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -355,42 +372,46 @@ def test_coefficients_complex_ring_mismatch():
         coefficients_complex(standard_resolution(4, 2), coefficient_module("Z", 6))
 
 
-def _rank_two_complex(n):
-    """Ranks 1, 2, 1 with d1 = (1-a, 1-a^2) and d2 = (1+a, -1)^T; d1 d2 = 0."""
-    one, a = GroupRingElement.one(n), GroupRingElement.gen(n)
-    d1 = gr_matrix([[one - a, one - a * a]])
-    d2 = gr_matrix([[one + a], [-one]])
-    return GroupRingComplex(n=n, ranks=(1, 2, 1), boundaries=(d1, d2))
-
-
-def _block(blocks):
-    """Integer matrix assembled from a grid of equally sized integer blocks."""
-    size = blocks[0][0].rows
-    return IntMatrix.from_rows([[x for b in row for x in b.row_list(i)] for row in blocks for i in range(size)])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.sampled_from(COEFFICIENT_NAMES))
+def test_resolution_homology_matches_full_length_reference(n, name):
+    """Homology and cohomology in degrees 0..20 agree with a resolution
+    built degree by degree, with fresh elements and its own rho in each
+    degree, so sharing the period changes no answer."""
+    assume(n % 2 == 0 or name in ("Z", "Z2"))
+    mod = coefficient_module(name, n)
+    res = standard_resolution(n, 21)
+    chain, dual = coefficients_complex(res, mod), coefficients_complex(res, mod.transposed())
+    ref = tuple(IntMatrix.from_rows(m) for m in reference_resolution_boundaries(n, 21, mod.action.to_rows()))
+    dims = (mod.rank,) * 22
+    ref_chain = IntComplex(dims, ref, mod.modulus)
+    # the coboundary Hom(C_(k-1), M) -> Hom(C_k, M) is rho(d_k), and
+    # cohomology reads the transposed boundaries
+    ref_dual = IntComplex(dims, tuple(m.transpose() for m in ref), mod.modulus)
+    for k in range(21):
+        assert chain.homology(k) == ref_chain.homology(k)
+        assert dual.cohomology(k) == ref_dual.cohomology(k)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_cohomology_reads_hom_coboundaries_for_non_symmetric_action(n, monkeypatch):
-    """The coboundary of Hom(cx, M) has rho(d_ij) at block (j, i).
+    """The coboundary Hom(C_(k-1), M) -> Hom(C_k, M) of the resolution is
+    rho(d_k).
 
-    M is the regular module, whose action is not symmetric, so this fails
-    if `cohomology` were read off the complex of M instead of its
-    transposed-action twin.
+    M is the regular module, whose action is not symmetric, and neither is
+    the regular representation of 1 - a, so this fails if `cohomology`
+    were read off the complex of M instead of its transposed-action twin.
     """
-    cx = _rank_two_complex(n)
+    cx = standard_resolution(n, 3)
     mod = _regular_module(n)
     assert mod.action != mod.action.transpose()
-    coboundary = {}
-    for k in (1, 2):
-        d = cx.boundary(k)
-        # Hom(C_{k-1}, M) -> Hom(C_k, M); the regular module acts by the regular representation
-        rows, cols = len(d), len(d[0])
-        coboundary[k - 1] = _block([[regular_representation(d[i][j]) for i in range(rows)] for j in range(cols)])
-    dims = (n, 2 * n, n)
+    # the regular module acts by the regular representation
+    coboundary = {k - 1: regular_representation(cx.boundary(k)) for k in (1, 2, 3)}
     want = {
-        0: (IntMatrix.zeros(dims[0], 0), coboundary[0]),
+        0: (IntMatrix.zeros(n, 0), coboundary[0]),
         1: (coboundary[0], coboundary[1]),
-        2: (coboundary[1], IntMatrix.zeros(0, dims[2])),
+        2: (coboundary[1], coboundary[2]),
+        3: (coboundary[2], IntMatrix.zeros(0, n)),
     }
     seen = []
     original = intalg.homology_data
@@ -401,7 +422,7 @@ def test_cohomology_reads_hom_coboundaries_for_non_symmetric_action(n, monkeypat
 
     monkeypatch.setattr(intalg, "homology_data", recording)
     dual = coefficients_complex(cx, mod.transposed())
-    for k in range(3):
+    for k in range(4):
         seen.clear()
         dual.cohomology(k)
         assert seen == [want[k]]
@@ -409,7 +430,15 @@ def test_cohomology_reads_hom_coboundaries_for_non_symmetric_action(n, monkeypat
     assert untransposed.down[0].transpose() != coboundary[0]
 
 
-def test_coefficients_complex_computes_rho_once_per_entry(monkeypatch):
+@settings(max_examples=30, deadline=None)
+@given(orders, st.sampled_from(COEFFICIENT_NAMES), st.integers(min_value=2, max_value=40))
+@example(6, "Zw", 5)
+def test_coefficients_complex_computes_rho_once_per_entry(n, name, top):
+    """`rho` runs once per distinct boundary element: the resolution
+    repeats 1 - a and the norm, so any top >= 2 costs two calls, and
+    degrees of the same parity share one matrix object."""
+    assume(n % 2 == 0 or name in ("Z", "Z2"))
+    mod = coefficient_module(name, n)
     calls = []
     original = CoefficientModule.rho
 
@@ -417,9 +446,8 @@ def test_coefficients_complex_computes_rho_once_per_entry(monkeypatch):
         calls.append(x)
         return original(self, x)
 
-    monkeypatch.setattr(CoefficientModule, "rho", counting)
-    coefficients_complex(_rank_two_complex(4), coefficient_module("ZZ2w", 4))
-    assert len(calls) == 2 + 2
-    calls.clear()
-    coefficients_complex(standard_resolution(6, 5), coefficient_module("Zw", 6))
-    assert len(calls) == 5
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CoefficientModule, "rho", counting)
+        chain = coefficients_complex(standard_resolution(n, top), mod)
+    assert len(calls) == 2
+    assert all(chain.down[k] is chain.down[k + 2] for k in range(top - 2))
