@@ -39,8 +39,8 @@ from .order import ImmersionType, UndecidablePair, UndeterminedComparison
 # and 1000), so time does not set the degree budget.  `realizable` answers
 # in 0.1 s; `model-cohomology --k 16` (Z/65536) answers in 0.4 s and
 # `order-graph --max-exp 16 --combined` in about 0.35 s.  `shift` solves
-# integer systems of size about n and answers on Z/64 in about 0.4 s and
-# on Z/96 in about 0.75 s.
+# integer systems of size about n and answers on Z/64 in about 0.3 s and
+# on Z/96 in about 0.4 s.
 # `chain-verify` solves a dense system of side 2 * target: at target 500
 # it takes up to about 3 s and 130 MB.  Free-word text of 10^6
 # characters answers in about 2 s.

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from math import gcd
 from operator import mul
 
 

@@ -18,7 +18,8 @@ snake-lemma connecting homomorphisms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .cohomology import CyclicHom, IllFormedHom
 from .groupring import (
@@ -268,7 +269,9 @@ class ShiftData:
     degrees 0..5 (chain side), so homology in degrees 1..4 is available.
     Z and (N) are both the trivial module twisted by w, so `complex_z` and
     `complex_n` are one complex.
-    `_incl_i` factors inclusion_i once for every solve against it.
+    Nothing is solved against the inclusions: inclusion_i = [-1 ... -1; I]
+    and the all-ones column inclusion_n are read by coordinates
+    (`_ideal_coordinates`, `_norm_line_coordinates`).
     """
 
     n: int
@@ -282,7 +285,26 @@ class ShiftData:
     complex_z: IntComplex
     complex_i: IntComplex
     complex_n: IntComplex
-    _incl_i: Factorization = field(compare=False, repr=False)
+
+
+def _ideal_coordinates(block: IntMatrix, message: str) -> IntMatrix:
+    """Columns of `block` in the basis inclusion_i = [-1 ... -1; I]: a column
+    x lies in I exactly when its entries sum to 0, and then x[1:] solves
+    inclusion_i @ y == x.  Raises AssertionError(message) otherwise."""
+    p = block.cols
+    if any(sum(block.entries[j::p]) for j in range(p)):
+        raise AssertionError(message)
+    return IntMatrix(block.rows - 1, p, block.entries[p:])
+
+
+def _norm_line_coordinates(block: IntMatrix, message: str) -> IntMatrix:
+    """Columns of `block` in the basis inclusion_n = [1 ... 1]: a column x
+    lies in (N) exactly when its entries are equal, and then its
+    coordinate is x[0].  Raises AssertionError(message) otherwise."""
+    p, e = block.cols, block.entries
+    if any(e[i] != e[i % p] for i in range(p, len(e))):
+        raise AssertionError(message)
+    return IntMatrix(1, p, e[:p])
 
 
 def shift_data(n: int, w: int) -> ShiftData:
@@ -293,20 +315,15 @@ def shift_data(n: int, w: int) -> ShiftData:
     if w == 1 and n % 2 != 0:
         raise InvalidTwist("a nontrivial character needs an even group order")
     eps = IntMatrix.from_rows([[1] * n])
-    incl_i = kernel_basis(eps)
-    incl = Factorization.of(incl_i)
+    incl_i = IntMatrix.from_rows([[-1] * (n - 1)]).vstack(IntMatrix.identity(n - 1))
     gen_action = regular_representation(GroupRingElement.gen(n))
     # action of a on I in the chosen basis
-    t_cols = incl.solve(gen_action @ incl_i)
-    if any(q is None for q in t_cols):
-        raise AssertionError("augmentation-ideal basis is not action-invariant")
-    t_i = IntMatrix(n - 1, n - 1, tuple(q[i] for i in range(n - 1) for q in t_cols))
+    t_i = _ideal_coordinates(gen_action @ incl_i, "augmentation-ideal basis is not action-invariant")
     # projection R -> I: multiplication by 1 - a, in I coordinates
     d1 = GroupRingElement.one(n) - GroupRingElement.gen(n)
-    p_cols = incl.solve(regular_representation(d1))
-    if any(q is None for q in p_cols):
-        raise AssertionError("multiplication by 1 - a escaped the augmentation ideal")
-    proj_i = IntMatrix(n - 1, n, tuple(q[i] for i in range(n - 1) for q in p_cols))
+    proj_i = _ideal_coordinates(
+        regular_representation(d1), "multiplication by 1 - a escaped the augmentation ideal"
+    )
     incl_n = IntMatrix.column([1] * n)
     if not (eps @ incl_i).is_zero() or not (proj_i @ incl_n).is_zero():
         raise AssertionError("short exact sequences fail to compose to zero")
@@ -330,13 +347,12 @@ def shift_data(n: int, w: int) -> ShiftData:
         complex_z=trivial,
         complex_i=module_chain(n - 1, t_i),
         complex_n=trivial,
-        _incl_i=incl,
     )
 
 
 def _connecting(
     data: ShiftData,
-    inclusion: Factorization,
+    pull_back: Callable[[IntMatrix, str], IntMatrix],
     projection: IntMatrix,
     degree: int,
     cycle,
@@ -346,7 +362,8 @@ def _connecting(
 
     Lifts the cycle through the projection (adding a random kernel element
     so tests can certify independence of the choice), takes the boundary
-    in the ring complex, and pulls the result back through the inclusion.
+    in the ring complex, and pulls the result back through the inclusion
+    by its coordinate map, whose membership check certifies the preimage.
     One factorization of the projection gives both the lift and the kernel.
     """
     proj = Factorization.of(projection)
@@ -361,10 +378,7 @@ def _connecting(
         lifted = [x + t * y for x, y in zip(lifted, col)]
     boundary = data.complex_ring.down[degree - 1]
     db = boundary.apply_vec(lifted)
-    pre = inclusion.solve(IntMatrix.column(db))[0]
-    if pre is None:
-        raise AssertionError("boundary of the lift escaped the submodule")
-    return tuple(pre)
+    return pull_back(IntMatrix.column(db), "boundary of the lift escaped the submodule").entries
 
 
 @dataclass(frozen=True)
@@ -403,9 +417,9 @@ def shift(n: int, w: int, c: int, seed: int = 0) -> ShiftResult:
     else:
         gen4 = h4.generator(0)
         z4 = tuple(c * x for x in gen4)
-    z3 = _connecting(data, data._incl_i, data.proj_z, 4, z4, rng)
-    z2 = _connecting(data, Factorization.of(data.inclusion_n), data.proj_i, 3, z3, rng)
-    z1 = _connecting(data, data._incl_i, data.proj_n, 2, z2, rng)
+    z3 = _connecting(data, _ideal_coordinates, data.proj_z, 4, z4, rng)
+    z2 = _connecting(data, _norm_line_coordinates, data.proj_i, 3, z3, rng)
+    z1 = _connecting(data, _ideal_coordinates, data.proj_n, 2, z2, rng)
     # the resolution repeats its boundaries with period 2, so complex_i has
     # the same boundary objects at degrees 3 and 1 and one subquotient serves both
     h1 = h3 = data.complex_i.homology_data(1)

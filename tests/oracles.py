@@ -10,7 +10,6 @@ diagrams are assembled from a dict on pairs rather than from bitsets.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 
 import sympy
@@ -246,7 +245,7 @@ class DiagonalOracle:
     """
 
     def __init__(self, n: int, top: int = 4):
-        from immorder.groupring import GroupRingElement, norm, regular_representation, standard_resolution
+        from immorder.groupring import GroupRingElement, regular_representation, standard_resolution
 
         self.n = n
         self.top = top
@@ -352,6 +351,39 @@ def pullback_multiplier_oracle(l1: int, l2: int, m: int, degree: int) -> int:
         assert sol is not None, "chain map extension failed"
         u = GroupRingElement(l2, tuple(sol))
     return u.augmentation() % 2
+
+
+def reference_ideal_blocks(n: int):
+    """The augmentation ideal I of Z[Z/n] by the general solver.
+
+    The reference for `postnikov.shift_data`, which reads these blocks off
+    by coordinates: returns (inclusion, action, projection), where the
+    inclusion is `kernel_basis` of the augmentation row, and the action of
+    a on I and the projection x -> (1 - a) x are solved against one
+    Smith-form factorization of the inclusion.
+    """
+    from immorder.groupring import GroupRingElement, regular_representation
+    from immorder.intalg import Factorization, IntMatrix, kernel_basis
+
+    inclusion = kernel_basis(IntMatrix.from_rows([[1] * n]))
+    factored = Factorization.of(inclusion)
+
+    def solved(block):
+        cols = factored.solve(block)
+        assert all(q is not None for q in cols), "block escaped the augmentation ideal"
+        return IntMatrix(n - 1, block.cols, tuple(q[i] for i in range(n - 1) for q in cols))
+
+    gen = regular_representation(GroupRingElement.gen(n))
+    one_minus_a = regular_representation(GroupRingElement.one(n) - GroupRingElement.gen(n))
+    return inclusion, solved(gen @ inclusion), solved(one_minus_a)
+
+
+def reference_pull_back(inclusion, x) -> tuple[int, ...] | None:
+    """The preimage of x under an injective inclusion, by a Smith-form
+    factorization of the inclusion (None when x is not in its image)."""
+    from immorder.intalg import Factorization, IntMatrix
+
+    return Factorization.of(inclusion).solve(IntMatrix.column(x))[0]
 
 
 def box_chain_witnesses(d2_target, rhs, bound: int):

@@ -25,7 +25,6 @@ from immorder.intalg import FgAbelianGroup
 from immorder.james import d2_40, realizable_classes
 from immorder.order import (
     ImmersionType,
-    canonicalize,
     cyclic_family,
     first_principles_leq_cyclic,
     leq,

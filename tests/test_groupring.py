@@ -24,7 +24,7 @@ from immorder.groupring import (
 )
 from immorder import intalg
 from immorder.intalg import FgAbelianGroup, IntComplex, IntMatrix
-from oracles import action_power_sum, cyclic_convolution, reference_resolution_boundaries
+from oracles import action_power_sum, cyclic_convolution, reference_ideal_blocks, reference_resolution_boundaries
 
 
 orders = st.integers(min_value=1, max_value=9)
@@ -203,12 +203,10 @@ def _twisted_regular_module(n: int) -> CoefficientModule:
 def _ideal_module(n: int) -> CoefficientModule:
     """a acting on the augmentation ideal in `kernel_basis` coordinates.
 
-    Built as `postnikov.shift_data` builds it: the action is no
-    permutation, and its first row is all -1.
+    The action `postnikov.shift_data` uses: it is no permutation, and its
+    first row is all -1.
     """
-    incl = intalg.kernel_basis(IntMatrix.from_rows([[1] * n]))
-    cols = intalg.Factorization.of(incl).solve(regular_representation(GroupRingElement.gen(n)) @ incl)
-    action = IntMatrix(n - 1, n - 1, tuple(q[i] for i in range(n - 1) for q in cols))
+    _, action, _ = reference_ideal_blocks(n)
     return CoefficientModule("ideal", n, n - 1, action, 0)
 
 

@@ -9,29 +9,43 @@ exhaustive enumeration of snake-lemma preimage choices.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import box_chain_witnesses, exhaustive_connecting_classes, oracle_homology_group
+from oracles import (
+    box_chain_witnesses,
+    exhaustive_connecting_classes,
+    oracle_homology_group,
+    reference_ideal_blocks,
+    reference_pull_back,
+)
 
 from immorder.cohomology import CyclicHom, IllFormedHom, h_twisted
 from immorder.groupring import (
+    CoefficientModule,
     GroupRingComplex,
     GroupRingElement,
     InvalidTwist,
     RingMismatch,
+    coefficients_complex,
     norm,
     regular_representation,
+    standard_resolution,
     twisted_norm,
 )
 from immorder import intalg
-from immorder.intalg import FgAbelianGroup, kernel_basis, solve_linear
+from immorder.intalg import FgAbelianGroup, IntComplex, IntMatrix, kernel_basis, solve_linear
 from immorder.postnikov import (
     InvalidClass,
     UnsupportedCoefficient,
+    _connecting,
+    _ideal_coordinates,
+    _norm_line_coordinates,
     chain_map_exists,
     factorization_obstruction,
     lift_exists,
@@ -441,11 +455,69 @@ def test_shift_connecting_matches_exhaustive_oracle():
         assert stage3 == {r.classes[3]}
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_shift_coordinate_maps_match_solved_reference(data):
+    """The blocks that `shift_data` reads off by coordinates, and the
+    pull-backs through both inclusions, equal what a Smith-form
+    factorization of each inclusion solves for; vectors outside the
+    submodule are refused where the solver finds no preimage."""
+    w = data.draw(st.sampled_from((0, 1)))
+    n = 2 * data.draw(st.integers(1, 48)) if w else data.draw(st.integers(2, 96))
+    sd = shift_data(n, w)
+    inclusion, action, projection = reference_ideal_blocks(n)
+    assert sd.inclusion_i == inclusion
+    assert sd.proj_i == projection
+    twisted = action.scale(-1) if w else action
+    module = CoefficientModule("internal", n, n - 1, twisted, 0)
+    assert sd.complex_i == coefficients_complex(standard_resolution(n, 5), module)
+
+    entries = st.integers(-(2**70), 2**70)
+    cols = data.draw(st.lists(st.lists(entries, min_size=n - 1, max_size=n - 1), min_size=1, max_size=3))
+    members = [[-sum(c)] + c for c in cols]
+    got = _ideal_coordinates(IntMatrix.from_rows(members).transpose(), "outside I")
+    assert [got.col_list(j) for j in range(got.cols)] == [list(reference_pull_back(inclusion, x)) for x in members]
+    consts = data.draw(st.lists(entries, min_size=1, max_size=3))
+    lines = [[c] * n for c in consts]
+    got = _norm_line_coordinates(IntMatrix.from_rows(lines).transpose(), "outside (N)")
+    assert [got.col_list(j) for j in range(got.cols)] == [list(reference_pull_back(sd.inclusion_n, x)) for x in lines]
+
+    bump = data.draw(st.integers(1, 5))
+    member = data.draw(st.sampled_from(members))
+    member[data.draw(st.integers(0, n - 1))] += bump
+    line = data.draw(st.sampled_from(lines))
+    line[data.draw(st.integers(0, n - 1))] += bump
+    assert reference_pull_back(inclusion, member) is None
+    assert reference_pull_back(sd.inclusion_n, line) is None
+    with pytest.raises(AssertionError, match="outside I"):
+        _ideal_coordinates(IntMatrix.from_rows(members).transpose(), "outside I")
+    with pytest.raises(AssertionError, match=r"outside \(N\)"):
+        _norm_line_coordinates(IntMatrix.from_rows(lines).transpose(), "outside (N)")
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_shift_pull_back_refuses_a_boundary_outside_the_submodule(n):
+    """With the identity as the ring boundary, the boundary of a lift is
+    the lift itself: a lift of 1 through the augmentation sums to 1, and a
+    lift of a nonzero I-vector through 1 - a is not constant, so both
+    pull-backs raise the explicit error."""
+    data = shift_data(n, 0)
+    doctored = dataclasses.replace(data, complex_ring=IntComplex((n, n), (IntMatrix.identity(n),)))
+    message = "boundary of the lift escaped the submodule"
+    with pytest.raises(AssertionError, match=message):
+        _connecting(doctored, _ideal_coordinates, data.proj_z, 1, (1,), random.Random(0))
+    cycle = tuple(int(i == 0) for i in range(n - 1))
+    with pytest.raises(AssertionError, match=message):
+        _connecting(doctored, _norm_line_coordinates, data.proj_i, 1, cycle, random.Random(0))
+
+
 @pytest.mark.parametrize(("n", "w"), [(40, 1), (27, 0)])
 def test_shift_factors_each_basis_once(monkeypatch, n, w):
     """Solving one column at a time costs shift(40, 1, 3) 181 Smith forms
     and shift(27, 0, 3) 129; factoring each basis once for all its
-    right-hand sides keeps both under 25."""
+    right-hand sides brought both to 15, and reading the augmentation
+    ideal and the norm line by coordinates to 12: no Smith form is taken
+    of either inclusion (n x (n - 1) and n x 1)."""
     calls = []
     snf = intalg.smith_normal_form
 
@@ -455,4 +527,5 @@ def test_shift_factors_each_basis_once(monkeypatch, n, w):
 
     monkeypatch.setattr(intalg, "smith_normal_form", counted)
     shift(n, w, 3)
-    assert len(calls) <= 25
+    assert len(calls) <= 12
+    assert not any((a.rows, a.cols) in ((n, n - 1), (n, 1)) for a in calls)
