@@ -19,8 +19,11 @@ without `--combined`, in both formats; and `leq` on every ordered pair
 of a fixed list of type payloads, canonical, non-canonical and invalid,
 which are written to a temporary directory (the command lines print
 their file names only).  Commands run in-process, through
-`immorder.cli.run`.  Comparing the output of two versions byte for byte
-shows whether a refactor changed any answer, error message or exit code:
+`immorder.cli.run`, which builds its parser once; the whole grid takes
+about 2 s with CPython 3.11 on a 2-core x86-64 machine (about 17 s when
+the parser was rebuilt for every command).  Comparing the output of two
+versions byte for byte shows whether a refactor changed any answer,
+error message or exit code:
 
     PYTHONPATH=src python3 scripts/cli_grid.py > grid.txt
 """

@@ -20,6 +20,7 @@ exit 2 with the reason.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,7 +44,8 @@ from .order import ImmersionType, UndecidablePair, UndeterminedComparison
 # on Z/96 in about 0.4 s.
 # `chain-verify` solves a dense system of side 2 * target: at target 500
 # it takes up to about 3 s and 130 MB.  Free-word text of 10^6
-# characters answers in about 2 s.
+# characters answers in about 2 s.  Every `run` call adds about 0.1 ms of
+# argv parsing: the parser is built once per process, on the first call.
 MAX_CYCLIC_ORDER = 100_000
 MAX_SHIFT_ORDER = 96
 MAX_CHAIN_TARGET = 500
@@ -369,6 +371,7 @@ def _cmd_chain_verify(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="immorder", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)

@@ -22,7 +22,8 @@ type with w2 = 0 is the twisted circle-times-3-sphere class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 from . import james
 from .cohomology import two_adic_valuation
@@ -59,6 +60,8 @@ class ImmersionType:
     H_4(pi; Z^w1).  On construction, c is folded into the ambient group
     and replaced by the non-negative representative of its sign orbit,
     and membership in the realizable set of the family is enforced.
+    `key` encodes all five fields as integers: it sorts graph nodes, and
+    `leq` compares it instead of calling the field-by-field `__eq__`.
     """
 
     group: str
@@ -66,6 +69,7 @@ class ImmersionType:
     w1: int = 0
     w2: str = "0"
     c: int = 0
+    key: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -84,6 +88,7 @@ class ImmersionType:
                 f"(allowed subgroup: {realizable.subgroup.pretty()})"
             )
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "key", (GROUPS.index(self.group), self.n or 0, self.w1, _W2_INDEX[self.w2], c))
 
     def exponent(self) -> int:
         """v_2 of the cyclic order (canonical types: n = 2^exponent)."""
@@ -97,10 +102,6 @@ CP2 = ImmersionType("trivial", None, 0, "inf", 0)
 S1XTS3 = ImmersionType("Z", None, 1, "0", 0)
 
 
-def _sort_key(t: ImmersionType):
-    return (GROUPS.index(t.group), t.n or 0, t.w1, _W2_INDEX[t.w2], t.c)
-
-
 def canonicalize(t: ImmersionType) -> ImmersionType:
     """Canonical representative of the immersion-equivalence class of t.
 
@@ -109,17 +110,20 @@ def canonicalize(t: ImmersionType) -> ImmersionType:
     orientable non-almost-spin types become the projective-plane class;
     the non-orientable infinite-cyclic type with w2 = 0 is already the
     twisted-product class.  A type that is already canonical is returned
-    itself, so comparing canonical types constructs nothing.
+    itself, so comparing canonical types constructs nothing, and a type
+    equal to S4, CP2 or S1XTS3 becomes that very object.
     """
     group, n = t.group, t.n
     if group == "cyclic":
-        n = 2 ** two_adic_valuation(n)
+        n &= -n  # the 2-part
         if n == 1:
             group, n = "trivial", None
     if t.w1 == 0 and t.w2 == "0":
         return S4
     if t.w1 == 0 and t.w2 == "inf":
         return CP2
+    if group == "Z" and t.w2 == "0":  # w1 = 1 here, and c folds to 0
+        return S1XTS3
     if group == t.group and n == t.n:
         return t
     return ImmersionType(group, n, t.w1, t.w2, t.c)
@@ -134,20 +138,9 @@ class LeqVerdict:
     reason: str | None = None
 
 
+@functools.cache  # verdicts are frozen, so one object serves each (answer, rule)
 def _verdict(answer: bool, rule: str) -> LeqVerdict:
     return LeqVerdict(answer=answer, trace=(rule,))
-
-
-def _w1_lifts_integrally(t: ImmersionType) -> bool:
-    """Whether w1 is the mod-2 reduction of an integral degree-1 class.
-
-    H^1(pi; Z) is torsion-free; for finite cyclic groups it vanishes, so
-    only the trivial character lifts, while for the infinite cyclic group
-    every character lifts.
-    """
-    if t.w1 == 0:
-        return True
-    return t.group == "Z"
 
 
 def leq(a: ImmersionType, b: ImmersionType) -> LeqVerdict:
@@ -159,43 +152,47 @@ def leq(a: ImmersionType, b: ImmersionType) -> LeqVerdict:
     """
     a = canonicalize(a)
     b = canonicalize(b)
-    if a == b:
+    if a.key == b.key:
         return _verdict(True, "equal-after-canonicalization")
-    if a == S4:
+    # canonicalize returns the constants themselves, so identity decides them
+    if a is S4:
         return _verdict(True, "s4-minimum")
-    if b == S4:
+    if b is S4:
         return _verdict(False, "into-s4-iff-spin")
-    if b == CP2:
+    if b is CP2:
         return _verdict(a.w1 == 0, "into-cp2-iff-orientable")
-    if a == CP2:
+    if a is CP2:
         return _verdict(b.w2 == "inf", "cp2-into-iff-not-almost-spin")
-    if a == S1XTS3:
+    if a is S1XTS3:
         return _verdict(b.w1 == 1, "s1xts3-into-iff-nonorientable")
-    if b == S1XTS3:
-        return _verdict(a.w2 == "0" and _w1_lifts_integrally(a), "into-s1xts3-iff-w2-zero-and-w1-lifts")
+    if b is S1XTS3:
+        # w1 lifts to H^1(pi; Z), which is torsion-free (so 0 for finite
+        # cyclic pi), exactly when it is trivial or pi = Z
+        return _verdict(a.w2 == "0" and (a.w1 == 0 or a.group == "Z"), "into-s1xts3-iff-w2-zero-and-w1-lifts")
     if a.w1 == 1 and b.w1 == 0:
         return _verdict(False, "orientability-obstruction")
     if a.group == "cyclic" and b.group == "cyclic":
+        # canonical cyclic orders are powers of 2, so comparing the orders
+        # compares the exponents
         if a.w1 == 0 and b.w1 == 0:
             # post-canonical orientable cyclic classes have w2 = "1"
-            return _verdict(a.exponent() <= b.exponent(), "orientable-cyclic-exponent-chain")
+            return _verdict(a.n <= b.n, "orientable-cyclic-exponent-chain")
         if a.w1 == 1 and b.w1 == 1:
-            ka, kb = a.exponent(), b.exponent()
             if b.w2 == "0":
-                return _verdict(a.w2 == "0" and ka >= kb, "nonorientable-target-w2-0")
+                return _verdict(a.w2 == "0" and a.n >= b.n, "nonorientable-target-w2-0")
             if b.w2 == "1" and b.c == 0:
-                return _verdict(a.w2 == "0" and ka > kb, "nonorientable-target-w2-1-c0")
+                return _verdict(a.w2 == "0" and a.n > b.n, "nonorientable-target-w2-1-c0")
             if b.w2 == "1" and b.c == 1:
                 return _verdict(
-                    (a.w2 == "0" and ka > kb) or (a.w2 == "1" and ka == kb),
+                    (a.w2 == "0" and a.n > b.n) or (a.w2 == "1" and a.n == b.n),
                     "nonorientable-target-w2-1-c1",
                 )
             if b.w2 == "inf" and b.c == 0:
-                return _verdict(a.c == 0 and ka >= kb, "nonorientable-target-w2-inf-c0")
+                return _verdict(a.c == 0 and a.n >= b.n, "nonorientable-target-w2-inf-c0")
             if b.w2 == "inf" and b.c == 1:
-                return _verdict(ka >= kb and (ka == kb or a.c == 0), "nonorientable-target-w2-inf-c1")
+                return _verdict(a.n >= b.n and (a.n == b.n or a.c == 0), "nonorientable-target-w2-inf-c1")
         if a.w1 == 0 and b.w1 == 1:
-            ans = (b.w2 == "1" and b.exponent() > a.exponent()) or b.w2 == "inf"
+            ans = (b.w2 == "1" and b.n > a.n) or b.w2 == "inf"
             return _verdict(ans, "orientable-into-nonorientable-cyclic")
     if a.group == "Z4" and b.group == "Z4":
         # post-canonical rank-4 types have w2 in {e12, e12+e34}
@@ -240,14 +237,13 @@ def first_principles_leq_cyclic(l1: int, l2: int) -> LeqVerdict:
 # graphs
 
 
+_CONSTANT_NAMES = {S4: "S4", CP2: "CP2", S1XTS3: "S1xtS3"}  # also their labels
+
+
 def node_name(t: ImmersionType) -> str:
     """Deterministic identifier-safe node name for graph output."""
-    if t == S4:
-        return "S4"
-    if t == CP2:
-        return "CP2"
-    if t == S1XTS3:
-        return "S1xtS3"
+    if t in _CONSTANT_NAMES:
+        return _CONSTANT_NAMES[t]
     if t.group == "Z":
         return "S1xtS3_CP2"
     if t.group == "cyclic":
@@ -261,12 +257,8 @@ def node_name(t: ImmersionType) -> str:
 
 def node_label(t: ImmersionType) -> str:
     """Human-readable label."""
-    if t == S4:
-        return "S4"
-    if t == CP2:
-        return "CP2"
-    if t == S1XTS3:
-        return "S1xtS3"
+    if t in _CONSTANT_NAMES:
+        return _CONSTANT_NAMES[t]
     if t.group == "Z":
         return "S1xtS3#CP2"
     if t.group == "cyclic":
@@ -299,7 +291,7 @@ def order_graph(types) -> OrderGraph:
     the same bitsets, so after the N^2 comparisons the assembly costs
     O(N^2) operations on N-bit integers.
     """
-    canon = sorted({canonicalize(t) for t in types}, key=_sort_key)
+    canon = sorted({canonicalize(t) for t in types}, key=lambda t: t.key)
     up = [0] * len(canon)
     for i, a in enumerate(canon):
         for j, b in enumerate(canon):

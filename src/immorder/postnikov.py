@@ -353,7 +353,7 @@ def shift_data(n: int, w: int) -> ShiftData:
 def _connecting(
     data: ShiftData,
     pull_back: Callable[[IntMatrix, str], IntMatrix],
-    projection: IntMatrix,
+    proj: Factorization,
     degree: int,
     cycle,
     rng: random.Random,
@@ -364,9 +364,8 @@ def _connecting(
     so tests can certify independence of the choice), takes the boundary
     in the ring complex, and pulls the result back through the inclusion
     by its coordinate map, whose membership check certifies the preimage.
-    One factorization of the projection gives both the lift and the kernel.
+    The factorization of the projection gives both the lift and the kernel.
     """
-    proj = Factorization.of(projection)
     particular = proj.solve(IntMatrix.column(cycle))[0]
     if particular is None:
         raise ValueError("representative is not hit by the projection")
@@ -417,13 +416,14 @@ def shift(n: int, w: int, c: int, seed: int = 0) -> ShiftResult:
     else:
         gen4 = h4.generator(0)
         z4 = tuple(c * x for x in gen4)
-    z3 = _connecting(data, _ideal_coordinates, data.proj_z, 4, z4, rng)
-    z2 = _connecting(data, _norm_line_coordinates, data.proj_i, 3, z3, rng)
-    z1 = _connecting(data, _ideal_coordinates, data.proj_n, 2, z2, rng)
-    # the resolution repeats its boundaries with period 2, so complex_i has
-    # the same boundary objects at degrees 3 and 1 and one subquotient serves both
+    eps = Factorization.of(data.proj_z)  # proj_n is the same augmentation row
+    z3 = _connecting(data, _ideal_coordinates, eps, 4, z4, rng)
+    z2 = _connecting(data, _norm_line_coordinates, Factorization.of(data.proj_i), 3, z3, rng)
+    z1 = _connecting(data, _ideal_coordinates, eps, 2, z2, rng)
+    # the resolution repeats its boundaries with period 2, so one subquotient
+    # serves degrees 3 and 1 of complex_i, and 4 and 2 of complex_z = complex_n
     h1 = h3 = data.complex_i.homology_data(1)
-    h2 = data.complex_n.homology_data(2)
+    h2 = h4
     return ShiftResult(
         n=n,
         w=w,

@@ -462,7 +462,10 @@ def hasse_by_pairs(types, leq):
     class's first member, and finds covers pair by pair.  Raises the same
     errors as `order_graph` on the same axiom failures.
     """
-    from immorder.order import OrderGraph, UndecidablePair, _sort_key, canonicalize, node_label, node_name
+    from immorder.order import OrderGraph, UndecidablePair, canonicalize, node_label, node_name
+
+    def _sort_key(t):
+        return t.key
 
     canon = sorted({canonicalize(t) for t in types}, key=_sort_key)
     rel = {}

@@ -600,3 +600,43 @@ def test_json_output_is_byte_deterministic(argv):
 def test_dot_output_is_byte_deterministic():
     argv = ("order-graph", "--max-exp", "2", "--combined")
     assert run_cli(*argv) == run_cli(*argv)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_reused_parser_leaks_no_state(tmp_path):
+    """`run` reuses one parser, so an argv must answer the same whatever ran
+    before it.  The list covers every subcommand, an invalid choice, a
+    missing required option, a bad `type=` value and `--help`; it runs
+    forward and then reversed in one process."""
+    a = payload_file(tmp_path, "a.json", M2)
+    b = payload_file(tmp_path, "b.json", CP2)
+    argvs = [
+        *JSON_INVOCATIONS,
+        ("leq", a, b),
+        ("order-graph", "--max-exp", "2"),
+        ("homology", "--group", "Z/8", "--twist", "x", "--degree", "1"),
+        ("model-cohomology", "--k", "3"),
+        ("chain-verify", "--source", "ten", "--target", "2"),
+        ("--help",),
+        ("shift", "--help"),
+        ("frobnicate",),
+        (),
+    ]
+    first = {argv: run_cli(*argv) for argv in argvs}
+    assert [first[argv][0] for argv in argvs] == [0] * 12 + [2, 2, 2, 0, 0, 2, 2]
+    for argv in reversed(argvs):
+        assert run_cli(*argv) == first[argv], argv
+
+
+def test_a_default_holds_after_a_call_that_overrode_it():
+    payload, _ = run_json("shift", "--group", "Z/8", "--c", "3", schema="shift")
+    assert payload["input_multiple"] == 3
+    payload, _ = run_json("shift", "--group", "Z/8", schema="shift")
+    assert payload["input_multiple"] == 1

@@ -173,6 +173,21 @@ def test_canonicalize_idempotent(t):
     assert canonicalize(canonicalize(t)) == canonicalize(t)
 
 
+def test_leq_identity_and_key_tests_agree_with_equality():
+    """`leq` tests canonical types against S4, CP2 and S1XTS3 by identity
+    and against each other by `key`; both must decide what `==` decides,
+    also for types built equal to a constant rather than taken from it."""
+    fresh = [ImmersionType("trivial"), ImmersionType("trivial", w2="inf"), ImmersionType("Z", w1=1)]
+    types = POOL + fresh
+    for t in types:
+        c = canonicalize(t)
+        for constant in (S4, CP2, S1XTS3):
+            assert (c is constant) == (c == constant), (t, constant)
+    for a in types:
+        for b in types:
+            assert (a.key == b.key) == (a == b), (a, b)
+
+
 @given(st.sampled_from(POOL))
 def test_leq_reflexive(t):
     assert leq(t, t).answer is True

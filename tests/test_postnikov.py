@@ -39,7 +39,7 @@ from immorder.groupring import (
     twisted_norm,
 )
 from immorder import intalg
-from immorder.intalg import FgAbelianGroup, IntComplex, IntMatrix, kernel_basis, solve_linear
+from immorder.intalg import Factorization, FgAbelianGroup, IntComplex, IntMatrix, kernel_basis, solve_linear
 from immorder.postnikov import (
     InvalidClass,
     UnsupportedCoefficient,
@@ -505,10 +505,10 @@ def test_shift_pull_back_refuses_a_boundary_outside_the_submodule(n):
     doctored = dataclasses.replace(data, complex_ring=IntComplex((n, n), (IntMatrix.identity(n),)))
     message = "boundary of the lift escaped the submodule"
     with pytest.raises(AssertionError, match=message):
-        _connecting(doctored, _ideal_coordinates, data.proj_z, 1, (1,), random.Random(0))
+        _connecting(doctored, _ideal_coordinates, Factorization.of(data.proj_z), 1, (1,), random.Random(0))
     cycle = tuple(int(i == 0) for i in range(n - 1))
     with pytest.raises(AssertionError, match=message):
-        _connecting(doctored, _norm_line_coordinates, data.proj_i, 1, cycle, random.Random(0))
+        _connecting(doctored, _norm_line_coordinates, Factorization.of(data.proj_i), 1, cycle, random.Random(0))
 
 
 @pytest.mark.parametrize(("n", "w"), [(40, 1), (27, 0)])
@@ -517,7 +517,10 @@ def test_shift_factors_each_basis_once(monkeypatch, n, w):
     and shift(27, 0, 3) 129; factoring each basis once for all its
     right-hand sides brought both to 15, and reading the augmentation
     ideal and the norm line by coordinates to 12: no Smith form is taken
-    of either inclusion (n x (n - 1) and n x 1)."""
+    of either inclusion (n x (n - 1) and n x 1).  Factoring the one
+    augmentation row (proj_z is proj_n) once, and reading H_2 off the
+    H_4 subquotient of the same complex, brought both to 8: exactly one
+    Smith form has the shape 1 x n of the augmentation."""
     calls = []
     snf = intalg.smith_normal_form
 
@@ -527,5 +530,6 @@ def test_shift_factors_each_basis_once(monkeypatch, n, w):
 
     monkeypatch.setattr(intalg, "smith_normal_form", counted)
     shift(n, w, 3)
-    assert len(calls) <= 12
+    assert len(calls) == 8
+    assert sum((a.rows, a.cols) == (1, n) for a in calls) == 1
     assert not any((a.rows, a.cols) in ((n, n - 1), (n, 1)) for a in calls)
