@@ -258,8 +258,7 @@ def _cmd_leq(args) -> int:
     b = _type_from_payload(_read_payload(args.b, stdin_used))
     verdict = order.leq(a, b)
     if verdict.answer is None:
-        _emit({"answer": "undetermined", "reason": verdict.reason})
-        return 3
+        raise UndeterminedComparison(verdict.reason)
     _emit({"answer": verdict.answer, "trace": list(verdict.trace)})
     return 0
 

@@ -27,20 +27,16 @@ distinct adjacent pair once and `coefficients_complex` calls `rho` once per
 distinct element, so a resolution of any length costs two products and two
 `rho` calls, and degrees of the same parity share one integer matrix.
 
-A coefficient module finds the order o of its action once, at
-construction, and keeps the powers a^0, ..., a^(o-1) as their nonzero
-entries, each built from the last with one multiply-add per pair of
-nonzeros that meet.  `rho(x)` folds the n coefficients of x modulo o and
-adds each power's nonzeros, scaled: O(n + z) for z nonzeros in the o
-powers.  That is O(n) for the named modules (o <= 2, rank <= 2), and
-O(n^2) for the regular module and the augmentation ideal of
-`postnikov.shift_data`, whose powers have at most about 2n nonzeros each,
-where dense powers cost O(n^3).
+A coefficient module is one of the four named ones, of rank at most 2,
+whose generator acts by a symmetric involution, so `rho(x)` is O(n): the
+sums of the even and of the odd coefficients of x scale the identity and
+the action.  `postnikov.shift_data` reads the action on the regular
+module and the augmentation ideal off `regular_representation`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .intalg import IntComplex, IntMatrix
 
@@ -205,12 +201,9 @@ def regular_representation(x: GroupRingElement) -> IntMatrix:
 class CoefficientModule:
     """A Z[Z/n]-module structure on Z^rank (or (Z/2)^rank when modulus=2).
 
-    `action` is the matrix by which the generator a acts; its order must
-    divide n (over the integers, also when modulus=2), or construction
-    raises ValueError.  The powers I, a, ..., a^(o-1) of the action are
-    computed once, here, as (flat row-major index, value) pairs for their
-    nonzero entries, and shared by every `rho` call: with z nonzeros in
-    all o powers, `rho` costs O(n + z).  Supported names:
+    `action` is the matrix by which the generator a acts: a symmetric
+    involution, and the identity when n is odd, or construction raises
+    ValueError.  Supported names:
 
     - "Z":    rank 1, trivial action.
     - "Zw":   rank 1, a acts by -1 (orientation twist; n must be even).
@@ -224,56 +217,28 @@ class CoefficientModule:
     rank: int
     action: IntMatrix
     modulus: int
-    _powers: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        r = self.rank
-        if (self.action.rows, self.action.cols) != (r, r):
+        r, a = self.rank, self.action
+        if (a.rows, a.cols) != (r, r):
             raise ValueError(f"module {self.name!r}: action must be a {r}x{r} matrix")
-        entries = self.action.entries
-        # the nonzeros (column, value) of each row of the action
-        action_rows = [[(j, x) for j, x in enumerate(entries[i * r : (i + 1) * r]) if x] for i in range(r)]
-        identity = {i * r + i: 1 for i in range(r)}
-        powers = [tuple(identity.items())]
-        power = {flat: x for flat, x in enumerate(entries) if x}
-        # the order of the action divides n exactly when a^n = I, and then
-        # it is at most n, so n steps decide both
-        while power != identity:
-            if len(powers) >= self.n:
-                raise ValueError(f"module {self.name!r}: the action has no order dividing {self.n}")
-            powers.append(tuple(power.items()))
-            # a^(k+1) = a^k a: entry (i, k) of a^k times row k of a
-            nxt: dict[int, int] = {}
-            for flat, x in power.items():
-                i, k = divmod(flat, r)
-                for j, y in action_rows[k]:
-                    nxt[i * r + j] = nxt.get(i * r + j, 0) + x * y
-            power = {flat: x for flat, x in nxt.items() if x}
-        if self.n % len(powers):
-            raise ValueError(f"module {self.name!r}: the action has order {len(powers)}, which does not divide {self.n}")
-        object.__setattr__(self, "_powers", tuple(powers))
-
-    def transposed(self) -> "CoefficientModule":
-        """The same lattice with a acting by the transposed matrix."""
-        return replace(self, action=self.action.transpose())
+        if a != a.transpose() or a @ a != IntMatrix.identity(r):
+            raise ValueError(f"module {self.name!r}: the action is not a symmetric involution")
+        if self.n % 2 and a != IntMatrix.identity(r):
+            raise ValueError(f"module {self.name!r}: a group of odd order {self.n} acts trivially")
 
     def rho(self, x: GroupRingElement) -> IntMatrix:
-        """Matrix by which x acts on the module.
-
-        With o the order of the action, a^i acts as the power a^(i mod o),
-        so the coefficients of x are summed over each residue class mod o
-        and each power adds its nonzeros, scaled by that sum.
-        """
+        """Matrix by which x acts on the module: a^i acts as the identity
+        for even i and as the action for odd i (both the identity when n is
+        odd), so the sums of the even and of the odd coefficients of x
+        scale them."""
         if x.n != self.n:
             raise RingMismatch("element and module live over different group rings")
-        o = len(self._powers)
-        out = [0] * (self.rank * self.rank)
-        for j, power in enumerate(self._powers):
-            c = sum(x.coeffs[j::o])
-            if c:
-                for flat, y in power:
-                    out[flat] += c * y
-        return IntMatrix(self.rank, self.rank, tuple(out))
+        r, even, odd = self.rank, sum(x.coeffs[::2]), sum(x.coeffs[1::2])
+        out = [odd * y for y in self.action.entries]
+        for i in range(r):
+            out[i * r + i] += even
+        return IntMatrix(r, r, tuple(out))
 
 
 COEFFICIENT_NAMES = ("Z", "Zw", "Z2", "ZZ2w")
@@ -357,13 +322,10 @@ def coefficients_complex(cx: GroupRingComplex, coeff: CoefficientModule) -> IntC
     element object, so degrees that repeat an element share one matrix.
 
     Cohomology needs no second complex.  The coboundary of Hom(cx, M)
-    sends f to f o d_k, which is f followed by rho(d_k).  That is the
-    transpose of the boundary of M' (x) cx, where M' is M with the
-    transposed action: rho is a polynomial in the action, so rho'(x) is
-    rho(x) transposed.  Hence H^k(cx; M) is
-    `coefficients_complex(cx, coeff.transposed()).cohomology(k)`.  A
-    symmetric action is its own transpose, but the regular module's is
-    not, so the transposed module is always passed.
+    sends f to f o d_k, which is f followed by rho(d_k).  rho(d_k) is a
+    polynomial in the symmetric action, so it is symmetric and equals the
+    transposed boundary that `IntComplex.cohomology` reads: H^k(cx; M) is
+    `coefficients_complex(cx, coeff).cohomology(k)`.
     """
     if coeff.n != cx.n:
         raise RingMismatch("complex and coefficients over different group rings")

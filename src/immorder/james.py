@@ -184,11 +184,12 @@ def _cyclic_reduction_bit(n: int) -> int:
     degree-4 homology on the periodic resolution and read off its class in
     the mod-2 homology of the same resolution.
     """
-    data_w = coefficients_complex(standard_resolution(n, 5), coefficient_module("Zw", n)).homology_data(4)
+    res = standard_resolution(n, 5)
+    data_w = coefficients_complex(res, coefficient_module("Zw", n)).homology_data(4)
     if data_w.group.is_zero():
         return 0
     gen = data_w.generator(0)
-    data_2 = coefficients_complex(standard_resolution(n, 5), coefficient_module("Z2", n)).homology_data(4)
+    data_2 = coefficients_complex(res, coefficient_module("Z2", n)).homology_data(4)
     if data_2.group.is_zero():
         return 0
     (bit,) = data_2.class_of(list(gen))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .cohomology import CyclicHom, IllFormedHom
 from .groupring import (
-    CoefficientModule,
+    COEFFICIENT_NAMES,
     GroupRingComplex,
     GroupRingElement,
     InvalidTwist,
@@ -71,20 +71,19 @@ def model_complex_X(k: int) -> GroupRingComplex:
     return GroupRingComplex(n, (d1, norm(n), twisted_norm(n)))
 
 
-def model_cohomology(k_exp: int, coeff_name: str, degree: int = 2) -> FgAbelianGroup:
-    """H^degree of the equivariant cochain complex Hom(X, A) for the group
-    of order 2^k_exp.
+def model_cohomology(k_exp: int, coeff_name: str) -> FgAbelianGroup:
+    """H^2 of the equivariant cochain complex Hom(X, A) for the group of
+    order 2^k_exp.
 
-    Coefficient names: "Z", "Zw", "Z2", "ZZ2w" (the last is Z[Z/2] with
-    the generator acting by the coordinate swap).
+    Coefficient names: `groupring.COEFFICIENT_NAMES` ("ZZ2w" is Z[Z/2]
+    with the generator acting by the coordinate swap).
     """
-    if coeff_name not in ("Z", "Zw", "Z2", "ZZ2w"):
+    if coeff_name not in COEFFICIENT_NAMES:
         raise UnsupportedCoefficient(f"unknown coefficient system {coeff_name!r}")
     if k_exp < 1:
         raise ValueError("group-order exponent must be >= 1")
     x = model_complex_X(2 ** (k_exp - 1))
-    coeff = coefficient_module(coeff_name, x.n).transposed()
-    return coefficients_complex(x, coeff).cohomology(degree)
+    return coefficients_complex(x, coefficient_module(coeff_name, x.n)).cohomology(2)
 
 
 def lift_exists(k_exp: int, class_bit: int, along: str) -> bool:
@@ -103,10 +102,10 @@ def lift_exists(k_exp: int, class_bit: int, along: str) -> bool:
         return True
     x = model_complex_X(2 ** (k_exp - 1))
     n = x.n
-    # the coboundary C^k -> C^(k+1) of Hom(X, M) is down[k] transposed of
-    # the complex with the transposed action (see coefficients_complex)
-    chain_a = coefficients_complex(x, coefficient_module(along, n).transposed())
-    chain_2 = coefficients_complex(x, coefficient_module("Z2", n).transposed())
+    # the coboundary C^k -> C^(k+1) of Hom(X, M) is down[k] transposed
+    # (see coefficients_complex)
+    chain_a = coefficients_complex(x, coefficient_module(along, n))
+    chain_2 = coefficients_complex(x, coefficient_module("Z2", n))
     # the label [1] must itself be a mod-2 cocycle in degree 2
     if not all(e % 2 == 0 for e in chain_2.down[2].entries):
         raise AssertionError("degree-2 mod-2 coboundary is nonzero; class labels invalid")
@@ -267,8 +266,10 @@ class ShiftData:
 
     Each complex is the module tensored over the standard resolution,
     degrees 0..5 (chain side), so homology in degrees 1..4 is available.
-    Z and (N) are both the trivial module twisted by w, so `complex_z` and
-    `complex_n` are one complex.
+    An element acts on R by its `regular_representation` with the odd
+    coefficients times (-1)^w, and on I by that matrix read in the basis
+    inclusion_i.  Z and (N) are both the trivial module twisted by w, so
+    `complex_z` and `complex_n` are one complex.
     Nothing is solved against the inclusions: inclusion_i = [-1 ... -1; I]
     and the all-ones column inclusion_n are read by coordinates
     (`_ideal_coordinates`, `_norm_line_coordinates`).
@@ -316,9 +317,6 @@ def shift_data(n: int, w: int) -> ShiftData:
         raise InvalidTwist("a nontrivial character needs an even group order")
     eps = IntMatrix.from_rows([[1] * n])
     incl_i = IntMatrix.from_rows([[-1] * (n - 1)]).vstack(IntMatrix.identity(n - 1))
-    gen_action = regular_representation(GroupRingElement.gen(n))
-    # action of a on I in the chosen basis
-    t_i = _ideal_coordinates(gen_action @ incl_i, "augmentation-ideal basis is not action-invariant")
     # projection R -> I: multiplication by 1 - a, in I coordinates
     d1 = GroupRingElement.one(n) - GroupRingElement.gen(n)
     proj_i = _ideal_coordinates(
@@ -328,13 +326,22 @@ def shift_data(n: int, w: int) -> ShiftData:
     if not (eps @ incl_i).is_zero() or not (proj_i @ incl_n).is_zero():
         raise AssertionError("short exact sequences fail to compose to zero")
     res = standard_resolution(n, 5)
+    sign = -1 if w else 1
+    on_ring: dict[int, IntMatrix] = {}
+    on_ideal: dict[int, IntMatrix] = {}
+    for d in {id(d): d for d in res.boundaries}.values():
+        # d acts on R^w as d with a replaced by (-1)^w a acts on R, and on I^w
+        # by that matrix times incl_i, whose column j - 1 is column j minus column 0
+        m = regular_representation(GroupRingElement(n, tuple(sign * c if i % 2 else c for i, c in enumerate(d.coeffs))))
+        e = m.entries
+        restricted = IntMatrix(n, n - 1, tuple(e[i + j] - e[i] for i in range(0, n * n, n) for j in range(1, n)))
+        on_ring[id(d)] = m
+        on_ideal[id(d)] = _ideal_coordinates(restricted, "augmentation-ideal basis is not action-invariant")
 
-    def module_chain(rank: int, action: IntMatrix) -> IntComplex:
-        twisted = action.scale(-1) if w else action
-        coeff = CoefficientModule("internal", n, rank, twisted, 0)
-        return coefficients_complex(res, coeff)
+    def chain(rank: int, blocks: dict[int, IntMatrix]) -> IntComplex:
+        return IntComplex((rank,) * (res.top + 1), tuple(blocks[id(d)] for d in res.boundaries))
 
-    trivial = module_chain(1, IntMatrix.identity(1))
+    trivial = coefficients_complex(res, coefficient_module("Zw" if w else "Z", n))
     return ShiftData(
         n=n,
         w=w,
@@ -343,9 +350,9 @@ def shift_data(n: int, w: int) -> ShiftData:
         inclusion_n=incl_n,
         proj_i=proj_i,
         proj_n=eps,
-        complex_ring=module_chain(n, gen_action),
+        complex_ring=chain(n, on_ring),
         complex_z=trivial,
-        complex_i=module_chain(n - 1, t_i),
+        complex_i=chain(n - 1, on_ideal),
         complex_n=trivial,
     )
 

@@ -98,8 +98,9 @@ def action_power_sum(action_rows: list[list[int]], coeffs) -> list[list[int]]:
 def reference_resolution_boundaries(n: int, top: int, action_rows: list[list[int]]) -> list[list[list[int]]]:
     """rho(d_1), ..., rho(d_top) on the periodic resolution of Z over Z[Z/n].
 
-    The full-length reference for `standard_resolution` and
-    `coefficients_complex`, which share one period: every degree gets a
+    The full-length reference for `standard_resolution`,
+    `coefficients_complex` and the ring and ideal complexes of
+    `postnikov.shift_data`, which share one period: every degree gets a
     fresh coefficient vector, 1 - a in odd degrees and the norm in even
     ones, every adjacent pair is checked to compose to zero by the dense
     convolution, and every degree runs its own `action_power_sum` for the

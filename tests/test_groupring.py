@@ -22,9 +22,8 @@ from immorder.groupring import (
     standard_resolution,
     twisted_norm,
 )
-from immorder import intalg
 from immorder.intalg import FgAbelianGroup, IntComplex, IntMatrix
-from oracles import action_power_sum, cyclic_convolution, reference_ideal_blocks, reference_resolution_boundaries
+from oracles import action_power_sum, cyclic_convolution, reference_resolution_boundaries
 
 
 orders = st.integers(min_value=1, max_value=9)
@@ -191,37 +190,13 @@ def test_rho_is_multiplicative(data):
     assert (mod.rho(x) @ mod.rho(y)).entries == mod.rho(x * y).entries
 
 
-def _regular_module(n: int) -> CoefficientModule:
-    return CoefficientModule("regular", n, n, regular_representation(GroupRingElement.gen(n)), 0)
-
-
-def _twisted_regular_module(n: int) -> CoefficientModule:
-    """The regular module twisted by w: a acts by -P, for even n."""
-    return CoefficientModule("twisted-regular", n, n, regular_representation(GroupRingElement.gen(n)).scale(-1), 0)
-
-
-def _ideal_module(n: int) -> CoefficientModule:
-    """a acting on the augmentation ideal in `kernel_basis` coordinates.
-
-    The action `postnikov.shift_data` uses: it is no permutation, and its
-    first row is all -1.
-    """
-    _, action, _ = reference_ideal_blocks(n)
-    return CoefficientModule("ideal", n, n - 1, action, 0)
-
-
-# name -> (least n, greatest n, step): the twisted modules need even n, and
-# the oracle's dense products keep the modules of rank about n small
+# name -> (least n, greatest n, step): the twisted modules need even n
 REFERENCE_ORDERS = {
     "Z": (1, 64, 1),
     "Z2": (1, 64, 1),
     "Zw": (2, 64, 2),
     "ZZ2w": (2, 64, 2),
-    "regular": (1, 24, 1),
-    "twisted-regular": (2, 24, 2),
-    "ideal": (2, 24, 1),
 }
-TEST_MODULES = {"regular": _regular_module, "twisted-regular": _twisted_regular_module, "ideal": _ideal_module}
 
 
 @settings(max_examples=80, deadline=None)
@@ -230,18 +205,16 @@ def test_rho_matches_power_sum_reference(data):
     name = data.draw(st.sampled_from(sorted(REFERENCE_ORDERS)))
     least, greatest, step = REFERENCE_ORDERS[name]
     n = step * data.draw(st.integers(min_value=least // step, max_value=greatest // step))
-    make = TEST_MODULES.get(name)
-    mod = make(n) if make else coefficient_module(name, n)
+    mod = coefficient_module(name, n)
     coeffs = tuple(data.draw(st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=n, max_size=n)))
-    for m in (mod, mod.transposed()):
-        assert m.rho(GroupRingElement(n, coeffs)).to_rows() == action_power_sum(m.action.to_rows(), coeffs)
+    assert mod.rho(GroupRingElement(n, coeffs)).to_rows() == action_power_sum(mod.action.to_rows(), coeffs)
 
 
 def test_rho_takes_no_matrix_products(monkeypatch):
-    """The action's powers are computed from their nonzeros, with no matrix
-    product: neither at construction, nor for the transposed copy, nor
-    inside rho."""
-    ideal = _ideal_module(12)
+    """rho reads the action in closed form, with no matrix product.  The
+    modules are built first: the involution check at construction may take
+    one."""
+    mods = [coefficient_module(name, 64) for name in COEFFICIENT_NAMES]
     calls = []
     original = IntMatrix.__matmul__
 
@@ -250,9 +223,7 @@ def test_rho_takes_no_matrix_products(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counting)
-    mods = [coefficient_module(name, 64) for name in COEFFICIENT_NAMES]
-    mods += [_regular_module(64), _twisted_regular_module(64), ideal]
-    for mod in mods + [mod.transposed() for mod in mods]:
+    for mod in mods:
         mod.rho(norm(mod.n))
         mod.rho(GroupRingElement.one(mod.n) - GroupRingElement.gen(mod.n))
     assert calls == []
@@ -266,9 +237,12 @@ def test_rho_takes_no_matrix_products(monkeypatch):
         ([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], 4),  # order 3, which does not divide 4
         ([[-1]], 3),  # order 2 on an odd-order group
         ([[0, 1], [1, 0]], 1),  # the trivial group acts trivially
+        ([[1, 0], [1, -1]], 4),  # an involution, but not symmetric
     ],
 )
 def test_module_rejects_action_whose_order_does_not_divide_n(rows, n):
+    """Every action here is refused: it has no order dividing n, or it is
+    not a symmetric involution, which is what a named module's action is."""
     action = IntMatrix.from_rows(rows)
     with pytest.raises(ValueError, match="'twisted-test'"):
         CoefficientModule("twisted-test", n, action.rows, action, 0)
@@ -277,8 +251,6 @@ def test_module_rejects_action_whose_order_does_not_divide_n(rows, n):
 def test_module_accepts_actions_of_dividing_order_and_checks_shape():
     swap = IntMatrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     assert CoefficientModule("swap", 4, 4, swap, 0).rho(GroupRingElement.gen(4)) == swap
-    cycle = regular_representation(GroupRingElement.gen(4))
-    assert CoefficientModule("cycle", 8, 4, cycle, 0).rho(GroupRingElement.gen(8, 5)) == cycle
     with pytest.raises(ValueError, match="'wrong-rank'"):
         CoefficientModule("wrong-rank", 2, 2, IntMatrix.identity(1), 0)
 
@@ -346,10 +318,9 @@ def test_homology_independent_of_padding(n, name, top_a, extra):
     mod = coefficient_module(name, n)
     res_a, res_b = standard_resolution(n, top_a), standard_resolution(n, top_a + extra)
     chain_a, chain_b = coefficients_complex(res_a, mod), coefficients_complex(res_b, mod)
-    dual_a, dual_b = coefficients_complex(res_a, mod.transposed()), coefficients_complex(res_b, mod.transposed())
     for k in range(top_a):
         assert chain_a.homology(k) == chain_b.homology(k)
-        assert dual_a.cohomology(k) == dual_b.cohomology(k)
+        assert chain_a.cohomology(k) == chain_b.cohomology(k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -357,11 +328,10 @@ def test_homology_independent_of_padding(n, name, top_a, extra):
 def test_expanded_boundaries_compose_to_zero(n, name, top):
     mod = coefficient_module(name, n)
     chain = coefficients_complex(standard_resolution(n, top), mod)
-    dual = coefficients_complex(standard_resolution(n, top), mod.transposed())
     for k in range(len(chain.down) - 1):
         assert (chain.down[k] @ chain.down[k + 1]).is_zero()
         # the coboundaries that cohomology reads
-        assert (dual.down[k + 1].transpose() @ dual.down[k].transpose()).is_zero()
+        assert (chain.down[k + 1].transpose() @ chain.down[k].transpose()).is_zero()
     assert chain.dims == tuple(mod.rank for _ in range(top + 1))
 
 
@@ -379,7 +349,7 @@ def test_resolution_homology_matches_full_length_reference(n, name):
     assume(n % 2 == 0 or name in ("Z", "Z2"))
     mod = coefficient_module(name, n)
     res = standard_resolution(n, 21)
-    chain, dual = coefficients_complex(res, mod), coefficients_complex(res, mod.transposed())
+    chain = coefficients_complex(res, mod)
     ref = tuple(IntMatrix.from_rows(m) for m in reference_resolution_boundaries(n, 21, mod.action.to_rows()))
     dims = (mod.rank,) * 22
     ref_chain = IntComplex(dims, ref, mod.modulus)
@@ -388,44 +358,7 @@ def test_resolution_homology_matches_full_length_reference(n, name):
     ref_dual = IntComplex(dims, tuple(m.transpose() for m in ref), mod.modulus)
     for k in range(21):
         assert chain.homology(k) == ref_chain.homology(k)
-        assert dual.cohomology(k) == ref_dual.cohomology(k)
-
-
-@pytest.mark.parametrize("n", [3, 4, 6])
-def test_cohomology_reads_hom_coboundaries_for_non_symmetric_action(n, monkeypatch):
-    """The coboundary Hom(C_(k-1), M) -> Hom(C_k, M) of the resolution is
-    rho(d_k).
-
-    M is the regular module, whose action is not symmetric, and neither is
-    the regular representation of 1 - a, so this fails if `cohomology`
-    were read off the complex of M instead of its transposed-action twin.
-    """
-    cx = standard_resolution(n, 3)
-    mod = _regular_module(n)
-    assert mod.action != mod.action.transpose()
-    # the regular module acts by the regular representation
-    coboundary = {k - 1: regular_representation(cx.boundary(k)) for k in (1, 2, 3)}
-    want = {
-        0: (IntMatrix.zeros(n, 0), coboundary[0]),
-        1: (coboundary[0], coboundary[1]),
-        2: (coboundary[1], coboundary[2]),
-        3: (coboundary[2], IntMatrix.zeros(0, n)),
-    }
-    seen = []
-    original = intalg.homology_data
-
-    def recording(d_in, d_out):
-        seen.append((d_in, d_out))
-        return original(d_in, d_out)
-
-    monkeypatch.setattr(intalg, "homology_data", recording)
-    dual = coefficients_complex(cx, mod.transposed())
-    for k in range(4):
-        seen.clear()
-        dual.cohomology(k)
-        assert seen == [want[k]]
-    untransposed = coefficients_complex(cx, mod)
-    assert untransposed.down[0].transpose() != coboundary[0]
+        assert chain.cohomology(k) == ref_dual.cohomology(k)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,5 @@
-"""Package-wide properties: no `assert` in the sources and no third-party
-import behind the command line."""
+"""Package-wide properties: no `assert` and no unused import in the
+sources, and no third-party import behind the command line."""
 
 from __future__ import annotations
 
@@ -22,6 +22,24 @@ def test_sources_use_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py"))
     assert found == []
+
+
+def test_sources_import_only_names_they_use():
+    # a deletion can leave its imports behind; `__future__` imports are directives
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert sorted(SRC.glob("*.py"))
+    assert unused == []
 
 
 def test_cli_import_leaves_networkx_out():

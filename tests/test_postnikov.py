@@ -23,19 +23,17 @@ from oracles import (
     oracle_homology_group,
     reference_ideal_blocks,
     reference_pull_back,
+    reference_resolution_boundaries,
 )
 
 from immorder.cohomology import CyclicHom, IllFormedHom, h_twisted
 from immorder.groupring import (
-    CoefficientModule,
     GroupRingComplex,
     GroupRingElement,
     InvalidTwist,
     RingMismatch,
-    coefficients_complex,
     norm,
     regular_representation,
-    standard_resolution,
     twisted_norm,
 )
 from immorder import intalg
@@ -465,12 +463,9 @@ def test_shift_coordinate_maps_match_solved_reference(data):
     w = data.draw(st.sampled_from((0, 1)))
     n = 2 * data.draw(st.integers(1, 48)) if w else data.draw(st.integers(2, 96))
     sd = shift_data(n, w)
-    inclusion, action, projection = reference_ideal_blocks(n)
+    inclusion, _, projection = reference_ideal_blocks(n)
     assert sd.inclusion_i == inclusion
     assert sd.proj_i == projection
-    twisted = action.scale(-1) if w else action
-    module = CoefficientModule("internal", n, n - 1, twisted, 0)
-    assert sd.complex_i == coefficients_complex(standard_resolution(n, 5), module)
 
     entries = st.integers(-(2**70), 2**70)
     cols = data.draw(st.lists(st.lists(entries, min_size=n - 1, max_size=n - 1), min_size=1, max_size=3))
@@ -493,6 +488,25 @@ def test_shift_coordinate_maps_match_solved_reference(data):
         _ideal_coordinates(IntMatrix.from_rows(members).transpose(), "outside I")
     with pytest.raises(AssertionError, match=r"outside \(N\)"):
         _norm_line_coordinates(IntMatrix.from_rows(lines).transpose(), "outside (N)")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_shift_ring_and_ideal_complexes_match_power_sum_reference(data):
+    """complex_ring and complex_i equal the resolution expanded degree by
+    degree, each boundary a power sum of the twisted action: a acts on R
+    by the cyclic permutation and on I by the action that the general
+    solver finds, each times (-1)^w."""
+    w = data.draw(st.sampled_from((0, 1)))
+    n = 2 * data.draw(st.integers(1, 12)) if w else data.draw(st.integers(2, 24))
+    sd = shift_data(n, w)
+    sign = -1 if w else 1
+    # a sends the basis vector a^j to a^(j + 1)
+    ring = [[sign * int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
+    ideal = reference_ideal_blocks(n)[1].scale(sign).to_rows()
+    for got, rank, rows in ((sd.complex_ring, n, ring), (sd.complex_i, n - 1, ideal)):
+        ref = tuple(IntMatrix.from_rows(m) for m in reference_resolution_boundaries(n, 5, rows))
+        assert got == IntComplex((rank,) * 6, ref)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
