@@ -3,10 +3,12 @@
 
 The grid covers the subcommands whose answers come from group-ring
 products and `rho`: `homology` for Z/n with n 1..64, both twists, Z and
-Z/2 coefficients and degrees 0..6, and for Z/2, Z/6, Z/64 and Z/1000 at
+Z/2 coefficients and degrees 0..6, for Z/2, Z/6, Z/64 and Z/1000 at
 degrees 20, 63 and 64, where the resolution repeats its period many
-times; `model-cohomology` for k 1..12 with
-every coefficient system; `realizable` for Z/n with n 1..64; `shift` on
+times, and for Z4, trivial and Z with both twists and coefficients;
+`sq2w` for Z/1..Z/8, Z4 and trivial with every `--w1` and `--w2`
+symbol and an invalid one, and at an unsupported degree;
+`model-cohomology` for k 1..12 with every coefficient system; `realizable` for Z/n with n 1..64; `shift` on
 the orders 8, 16, 24, 32, 40 (twist w) and 9, 10, 11, 21, 27 (twist 0);
 `chain-verify` for targets 2..20 and for a source or target below 1; and the free-word subcommands on a
 fixed list of words and presentations: `fibered` for every word of
@@ -18,7 +20,9 @@ and malformed ones; `order-graph` for `--max-exp` -1..17, with and
 without `--combined`, in both formats; and `leq` on every ordered pair
 of a fixed list of type payloads, canonical, non-canonical and invalid,
 which are written to a temporary directory (the command lines print
-their file names only).  Commands run in-process, through
+their file names only); and argv that argparse refuses: none, an unknown
+subcommand, a missing required option, a non-integer `--degree` and
+invalid choices.  Commands run in-process, through
 `immorder.cli.run`, which builds its parser once; the whole grid takes
 about 2 s with CPython 3.11 on a 2-core x86-64 machine (about 17 s when
 the parser was rebuilt for every command).  Comparing the output of two
@@ -78,6 +82,19 @@ PAYLOADS = (
     {"group": "Z4", "w2": "e12+e34", "c": -6},
 )
 
+# every w1 and w2 symbol of the cyclic and rank-4 families, and one of neither
+SQ2W_W1 = ("0", "t", "x")
+SQ2W_W2 = ("0", "s", "e12", "e12+e34", "x")
+# argv that argparse itself refuses
+PARSER_FAILURES = (
+    [],
+    ["no-such-command"],
+    ["homology", "--twist", "0"],
+    ["homology", "--group", "Z/4", "--degree", "two"],
+    ["homology", "--group", "Z/4", "--degree", "2", "--coeff", "Q"],
+    ["realizable", "--group", "Z/4", "--w1", "2"],
+)
+
 
 def words(length):
     return ("".join(w) for w in itertools.product("aAbB", repeat=length))
@@ -104,6 +121,16 @@ def grid(payload_dir):
             for coeff in ("Z", "Z2"):
                 for degree in (20, 63, 64):
                     yield ["homology", "--group", f"Z/{n}", "--twist", twist, "--coeff", coeff, "--degree", str(degree)]
+    for group in ("Z4", "trivial", "Z"):
+        for twist in ("0", "w"):
+            for coeff in ("Z", "Z2"):
+                for degree in (0, 2, 4, 5):
+                    yield ["homology", "--group", group, "--twist", twist, "--coeff", coeff, "--degree", str(degree)]
+    for group in [f"Z/{n}" for n in range(1, 9)] + ["Z4", "trivial"]:
+        for w1 in SQ2W_W1:
+            for w2 in SQ2W_W2:
+                yield ["sq2w", "--group", group, "--w1", w1, "--w2", w2]
+    yield ["sq2w", "--group", "Z/4", "--degree", "3"]
     for k in range(1, 13):
         for coeff in ("Z", "Z2", "ZZ2w"):
             yield ["model-cohomology", "--k", str(k), "--coeff", coeff]
@@ -139,6 +166,7 @@ def grid(payload_dir):
             json.dump(payload, f)
     for a, b in itertools.product(files, repeat=2):
         yield ["leq", a, b]
+    yield from PARSER_FAILURES
 
 
 def main() -> None:

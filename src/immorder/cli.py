@@ -27,17 +27,16 @@ import sys
 from pathlib import Path
 
 from . import cohomology, fibering, james, order, postnikov
-from .groupring import coefficient_module, coefficients_complex, standard_resolution
 from .intalg import FgAbelianGroup
 from .order import ImmersionType, UndecidablePair, UndeterminedComparison
 
 
 # Ceilings on cyclic group orders and degrees, measured with CPython 3.11
-# on a 2-core x86-64 machine.  On Z/100000, `homology` answers in about
-# 0.07 s as a whole process at every degree up to 64, with every twist and
-# coefficient system: the resolution's two boundary elements are multiplied
-# and expanded once whatever the degree (in-process 0.03 s at degree 4, 64
-# and 1000), so time does not set the degree budget.  `realizable` answers
+# on a 2-core x86-64 machine.  On Z/100000, `homology` takes the same time
+# at every degree up to 64, with every twist and coefficient system:
+# `cohomology.cyclic_homology` reads any degree on a resolution of top
+# degree at most 3 (in-process and uncached, about 0.08 s at degree 4, 64
+# and 1000 on a loaded machine), so time does not set the degree budget.  `realizable` answers
 # in 0.1 s; `model-cohomology --k 16` (Z/65536) answers in 0.4 s and
 # `order-graph --max-exp 16 --combined` in about 0.35 s.  `shift` solves
 # integer systems of size about n and answers on Z/64 in about 0.3 s and
@@ -161,15 +160,12 @@ def _cmd_homology(args) -> int:
     if args.degree > MAX_DEGREE:
         raise _CliInput(f"degree {args.degree} exceeds the budget of {MAX_DEGREE}")
     if family == "cyclic":
-        if args.coeff == "Z":
-            group = cohomology.h_twisted(n, w, args.degree)
-        else:
-            # -1 = 1 mod 2, so the twist leaves Z/2 coefficients unchanged,
-            # but it exists only for even orders
-            if w and n % 2:
-                raise _CliInput("orientation twist requires an even group order")
-            chain = coefficients_complex(standard_resolution(n, args.degree + 1), coefficient_module("Z2", n))
-            group = chain.homology(args.degree)
+        # the twist exists only for even orders; -1 = 1 mod 2, so it leaves
+        # Z/2 coefficients unchanged
+        if w and n % 2:
+            raise _CliInput("orientation twist requires an even group order")
+        name = ("Zw" if w else "Z") if args.coeff == "Z" else "Z2"
+        group = cohomology.cyclic_homology(n, name, args.degree).group
     elif family == "Z4":
         if w:
             raise _CliInput("the rank-4 free-abelian group supports twist 0 only")

@@ -17,12 +17,13 @@ twice an odd number give a polynomial ring on a degree-1 class; orders
 divisible by 4 give an exterior class in degree 1 over a polynomial class
 in degree 2.
 
-`h_twisted` is memoized (an unbounded `functools.lru_cache`), keyed on
-its exact arguments (n, w, k) with their types, so 4 and 4.0 or 1 and
-True never share an entry.  That is safe because it is a pure function of
-them and its result, an `FgAbelianGroup`, is frozen; the resolution and
-the coefficient complex it builds are not kept.  The computation itself
-stays reachable as `h_twisted.__wrapped__`.
+`cyclic_homology` is the one function that builds a resolution for the
+homology of Z/n.  Since d_k = d_(k-2) for k >= 1, it reads any degree on a
+window of top degree at most 3, so its cost does not grow with k.  It is
+memoized (an unbounded `functools.lru_cache`) keyed on its exact arguments
+with their types, so 4 and 4.0 never share an entry: it is a pure function
+of them, its `Subquotient` is frozen, and the complexes it builds are not
+kept.  The computation stays reachable as `cyclic_homology.__wrapped__`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .groupring import (
     coefficients_complex,
     standard_resolution,
 )
-from .intalg import FgAbelianGroup
+from .intalg import FgAbelianGroup, Subquotient
 
 TOP_DEGREE = 4
 
@@ -62,22 +63,37 @@ def two_adic_valuation(n: int) -> int:
 # twisted integral homology of cyclic groups
 
 
-@functools.lru_cache(maxsize=None, typed=True)
-def h_twisted(n: int, w: int, k: int) -> FgAbelianGroup:
-    """H_k(Z/n; Z^w): integral homology with w-twisted coefficients.
-
-    w = 0 is the trivial module; w = 1 twists by the unique surjection to
-    {+-1}, which requires n to be even.  Computed from the periodic
-    resolution, not from a lookup table.
-    """
+def _check_order_and_degree(n: int, k: int) -> None:
     if n < 1:
         raise ValueError("group order must be >= 1")
     if k < 0:
         raise ValueError("degree must be >= 0")
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def cyclic_homology(n: int, coeff: str, k: int) -> Subquotient:
+    """H_k(Z/n; M) with generators, M named in `groupring.COEFFICIENT_NAMES`.
+
+    Read chain-level, not from a table: the boundaries around degree k are
+    those around degree j = k (k < 3) or 2 - k % 2 (k >= 3), so degree j of
+    the resolution of top degree j + 1 is the same subquotient.
+    """
+    _check_order_and_degree(n, k)
+    module = coefficient_module(coeff, n)
+    j = k if k < 3 else 2 - k % 2
+    return coefficients_complex(standard_resolution(n, j + 1), module).homology_data(j)
+
+
+def h_twisted(n: int, w: int, k: int) -> FgAbelianGroup:
+    """H_k(Z/n; Z^w): integral homology with w-twisted coefficients.
+
+    w = 0 is the trivial module; w = 1 twists by the unique surjection to
+    {+-1}, which requires n to be even.
+    """
+    _check_order_and_degree(n, k)
     if w not in (0, 1):
         raise InvalidTwist("w must be 0 or 1")
-    coeff = coefficient_module("Zw" if w else "Z", n)
-    return coefficients_complex(standard_resolution(n, k + 1), coeff).homology(k)
+    return cyclic_homology(n, "Zw" if w else "Z", k).group
 
 
 # ---------------------------------------------------------------------------

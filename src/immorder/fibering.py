@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intalg
-from .intalg import FgAbelianGroup, IntMatrix, f2_solvable, kernel_basis
+from .intalg import FgAbelianGroup, IntMatrix, cokernel, f2_solvable, kernel_basis
 
 # letters are encoded as +-1 (a, a^-1) and +-2 (b, b^-1)
 _CHAR_TO_LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
@@ -162,12 +161,7 @@ class ZMap:
 def abelianization(p: Presentation) -> FgAbelianGroup:
     """The quotient of Z^2 by the relators' exponent columns, in canonical
     form (free rank plus a divisibility chain of torsion coefficients)."""
-    if not p.relators:
-        return FgAbelianGroup.free(2)
-    factors = intalg.smith_normal_form(p.exponent_matrix(), track=()).d
-    rank = 2 - len(factors)
-    torsion = tuple(v for v in factors if v >= 2)
-    return FgAbelianGroup(rank, torsion)
+    return cokernel(p.exponent_matrix())
 
 
 @dataclass(frozen=True)
@@ -243,8 +237,6 @@ class Epimorphisms:
 def _character_lattice(p: Presentation) -> IntMatrix:
     """Basis (as columns) of the integer characters vanishing on all
     relators: the kernel of the transposed exponent matrix."""
-    if not p.relators:
-        return IntMatrix.identity(2)
     return kernel_basis(p.exponent_matrix().transpose())
 
 

@@ -21,11 +21,11 @@ shift-and-add is 2-8 times faster at 1-4 terms and Kronecker substitution
 the twisted norm, so each of their products is O(n).
 
 Every complex here has rank one in each degree, so a boundary is one
-element.  The resolution of Z repeats the same two element objects, 1 - a
-and the norm, in every degree; the compose-to-zero check multiplies each
-distinct adjacent pair once and `coefficients_complex` calls `rho` once per
-distinct element, so a resolution of any length costs two products and two
-`rho` calls, and degrees of the same parity share one integer matrix.
+element.  The resolution of Z has period 2: from degree 1 on, d_k = d_(k-2),
+so the homology in any degree k >= 1 is that of degree 1 or 2 and needs no
+resolution past top degree 3.  `cohomology.cyclic_homology` builds only
+that window; a resolution of top degree t costs t - 1 products to check
+and t `rho` calls to expand.
 
 A coefficient module is one of the four named ones, of rank at most 2,
 whose generator acts by a symmetric involution, so `rho(x)` is O(n): the
@@ -270,9 +270,7 @@ class GroupRingComplex:
 
     C_0, ..., C_top are each Z[Z/n], and d_k : C_k -> C_(k-1) is
     multiplication by boundaries[k-1].  Consecutive boundaries must
-    compose to zero.  Each distinct adjacent pair is multiplied once; pairs
-    are keyed on object identity, because hashing n coefficients per degree
-    costs as much as the product it would save.
+    compose to zero; every adjacent pair is multiplied once.
     """
 
     n: int
@@ -281,8 +279,7 @@ class GroupRingComplex:
     def __post_init__(self) -> None:
         if any(d.n != self.n for d in self.boundaries):
             raise RingMismatch("boundary over wrong group ring")
-        pairs = {(id(d_out), id(d_in)): (d_out, d_in) for d_out, d_in in zip(self.boundaries, self.boundaries[1:])}
-        if not all((d_out * d_in).is_zero() for d_out, d_in in pairs.values()):
+        if not all((d_out * d_in).is_zero() for d_out, d_in in zip(self.boundaries, self.boundaries[1:])):
             raise ValueError("consecutive boundaries do not compose to zero")
 
     @property
@@ -300,8 +297,8 @@ def standard_resolution(n: int, top_degree: int) -> GroupRingComplex:
     """The periodic free resolution of Z over Z[Z/n].
 
     Rank one in every degree; the boundary alternates between
-    multiplication by 1 - a (odd degrees) and by the norm (even degrees),
-    and every degree of the same parity holds the same element object.
+    multiplication by 1 - a (odd degrees) and by the norm (even degrees).
+    Homology reads a window of top degree at most 3 (module docstring).
     """
     if n < 1:
         raise ValueError("group order must be >= 1")
@@ -318,8 +315,7 @@ def coefficients_complex(cx: GroupRingComplex, coeff: CoefficientModule) -> IntC
     Each degree is M itself, `coeff.rank` integer coordinates, and the
     degree-k boundary is rho(d_k), the matrix by which the boundary element
     acts on M.  Its homology is H_k(cx; M), independent of how far cx
-    extends beyond the queried degree.  `rho` runs once per distinct
-    element object, so degrees that repeat an element share one matrix.
+    extends beyond the queried degree.  `rho` runs once per degree.
 
     Cohomology needs no second complex.  The coboundary of Hom(cx, M)
     sends f to f o d_k, which is f followed by rho(d_k).  rho(d_k) is a
@@ -329,7 +325,5 @@ def coefficients_complex(cx: GroupRingComplex, coeff: CoefficientModule) -> IntC
     """
     if coeff.n != cx.n:
         raise RingMismatch("complex and coefficients over different group rings")
-    distinct = {id(d): d for d in cx.boundaries}
-    expanded = {key: coeff.rho(d) for key, d in distinct.items()}
-    down = tuple(expanded[id(d)] for d in cx.boundaries)
+    down = tuple(coeff.rho(d) for d in cx.boundaries)
     return IntComplex(dims=(coeff.rank,) * (cx.top + 1), down=down, modulus=coeff.modulus)

@@ -22,12 +22,13 @@ ring (the group is a 4-torus group, so reduction of the fundamental class
 is the nonzero mod-2 class and the pairing with degree-4 cohomology is
 coefficient extraction).
 
-`_cyclic_reduction_bit` and `realizable_classes` are memoized (unbounded
-`functools.lru_cache`, keyed on their exact arguments with their types),
-as is `cohomology.h_twisted` underneath them.  They are pure functions of
-their arguments, and what is kept is small and frozen: an int bit and a
-`RealizableSet`.  The chain complexes they build are not kept.  So each
-distinct family is computed once per process, however many
+`realizable_classes` is memoized (an unbounded `functools.lru_cache`,
+keyed on its exact arguments with their types), as is
+`cohomology.cyclic_homology` underneath it, which holds the degree-4
+subquotients that `h_twisted` and `_cyclic_reduction_bit` read.  Both are
+pure functions of their arguments, and what is kept is frozen: a
+`RealizableSet` and the `Subquotient`s.  The chain complexes are not
+kept.  So each distinct family is computed once per process, however many
 `ImmersionType`s are built from it, and the computation stays reachable
 as `__wrapped__`.
 """
@@ -42,13 +43,13 @@ from .cohomology import (
     CyclicMod2Class,
     Z4Mod2Class,
     cyclic_generator,
+    cyclic_homology,
     cyclic_zero,
     h_twisted,
     sq2_w,
     z4_class,
     z4_monomials,
 )
-from .groupring import coefficient_module, coefficients_complex, standard_resolution
 from .intalg import FgAbelianGroup, IntMatrix, f2_rank
 
 FAMILIES = ("trivial", "cyclic", "Z", "Z4")
@@ -176,23 +177,16 @@ def _w2_class_z4(w2: str) -> Z4Mod2Class:
     raise ValueError(f"no degree-2 class for symbol {w2!r}")
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def _cyclic_reduction_bit(n: int) -> int:
     """Whether the mod-2 reduction H_4(Z/n; Z^w) -> H_4(Z/n; Z/2) is nonzero.
 
     Computed chain-level: take the canonical generator of the twisted
     degree-4 homology on the periodic resolution and read off its class in
-    the mod-2 homology of the same resolution.
+    the mod-2 homology of the same resolution.  n must be even; both
+    groups are then Z/2.
     """
-    res = standard_resolution(n, 5)
-    data_w = coefficients_complex(res, coefficient_module("Zw", n)).homology_data(4)
-    if data_w.group.is_zero():
-        return 0
-    gen = data_w.generator(0)
-    data_2 = coefficients_complex(res, coefficient_module("Z2", n)).homology_data(4)
-    if data_2.group.is_zero():
-        return 0
-    (bit,) = data_2.class_of(list(gen))
+    gen = cyclic_homology(n, "Zw", 4).generator(0)
+    (bit,) = cyclic_homology(n, "Z2", 4).class_of(list(gen))
     return bit % 2
 
 
@@ -224,14 +218,11 @@ def d2_40(family: str, n: int | None = None, w1: int = 0, w2: str = "0") -> D2Ma
         return D2Map(domain, FgAbelianGroup.cyclic(2), ((entry,),), kernel=kernel)
     # rank-4 free abelian, orientable: H_4 = Z, reduction of the generator
     # is the nonzero mod-2 class; pair with the twisted square of each
-    # degree-2 monomial.
+    # degree-2 monomial.  Degree 4 has the one monomial e1e2e3e4, so the
+    # pairing is its coefficient bits[0].
     w2c = _w2_class_z4(w2)
     w1c = Z4Mod2Class(1, (0, 0, 0, 0))
-    vol = z4_monomials(4)[0]
-    col = []
-    for mono in z4_monomials(2):
-        out = sq2_w(w1c, w2c, z4_class(2, [mono]))
-        col.append(out.bits[0] if out.monomials() == [vol] else (1 if vol in out.monomials() else 0))
+    col = [sq2_w(w1c, w2c, z4_class(2, [mono])).bits[0] for mono in z4_monomials(2)]
     matrix = tuple((b,) for b in col)
     kernel = Subgroup(0, 1 if all(b == 0 for b in col) else 2)
     return D2Map(FgAbelianGroup.free(1), FgAbelianGroup(0, (2,) * 6), matrix, kernel=kernel)

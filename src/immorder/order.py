@@ -76,11 +76,11 @@ class ImmersionType:
             james._validate(self.group, self.n, self.w1, self.w2)
         except ValueError as exc:
             raise InvalidType(str(exc)) from exc
-        modulus = james.ambient_subgroup_modulus(self.group, self.n, self.w1)
-        c = abs(self.c)
-        if modulus:
-            c %= modulus
         realizable = james.realizable_classes(self.group, self.n, self.w1, self.w2)
+        # the realizable subgroup lives in the ambient H_4, so shares its modulus
+        c = abs(self.c)
+        if realizable.subgroup.modulus:
+            c %= realizable.subgroup.modulus
         if not realizable.subgroup.contains(c):
             kind = "realized" if realizable.determined else "realizable"
             raise InvalidType(

@@ -327,19 +327,20 @@ def shift_data(n: int, w: int) -> ShiftData:
         raise AssertionError("short exact sequences fail to compose to zero")
     res = standard_resolution(n, 5)
     sign = -1 if w else 1
-    on_ring: dict[int, IntMatrix] = {}
-    on_ideal: dict[int, IntMatrix] = {}
-    for d in {id(d): d for d in res.boundaries}.values():
+    on_ring: list[IntMatrix] = []
+    on_ideal: list[IntMatrix] = []
+    for d in (res.boundary(2), res.boundary(1)):
         # d acts on R^w as d with a replaced by (-1)^w a acts on R, and on I^w
         # by that matrix times incl_i, whose column j - 1 is column j minus column 0
         m = regular_representation(GroupRingElement(n, tuple(sign * c if i % 2 else c for i, c in enumerate(d.coeffs))))
         e = m.entries
         restricted = IntMatrix(n, n - 1, tuple(e[i + j] - e[i] for i in range(0, n * n, n) for j in range(1, n)))
-        on_ring[id(d)] = m
-        on_ideal[id(d)] = _ideal_coordinates(restricted, "augmentation-ideal basis is not action-invariant")
+        on_ring.append(m)
+        on_ideal.append(_ideal_coordinates(restricted, "augmentation-ideal basis is not action-invariant"))
 
-    def chain(rank: int, blocks: dict[int, IntMatrix]) -> IntComplex:
-        return IntComplex((rank,) * (res.top + 1), tuple(blocks[id(d)] for d in res.boundaries))
+    def chain(rank: int, blocks: list[IntMatrix]) -> IntComplex:
+        # d_k = d_(k-2): blocks[k % 2] is the boundary of degree k
+        return IntComplex((rank,) * (res.top + 1), tuple(blocks[k % 2] for k in range(1, res.top + 1)))
 
     trivial = coefficients_complex(res, coefficient_module("Zw" if w else "Z", n))
     return ShiftData(

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from immorder import cohomology
 from immorder.cohomology import (
     CyclicHom,
     CyclicMod2Class,
@@ -13,6 +14,7 @@ from immorder.cohomology import (
     Z4Mod2Class,
     cup,
     cyclic_generator,
+    cyclic_homology,
     cyclic_zero,
     h_twisted,
     pullback,
@@ -23,10 +25,10 @@ from immorder.cohomology import (
     z4_class,
     z4_monomials,
 )
-from immorder.groupring import InvalidTwist, RingMismatch
-from immorder.intalg import FgAbelianGroup
+from immorder.groupring import COEFFICIENT_NAMES, GroupRingElement, InvalidTwist, RingMismatch, coefficient_module
+from immorder.intalg import FgAbelianGroup, IntComplex, IntMatrix
 
-from oracles import DiagonalOracle, bockstein_oracle, pullback_multiplier_oracle
+from oracles import DiagonalOracle, bockstein_oracle, pullback_multiplier_oracle, reference_resolution_boundaries
 
 
 # -- twisted homology ----------------------------------------------------------
@@ -60,7 +62,44 @@ def test_cached_h_twisted_matches_computation():
     for n in range(1, 65):
         for w in (0, 1) if n % 2 == 0 else (0,):
             for k in range(7):
-                assert h_twisted(n, w, k) == h_twisted.__wrapped__(n, w, k), (n, w, k)
+                assert h_twisted(n, w, k) == cyclic_homology.__wrapped__(n, "Zw" if w else "Z", k).group, (n, w, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.sampled_from(COEFFICIENT_NAMES), st.integers(min_value=0, max_value=64))
+def test_cyclic_homology_matches_full_length_reference(n, name, k):
+    """Degree k read on the window is degree k of the resolution built
+    degree by degree up to k + 1, with fresh elements and its own rho in
+    each degree: the same subquotient, generators and all."""
+    assume(n % 2 == 0 or name in ("Z", "Z2"))
+    mod = coefficient_module(name, n)
+    ref = tuple(IntMatrix.from_rows(m) for m in reference_resolution_boundaries(n, k + 1, mod.action.to_rows()))
+    ref_chain = IntComplex((mod.rank,) * (k + 2), ref, mod.modulus)
+    assert cyclic_homology.__wrapped__(n, name, k) == ref_chain.homology_data(k)
+
+
+@pytest.mark.parametrize("name", COEFFICIENT_NAMES)
+def test_cyclic_homology_builds_only_the_window(monkeypatch, name):
+    """Any degree up to 64 reads a resolution of top degree at most 3,
+    checked with at most two group-ring products."""
+    tops, products = [], []
+    build, multiply = cohomology.standard_resolution, GroupRingElement.__mul__
+
+    def counting_build(n, top):
+        tops.append(top)
+        return build(n, top)
+
+    def counting_multiply(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(cohomology, "standard_resolution", counting_build)
+    monkeypatch.setattr(GroupRingElement, "__mul__", counting_multiply)
+    for k in range(65):
+        products.clear()
+        cyclic_homology.__wrapped__(12, name, k)
+        assert len(products) <= 2, k
+    assert len(tops) == 65 and max(tops) <= 3
 
 
 def test_h_twisted_cache_keys_on_argument_types():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from immorder import groupring
 from immorder.groupring import (
@@ -241,14 +241,17 @@ def test_rho_takes_no_matrix_products(monkeypatch):
     ],
 )
 def test_module_rejects_action_whose_order_does_not_divide_n(rows, n):
-    """Every action here is refused: it has no order dividing n, or it is
-    not a symmetric involution, which is what a named module's action is."""
+    """Every action here is refused: it is not a symmetric involution, or
+    it is a nontrivial one on a group of odd order, which acts trivially.
+    A named module's action is a symmetric involution of that kind."""
     action = IntMatrix.from_rows(rows)
     with pytest.raises(ValueError, match="'twisted-test'"):
         CoefficientModule("twisted-test", n, action.rows, action, 0)
 
 
-def test_module_accepts_actions_of_dividing_order_and_checks_shape():
+def test_module_accepts_symmetric_involution_and_checks_shape():
+    """A symmetric involution of any rank is accepted; the action must be
+    square of the module's rank."""
     swap = IntMatrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     assert CoefficientModule("swap", 4, 4, swap, 0).rho(GroupRingElement.gen(4)) == swap
     with pytest.raises(ValueError, match="'wrong-rank'"):
@@ -267,26 +270,13 @@ def test_twisted_norm_matches_its_definition():
 # -- resolutions and expansion --------------------------------------------------
 
 
-def test_standard_resolution_shape(monkeypatch):
+def test_standard_resolution_shape():
     r = standard_resolution(4, 5)
     assert r.top == 5
     assert r.boundary(1).coeffs == (1, -1, 0, 0)
     assert r.boundary(2) == norm(4)
     with pytest.raises(IndexError):
         r.boundary(6)
-    # one period of two elements: the compose-to-zero check makes one
-    # product per distinct adjacent pair, whatever the length
-    products = []
-    original = GroupRingElement.__mul__
-
-    def counting(self, other):
-        products.append(other)
-        return original(self, other)
-
-    monkeypatch.setattr(GroupRingElement, "__mul__", counting)
-    long = standard_resolution(4, 40)
-    assert len(products) == 2
-    assert all(long.boundary(k) is long.boundary(k + 2) for k in range(1, 39))
 
 
 def test_complex_validation_rejects_non_complex():
@@ -359,26 +349,3 @@ def test_resolution_homology_matches_full_length_reference(n, name):
     for k in range(21):
         assert chain.homology(k) == ref_chain.homology(k)
         assert chain.cohomology(k) == ref_dual.cohomology(k)
-
-
-@settings(max_examples=30, deadline=None)
-@given(orders, st.sampled_from(COEFFICIENT_NAMES), st.integers(min_value=2, max_value=40))
-@example(6, "Zw", 5)
-def test_coefficients_complex_computes_rho_once_per_entry(n, name, top):
-    """`rho` runs once per distinct boundary element: the resolution
-    repeats 1 - a and the norm, so any top >= 2 costs two calls, and
-    degrees of the same parity share one matrix object."""
-    assume(n % 2 == 0 or name in ("Z", "Z2"))
-    mod = coefficient_module(name, n)
-    calls = []
-    original = CoefficientModule.rho
-
-    def counting(self, x):
-        calls.append(x)
-        return original(self, x)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CoefficientModule, "rho", counting)
-        chain = coefficients_complex(standard_resolution(n, top), mod)
-    assert len(calls) == 2
-    assert all(chain.down[k] is chain.down[k + 2] for k in range(top - 2))
