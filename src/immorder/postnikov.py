@@ -12,7 +12,10 @@ odd-index projection diagrams with their candidate verticals
 (m^2 p, m p, p, p), decides the retraction obstruction for the augmentation
 ideal, and evaluates the shift homomorphism
 H_4(Z/n; Z^w) -> H_1(Z/n; (ker N)^w) by composing three explicit
-snake-lemma connecting homomorphisms.
+snake-lemma connecting homomorphisms.  The resolution behind the shift
+has period 2, so the ring and ideal complexes are kept as their two
+distinct boundaries, and H_4 = H_2 with Z^w coefficients is read from the
+cached `cohomology.cyclic_homology`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .cohomology import CyclicHom, IllFormedHom
+from .cohomology import CyclicHom, IllFormedHom, cyclic_homology
 from .groupring import (
     COEFFICIENT_NAMES,
     GroupRingComplex,
@@ -32,15 +35,14 @@ from .groupring import (
     coefficients_complex,
     norm,
     regular_representation,
-    standard_resolution,
     twisted_norm,
 )
 from .intalg import (
     Factorization,
     FgAbelianGroup,
-    IntComplex,
     IntMatrix,
     f2_solvable,
+    homology_data,
     kernel_basis,
     solve_linear,
 )
@@ -260,38 +262,32 @@ class ShiftData:
     Modules: R = Z[Z/n], Z (trivial), I = ker(eps) = ker(N), and the norm
     line (N) = ker(1 - a), all twisted by the character w.  Sequences:
 
-      0 -> I  -> R -> Z   -> 0   (inclusion_i, proj_z)
-      0 -> (N)-> R -> I   -> 0   (inclusion_n, proj_i: x -> (1-a) x)
-      0 -> I  -> R -> (N) -> 0   (inclusion_i, proj_n: x -> N x)
+      0 -> I  -> R -> Z   -> 0   (x -> eps x, the augmentation row)
+      0 -> (N)-> R -> I   -> 0   (proj_i: x -> (1-a) x)
+      0 -> I  -> R -> (N) -> 0   (x -> N x, read as eps x)
 
-    Each complex is the module tensored over the standard resolution,
-    degrees 0..5 (chain side), so homology in degrees 1..4 is available.
+    The standard resolution has period 2 (d_k = d_(k-2) for k >= 1), so
+    R^w and I^w tensored over it have two distinct boundaries each:
+    `ring[k % 2]` and `ideal[k % 2]` are the boundaries of degree k >= 1.
     An element acts on R by its `regular_representation` with the odd
     coefficients times (-1)^w, and on I by that matrix read in the basis
-    inclusion_i.  Z and (N) are both the trivial module twisted by w, so
-    `complex_z` and `complex_n` are one complex.
-    Nothing is solved against the inclusions: inclusion_i = [-1 ... -1; I]
-    and the all-ones column inclusion_n are read by coordinates
-    (`_ideal_coordinates`, `_norm_line_coordinates`).
+    [-1 ... -1; I] of the augmentation ideal.  Z^w and (N)^w are both the
+    trivial module twisted by w, whose homology is `cyclic_homology`.
+    Nothing is solved against the inclusions: I and (N) are read by
+    coordinates (`_ideal_coordinates`, `_norm_line_coordinates`).
     """
 
     n: int
     w: int
-    inclusion_i: IntMatrix
-    proj_z: IntMatrix
-    inclusion_n: IntMatrix
     proj_i: IntMatrix
-    proj_n: IntMatrix
-    complex_ring: IntComplex
-    complex_z: IntComplex
-    complex_i: IntComplex
-    complex_n: IntComplex
+    ring: tuple[IntMatrix, IntMatrix]
+    ideal: tuple[IntMatrix, IntMatrix]
 
 
 def _ideal_coordinates(block: IntMatrix, message: str) -> IntMatrix:
-    """Columns of `block` in the basis inclusion_i = [-1 ... -1; I]: a column
-    x lies in I exactly when its entries sum to 0, and then x[1:] solves
-    inclusion_i @ y == x.  Raises AssertionError(message) otherwise."""
+    """Columns of `block` in the basis [-1 ... -1; I] of the augmentation
+    ideal: a column x lies in I exactly when its entries sum to 0, and then
+    x[1:] are its coordinates.  Raises AssertionError(message) otherwise."""
     p = block.cols
     if any(sum(block.entries[j::p]) for j in range(p)):
         raise AssertionError(message)
@@ -299,8 +295,8 @@ def _ideal_coordinates(block: IntMatrix, message: str) -> IntMatrix:
 
 
 def _norm_line_coordinates(block: IntMatrix, message: str) -> IntMatrix:
-    """Columns of `block` in the basis inclusion_n = [1 ... 1]: a column x
-    lies in (N) exactly when its entries are equal, and then its
+    """Columns of `block` in the basis [1 ... 1] of the norm line: a column
+    x lies in (N) exactly when its entries are equal, and then its
     coordinate is x[0].  Raises AssertionError(message) otherwise."""
     p, e = block.cols, block.entries
     if any(e[i] != e[i % p] for i in range(p, len(e))):
@@ -322,14 +318,13 @@ def shift_data(n: int, w: int) -> ShiftData:
     proj_i = _ideal_coordinates(
         regular_representation(d1), "multiplication by 1 - a escaped the augmentation ideal"
     )
-    incl_n = IntMatrix.column([1] * n)
-    if not (eps @ incl_i).is_zero() or not (proj_i @ incl_n).is_zero():
+    # proj_i kills the norm line: N (1 - a) = 0, so N and 1 - a alternate
+    if not (eps @ incl_i).is_zero() or not (proj_i @ IntMatrix.column([1] * n)).is_zero():
         raise AssertionError("short exact sequences fail to compose to zero")
-    res = standard_resolution(n, 5)
     sign = -1 if w else 1
     on_ring: list[IntMatrix] = []
     on_ideal: list[IntMatrix] = []
-    for d in (res.boundary(2), res.boundary(1)):
+    for d in (norm(n), d1):
         # d acts on R^w as d with a replaced by (-1)^w a acts on R, and on I^w
         # by that matrix times incl_i, whose column j - 1 is column j minus column 0
         m = regular_representation(GroupRingElement(n, tuple(sign * c if i % 2 else c for i, c in enumerate(d.coeffs))))
@@ -337,36 +332,18 @@ def shift_data(n: int, w: int) -> ShiftData:
         restricted = IntMatrix(n, n - 1, tuple(e[i + j] - e[i] for i in range(0, n * n, n) for j in range(1, n)))
         on_ring.append(m)
         on_ideal.append(_ideal_coordinates(restricted, "augmentation-ideal basis is not action-invariant"))
-
-    def chain(rank: int, blocks: list[IntMatrix]) -> IntComplex:
-        # d_k = d_(k-2): blocks[k % 2] is the boundary of degree k
-        return IntComplex((rank,) * (res.top + 1), tuple(blocks[k % 2] for k in range(1, res.top + 1)))
-
-    trivial = coefficients_complex(res, coefficient_module("Zw" if w else "Z", n))
-    return ShiftData(
-        n=n,
-        w=w,
-        inclusion_i=incl_i,
-        proj_z=eps,
-        inclusion_n=incl_n,
-        proj_i=proj_i,
-        proj_n=eps,
-        complex_ring=chain(n, on_ring),
-        complex_z=trivial,
-        complex_i=chain(n - 1, on_ideal),
-        complex_n=trivial,
-    )
+    return ShiftData(n=n, w=w, proj_i=proj_i, ring=tuple(on_ring), ideal=tuple(on_ideal))
 
 
 def _connecting(
-    data: ShiftData,
+    boundary: IntMatrix,
     pull_back: Callable[[IntMatrix, str], IntMatrix],
     proj: Factorization,
-    degree: int,
     cycle,
     rng: random.Random,
 ) -> tuple[int, ...]:
-    """Snake-lemma connecting map at the given degree for one sequence.
+    """Snake-lemma connecting map for one sequence, across the ring
+    boundary `boundary`.
 
     Lifts the cycle through the projection (adding a random kernel element
     so tests can certify independence of the choice), takes the boundary
@@ -383,7 +360,6 @@ def _connecting(
         t = rng.randint(-4, 4)
         col = ker.col_list(j)
         lifted = [x + t * y for x, y in zip(lifted, col)]
-    boundary = data.complex_ring.down[degree - 1]
     db = boundary.apply_vec(lifted)
     return pull_back(IntMatrix.column(db), "boundary of the lift escaped the submodule").entries
 
@@ -418,20 +394,21 @@ def shift(n: int, w: int, c: int, seed: int = 0) -> ShiftResult:
     """
     data = shift_data(n, w)
     rng = random.Random(seed)
-    h4 = data.complex_z.homology_data(4)
+    # Z^w and (N)^w are one module, and the period gives H_2 = H_4 (the
+    # subquotient at degree 2 of the window of `cyclic_homology`)
+    h4 = h2 = cyclic_homology(n, "Zw" if w else "Z", 4)
     if h4.group.is_zero():
         z4: tuple[int, ...] = (0,)
     else:
         gen4 = h4.generator(0)
         z4 = tuple(c * x for x in gen4)
-    eps = Factorization.of(data.proj_z)  # proj_n is the same augmentation row
-    z3 = _connecting(data, _ideal_coordinates, eps, 4, z4, rng)
-    z2 = _connecting(data, _norm_line_coordinates, Factorization.of(data.proj_i), 3, z3, rng)
-    z1 = _connecting(data, _ideal_coordinates, eps, 2, z2, rng)
-    # the resolution repeats its boundaries with period 2, so one subquotient
-    # serves degrees 3 and 1 of complex_i, and 4 and 2 of complex_z = complex_n
-    h1 = h3 = data.complex_i.homology_data(1)
-    h2 = h4
+    eps = Factorization.of(IntMatrix.from_rows([[1] * n]))  # R -> Z and R -> (N)
+    # the ring boundaries of degrees 4, 3 and 2 are ring[0], ring[1], ring[0]
+    z3 = _connecting(data.ring[0], _ideal_coordinates, eps, z4, rng)
+    z2 = _connecting(data.ring[1], _norm_line_coordinates, Factorization.of(data.proj_i), z3, rng)
+    z1 = _connecting(data.ring[0], _ideal_coordinates, eps, z2, rng)
+    # likewise H_3 = H_1 on I^w
+    h1 = h3 = homology_data(data.ideal[0], data.ideal[1])
     return ShiftResult(
         n=n,
         w=w,

@@ -99,7 +99,7 @@ def reference_resolution_boundaries(n: int, top: int, action_rows: list[list[int
     """rho(d_1), ..., rho(d_top) on the periodic resolution of Z over Z[Z/n].
 
     The full-length reference for `standard_resolution`,
-    `coefficients_complex` and the ring and ideal complexes of
+    `coefficients_complex` and the ring and ideal boundary blocks of
     `postnikov.shift_data`, which share one period: every degree gets a
     fresh coefficient vector, 1 - a in odd degrees and the norm in even
     ones, every adjacent pair is checked to compose to zero by the dense
@@ -377,6 +377,22 @@ def reference_ideal_blocks(n: int):
     gen = regular_representation(GroupRingElement.gen(n))
     one_minus_a = regular_representation(GroupRingElement.one(n) - GroupRingElement.gen(n))
     return inclusion, solved(gen @ inclusion), solved(one_minus_a)
+
+
+def reference_shift_sequences(n: int):
+    """The maps of the three short exact sequences behind `postnikov.shift`.
+
+    Returns (augmentation, inclusion_i, projection_i, inclusion_n): the
+    augmentation row R -> Z, which is also x -> N x read in the norm line
+    (N); the inclusion of the augmentation ideal I and the projection
+    x -> (1 - a) x onto it, from `reference_ideal_blocks`; and the all-ones
+    column spanning (N).  `shift_data` keeps none of them but the
+    projection, and reads I and (N) by coordinates.
+    """
+    from immorder.intalg import IntMatrix
+
+    inclusion, _, projection = reference_ideal_blocks(n)
+    return IntMatrix.from_rows([[1] * n]), inclusion, projection, IntMatrix.column([1] * n)
 
 
 def reference_pull_back(inclusion, x) -> tuple[int, ...] | None:

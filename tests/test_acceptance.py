@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from immorder.cohomology import CyclicHom, h_twisted
+from immorder.cohomology import CyclicHom, cyclic_homology, h_twisted
 from immorder.fibering import (
     Presentation,
     ZMap,
@@ -21,7 +21,7 @@ from immorder.fibering import (
     parse_word,
 )
 from immorder.groupring import norm
-from immorder.intalg import FgAbelianGroup
+from immorder.intalg import FgAbelianGroup, homology_data
 from immorder.james import d2_40, realizable_classes
 from immorder.order import (
     ImmersionType,
@@ -39,7 +39,7 @@ from immorder.postnikov import (
     shift_data,
     verify_projection_diagram,
 )
-from oracles import exhaustive_connecting_classes
+from oracles import exhaustive_connecting_classes, reference_shift_sequences
 
 ZERO = FgAbelianGroup.zero()
 Z2 = FgAbelianGroup.cyclic(2)
@@ -248,13 +248,14 @@ def test_criterion_09_shift_self_consistency():
     for n in (2, 4):
         data = shift_data(n, 1)
         r = shift(n, 1, 1)
-        h3 = data.complex_i.homology_data(3)
-        h2 = data.complex_n.homology_data(2)
-        h1 = data.complex_i.homology_data(1)
+        eps, inclusion_i, _, inclusion_n = reference_shift_sequences(n)
+        # ring[k % 2] is the degree-k boundary; degrees 3 and 1 of I^w share theirs
+        h3 = h1 = homology_data(data.ideal[0], data.ideal[1])
+        h2 = cyclic_homology(n, "Zw", 2)
         stages = (
-            (data.proj_z, data.inclusion_i, data.complex_ring.down[3], r.cycles[0], h3.class_of),
-            (data.proj_i, data.inclusion_n, data.complex_ring.down[2], r.cycles[1], h2.class_of),
-            (data.proj_n, data.inclusion_i, data.complex_ring.down[1], r.cycles[2], h1.class_of),
+            (eps, inclusion_i, data.ring[4 % 2], r.cycles[0], h3.class_of),
+            (data.proj_i, inclusion_n, data.ring[3 % 2], r.cycles[1], h2.class_of),
+            (eps, inclusion_i, data.ring[2 % 2], r.cycles[2], h1.class_of),
         )
         for (proj, incl, bd, cycle, classify), expected in zip(stages, r.classes[1:]):
             assert exhaustive_connecting_classes(proj, incl, bd, cycle, classify, 3) == {expected}

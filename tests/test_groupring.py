@@ -240,7 +240,7 @@ def test_rho_takes_no_matrix_products(monkeypatch):
         ([[1, 0], [1, -1]], 4),  # an involution, but not symmetric
     ],
 )
-def test_module_rejects_action_whose_order_does_not_divide_n(rows, n):
+def test_module_rejects_action_that_is_not_a_symmetric_involution(rows, n):
     """Every action here is refused: it is not a symmetric involution, or
     it is a nontrivial one on a group of odd order, which acts trivially.
     A named module's action is a symmetric involution of that kind."""

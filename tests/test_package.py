@@ -53,3 +53,21 @@ def test_cli_import_leaves_networkx_out():
         timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_only_cyclic_homology_builds_a_resolution():
+    # one entry point for the homology of Z/n: every other caller reads it
+    def callers(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "standard_resolution" in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None),
+            ):
+                yield scope
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from callers(child, f"{scope}.{child.name}" if named else scope)
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += callers(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert found == ["cohomology.cyclic_homology"]

@@ -9,7 +9,6 @@ exhaustive enumeration of snake-lemma preimage choices.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -24,9 +23,10 @@ from oracles import (
     reference_ideal_blocks,
     reference_pull_back,
     reference_resolution_boundaries,
+    reference_shift_sequences,
 )
 
-from immorder.cohomology import CyclicHom, IllFormedHom, h_twisted
+from immorder.cohomology import CyclicHom, IllFormedHom, cyclic_homology, h_twisted
 from immorder.groupring import (
     GroupRingComplex,
     GroupRingElement,
@@ -37,6 +37,7 @@ from immorder.groupring import (
     twisted_norm,
 )
 from immorder import intalg
+from immorder.cli import MAX_SHIFT_ORDER
 from immorder.intalg import Factorization, FgAbelianGroup, IntComplex, IntMatrix, kernel_basis, solve_linear
 from immorder.postnikov import (
     InvalidClass,
@@ -405,10 +406,12 @@ def test_shift_cycles_are_cycles():
         data = shift_data(n, 1)
         r = shift(n, 1, 1)
         z4, z3, z2, z1 = r.cycles
-        assert all(v == 0 for v in data.complex_z.down[3].apply_vec(list(z4)))
-        assert all(v == 0 for v in data.complex_i.down[2].apply_vec(list(z3)))
-        assert all(v == 0 for v in data.complex_n.down[1].apply_vec(list(z2)))
-        assert all(v == 0 for v in data.complex_i.down[0].apply_vec(list(z1)))
+        # d_1..d_5 on Z^w (= (N)^w), and ideal[k % 2] is d_k on I^w
+        trivial = [IntMatrix.from_rows(m) for m in reference_resolution_boundaries(n, 5, [[-1]])]
+        assert all(v == 0 for v in trivial[3].apply_vec(list(z4)))
+        assert all(v == 0 for v in data.ideal[3 % 2].apply_vec(list(z3)))
+        assert all(v == 0 for v in trivial[1].apply_vec(list(z2)))
+        assert all(v == 0 for v in data.ideal[1 % 2].apply_vec(list(z1)))
 
 
 def test_shift_data_exactness():
@@ -417,13 +420,15 @@ def test_shift_data_exactness():
     corresponding inclusion."""
     for n in (2, 4):
         data = shift_data(n, 1)
-        assert (data.proj_z @ data.inclusion_i).is_zero()
-        assert (data.proj_i @ data.inclusion_n).is_zero()
-        assert (data.proj_n @ data.inclusion_i).is_zero()
+        proj_z, inclusion_i, _, inclusion_n = reference_shift_sequences(n)
+        proj_n = proj_z  # x -> N x, read in the basis of (N)
+        assert (proj_z @ inclusion_i).is_zero()
+        assert (data.proj_i @ inclusion_n).is_zero()
+        assert (proj_n @ inclusion_i).is_zero()
         for proj, incl in (
-            (data.proj_z, data.inclusion_i),
-            (data.proj_i, data.inclusion_n),
-            (data.proj_n, data.inclusion_i),
+            (proj_z, inclusion_i),
+            (data.proj_i, inclusion_n),
+            (proj_n, inclusion_i),
         ):
             ker = kernel_basis(proj)
             for j in range(ker.cols):
@@ -436,18 +441,15 @@ def test_shift_connecting_matches_exhaustive_oracle():
     for n in (2, 4):
         data = shift_data(n, 1)
         r = shift(n, 1, 1)
-        h3 = data.complex_i.homology_data(3)
-        h2 = data.complex_n.homology_data(2)
-        h1 = data.complex_i.homology_data(1)
-        stage1 = exhaustive_connecting_classes(
-            data.proj_z, data.inclusion_i, data.complex_ring.down[3], r.cycles[0], h3.class_of, 3
-        )
+        eps, inclusion_i, _, inclusion_n = reference_shift_sequences(n)
+        # degrees 3 and 1 of I^w both sit between ideal[0] and ideal[1]
+        h3 = h1 = intalg.homology_data(data.ideal[0], data.ideal[1])
+        h2 = cyclic_homology(n, "Zw", 2)
+        stage1 = exhaustive_connecting_classes(eps, inclusion_i, data.ring[4 % 2], r.cycles[0], h3.class_of, 3)
         stage2 = exhaustive_connecting_classes(
-            data.proj_i, data.inclusion_n, data.complex_ring.down[2], r.cycles[1], h2.class_of, 3
+            data.proj_i, inclusion_n, data.ring[3 % 2], r.cycles[1], h2.class_of, 3
         )
-        stage3 = exhaustive_connecting_classes(
-            data.proj_n, data.inclusion_i, data.complex_ring.down[1], r.cycles[2], h1.class_of, 3
-        )
+        stage3 = exhaustive_connecting_classes(eps, inclusion_i, data.ring[2 % 2], r.cycles[2], h1.class_of, 3)
         assert stage1 == {r.classes[1]}
         assert stage2 == {r.classes[2]}
         assert stage3 == {r.classes[3]}
@@ -463,8 +465,10 @@ def test_shift_coordinate_maps_match_solved_reference(data):
     w = data.draw(st.sampled_from((0, 1)))
     n = 2 * data.draw(st.integers(1, 48)) if w else data.draw(st.integers(2, 96))
     sd = shift_data(n, w)
-    inclusion, _, projection = reference_ideal_blocks(n)
-    assert sd.inclusion_i == inclusion
+    _, inclusion, projection, inclusion_n = reference_shift_sequences(n)
+    # the coordinates are read in the solver's basis of I and of (N)
+    assert _ideal_coordinates(inclusion, "outside I") == IntMatrix.identity(n - 1)
+    assert _norm_line_coordinates(inclusion_n, "outside (N)") == IntMatrix.identity(1)
     assert sd.proj_i == projection
 
     entries = st.integers(-(2**70), 2**70)
@@ -475,7 +479,7 @@ def test_shift_coordinate_maps_match_solved_reference(data):
     consts = data.draw(st.lists(entries, min_size=1, max_size=3))
     lines = [[c] * n for c in consts]
     got = _norm_line_coordinates(IntMatrix.from_rows(lines).transpose(), "outside (N)")
-    assert [got.col_list(j) for j in range(got.cols)] == [list(reference_pull_back(sd.inclusion_n, x)) for x in lines]
+    assert [got.col_list(j) for j in range(got.cols)] == [list(reference_pull_back(inclusion_n, x)) for x in lines]
 
     bump = data.draw(st.integers(1, 5))
     member = data.draw(st.sampled_from(members))
@@ -483,7 +487,7 @@ def test_shift_coordinate_maps_match_solved_reference(data):
     line = data.draw(st.sampled_from(lines))
     line[data.draw(st.integers(0, n - 1))] += bump
     assert reference_pull_back(inclusion, member) is None
-    assert reference_pull_back(sd.inclusion_n, line) is None
+    assert reference_pull_back(inclusion_n, line) is None
     with pytest.raises(AssertionError, match="outside I"):
         _ideal_coordinates(IntMatrix.from_rows(members).transpose(), "outside I")
     with pytest.raises(AssertionError, match=r"outside \(N\)"):
@@ -493,10 +497,11 @@ def test_shift_coordinate_maps_match_solved_reference(data):
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_shift_ring_and_ideal_complexes_match_power_sum_reference(data):
-    """complex_ring and complex_i equal the resolution expanded degree by
-    degree, each boundary a power sum of the twisted action: a acts on R
-    by the cyclic permutation and on I by the action that the general
-    solver finds, each times (-1)^w."""
+    """The ring and ideal blocks, repeated by the period (block k % 2 in
+    degree k), equal the resolution expanded degree by degree to degree 5,
+    each boundary a power sum of the twisted action: a acts on R by the
+    cyclic permutation and on I by the action that the general solver
+    finds, each times (-1)^w."""
     w = data.draw(st.sampled_from((0, 1)))
     n = 2 * data.draw(st.integers(1, 12)) if w else data.draw(st.integers(2, 24))
     sd = shift_data(n, w)
@@ -504,9 +509,10 @@ def test_shift_ring_and_ideal_complexes_match_power_sum_reference(data):
     # a sends the basis vector a^j to a^(j + 1)
     ring = [[sign * int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
     ideal = reference_ideal_blocks(n)[1].scale(sign).to_rows()
-    for got, rank, rows in ((sd.complex_ring, n, ring), (sd.complex_i, n - 1, ideal)):
+    for blocks, rank, rows in ((sd.ring, n, ring), (sd.ideal, n - 1, ideal)):
+        got = tuple(blocks[k % 2] for k in range(1, 6))
         ref = tuple(IntMatrix.from_rows(m) for m in reference_resolution_boundaries(n, 5, rows))
-        assert got == IntComplex((rank,) * 6, ref)
+        assert IntComplex((rank,) * 6, got) == IntComplex((rank,) * 6, ref)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
@@ -516,13 +522,27 @@ def test_shift_pull_back_refuses_a_boundary_outside_the_submodule(n):
     lift of a nonzero I-vector through 1 - a is not constant, so both
     pull-backs raise the explicit error."""
     data = shift_data(n, 0)
-    doctored = dataclasses.replace(data, complex_ring=IntComplex((n, n), (IntMatrix.identity(n),)))
+    eps = reference_shift_sequences(n)[0]
     message = "boundary of the lift escaped the submodule"
     with pytest.raises(AssertionError, match=message):
-        _connecting(doctored, _ideal_coordinates, Factorization.of(data.proj_z), 1, (1,), random.Random(0))
+        _connecting(IntMatrix.identity(n), _ideal_coordinates, Factorization.of(eps), (1,), random.Random(0))
     cycle = tuple(int(i == 0) for i in range(n - 1))
     with pytest.raises(AssertionError, match=message):
-        _connecting(doctored, _norm_line_coordinates, Factorization.of(data.proj_i), 1, cycle, random.Random(0))
+        _connecting(
+            IntMatrix.identity(n), _norm_line_coordinates, Factorization.of(data.proj_i), cycle, random.Random(0)
+        )
+
+
+def test_shift_h4_is_degree_four_of_the_full_trivial_complex():
+    """The H_4 = H_2 that `shift` reads from `cyclic_homology` is the
+    degree-4 subquotient, generators included, of the trivial module
+    Z^w tensored over the resolution written out to degree 5, at every
+    order the shift command accepts."""
+    for n in range(2, MAX_SHIFT_ORDER + 1):
+        for w in (0, 1) if n % 2 == 0 else (0,):
+            bounds = reference_resolution_boundaries(n, 5, [[-1 if w else 1]])
+            full = IntComplex((1,) * 6, tuple(IntMatrix.from_rows(m) for m in bounds))
+            assert cyclic_homology(n, "Zw" if w else "Z", 4) == full.homology_data(4), (n, w)
 
 
 @pytest.mark.parametrize(("n", "w"), [(40, 1), (27, 0)])
@@ -534,7 +554,11 @@ def test_shift_factors_each_basis_once(monkeypatch, n, w):
     of either inclusion (n x (n - 1) and n x 1).  Factoring the one
     augmentation row (proj_z is proj_n) once, and reading H_2 off the
     H_4 subquotient of the same complex, brought both to 8: exactly one
-    Smith form has the shape 1 x n of the augmentation."""
+    Smith form has the shape 1 x n of the augmentation.  Reading H_4 = H_2
+    from the cached `cyclic_homology` keeps 8 on a cold cache and brings
+    a repeated (n, w) to 5: its three 1 x 1 Smith forms are not taken
+    again."""
+    cyclic_homology.cache_clear()
     calls = []
     snf = intalg.smith_normal_form
 
@@ -547,3 +571,8 @@ def test_shift_factors_each_basis_once(monkeypatch, n, w):
     assert len(calls) == 8
     assert sum((a.rows, a.cols) == (1, n) for a in calls) == 1
     assert not any((a.rows, a.cols) in ((n, n - 1), (n, 1)) for a in calls)
+    calls.clear()
+    shift(n, w, 3, seed=1)
+    assert len(calls) == 5
+    assert sum((a.rows, a.cols) == (1, n) for a in calls) == 1
+    assert not any((a.rows, a.cols) in ((1, 1), (n, n - 1), (n, 1)) for a in calls)
