@@ -2,12 +2,16 @@
 """Print the Smith forms, cokernels, kernels and solutions of a fixed grid.
 
 For each matrix of a seeded grid it prints `d`, `U`, `V`, `uinv` and
-`vinv` from `smith_normal_form`, then `cokernel`, `kernel_basis` and
-`solve_linear` (one consistent right-hand side and one random one).  The
+`vinv` from `smith_normal_form`, then `cokernel`, the kernel lattice of
+`kernel_basis` as its column Hermite basis, and the verdict of
+`solve_linear` with whether A x == b holds (one consistent right-hand
+side and one random one).  The kernel and solve lines do not depend on
+the basis or the particular solution that an elimination picks.  The
 grid holds dense matrices with entries in -9..9 in the shapes of the
 `dense-snf` benchmark, up to 18x18 and 16x20, and zero, empty,
-rank-deficient, 1 x n and n x 1 matrices.  Comparing the output of two versions byte for byte shows
-whether a change to the elimination moved any transform:
+rank-deficient, 1 x n and n x 1 matrices.  Comparing the output of two
+versions byte for byte shows whether a change to the elimination moved
+any transform or any answer:
 
     PYTHONPATH=src python3 scripts/snf_grid.py > snf.txt
 """
@@ -47,6 +51,33 @@ def _rows(m: IntMatrix | None) -> str:
     return "None" if m is None else repr(m.to_rows())
 
 
+def hermite_columns(basis: IntMatrix) -> list[list[int]]:
+    """The column Hermite basis of the lattice spanned by the columns of
+    `basis`: row echelon form of its transpose over Z, each pivot
+    positive and the entries above it reduced modulo it.  Two bases of
+    one lattice give the same list."""
+    vecs = [basis.col_list(j) for j in range(basis.cols)]
+    out: list[list[int]] = []
+    for i in range(basis.rows):
+        live = [v for v in vecs if v[i]]
+        vecs = [v for v in vecs if not v[i]]
+        while len(live) > 1:
+            live.sort(key=lambda v: abs(v[i]))
+            p = live[0]
+            reduced = [[x - (v[i] // p[i]) * y for x, y in zip(v, p)] for v in live[1:]]
+            vecs += [w for w in reduced if not w[i]]
+            live = [p] + [w for w in reduced if w[i]]
+        if live:
+            p = live[0] if live[0][i] > 0 else [-x for x in live[0]]
+            out = [[x - (v[i] // p[i]) * y for x, y in zip(v, p)] for v in out] + [p]
+    return out
+
+
+def _verdict(a: IntMatrix, b: list[int]) -> str:
+    x = solve_linear(a, b)
+    return "None" if x is None else f"solvable, A x == b {a.apply_vec(list(x)) == b}"
+
+
 def main() -> None:
     rng = random.Random(7)
     out = sys.stdout
@@ -56,11 +87,11 @@ def main() -> None:
         out.write(f"d {list(s.d)}\nU {_rows(s.U)}\nV {_rows(s.V)}\n")
         out.write(f"uinv {_rows(s.uinv)}\nvinv {_rows(s.vinv)}\n")
         out.write(f"cokernel {cokernel(a).pretty()}\n")
-        out.write(f"kernel {_rows(kernel_basis(a))}\n")
+        out.write(f"kernel {hermite_columns(kernel_basis(a))}\n")
         x = [rng.randint(-5, 5) for _ in range(a.cols)]
         b = [rng.randint(-9, 9) for _ in range(a.rows)]
-        out.write(f"solve consistent {solve_linear(a, a.apply_vec(x))}\n")
-        out.write(f"solve random {solve_linear(a, b)}\n")
+        out.write(f"solve consistent {_verdict(a, a.apply_vec(x))}\n")
+        out.write(f"solve random {_verdict(a, b)}\n")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from .order import ImmersionType, UndecidablePair, UndeterminedComparison
 MAX_CYCLIC_ORDER = 100_000
 MAX_SHIFT_ORDER = 96
 MAX_CHAIN_TARGET = 500
-MAX_DEGREE = 64
+MAX_DEGREE = 10**18
 MAX_WORD_TEXT = 1_000_000
 _GROUP_HELP = f"trivial, Z, Z4 or Z/n with n <= {MAX_CYCLIC_ORDER}"
 _WORD_HELP = f"at most {MAX_WORD_TEXT} characters"

@@ -17,15 +17,27 @@ dense 18x18 matrix with entries in -9..9 the invariant factors need about
 of the work, so a caller that reads only the invariant factors pays for
 none of it.
 
-Every solve goes through one path, `Factorization`: a matrix together
-with its Smith form.  `solve` takes a block of right-hand sides and costs
-one product with U, one with V and one certificate product with the
-matrix, whatever the number of columns; `kernel` reads the kernel basis
-off the same V.  `solve_linear` and `kernel_basis` factor once per call.
-Code that solves against the same matrix again and again keeps a
-factorization on the object that owns the matrix (a `Subquotient` keeps
-one of its sublattice basis for `class_of`), so it dies with its owner;
-nothing caches Smith forms beyond that.
+Every solve and kernel goes through one path, `Factorization`.  It
+first eliminates the +-1 pivots forward, on rows kept as dicts of
+nonzeros, picking each pivot by the Markowitz cost (r - 1)(c - 1), and
+gives only the non-unit core that remains to `smith_normal_form`.  This
+is the elimination strategy of Dumas, Saunders and Villard, "On efficient
+sparse integer matrix Smith normal form computations" (J. Symb. Comput.
+32, 2001).  The matrices of the shift homomorphism are sparse with +-1
+pivots, so their cores have at most one row or one column, and no
+transform of a whole matrix is ever formed.  A step that meets a dense
+block and empties no row ends the unit phase, because the Smith form
+eliminates dense list rows as cheaply.  `solve` takes a block of
+right-hand sides: it replays the unit row operations, solves the core
+with one product by its U and one by its V, back-substitutes through
+the pivot rows, and checks the whole block with one certificate product
+with the matrix.  `kernel` lifts the core's kernel the same way.
+`solve_linear`, `kernel_basis`, `homology_data` and `subquotient` all
+factor through it, once per call.  Code that solves against the same
+matrix again and again keeps a factorization on the object that owns the
+matrix (a `Subquotient` keeps one of its sublattice basis for
+`class_of`), so it dies with its owner; nothing caches Smith forms
+beyond that.
 
 Mod-2 questions take one path, the F2 elimination `_f2_echelon`:
 `f2_rank`, `f2_solvable` and the cycle lattice of `homology_data_mod2`
@@ -34,8 +46,10 @@ are read off its reduced echelon form.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from operator import mul
 
 
@@ -197,9 +211,11 @@ class SmithForm:
     is tracked exactly when its side matches A (for a side of 0 the two
     agree).  The callers in this package track what they read:
     `cokernel` and the abelianization in `fibering` read only `d` and
-    track nothing; `kernel_basis` reads V; `Factorization` solves with U
-    and V; the relation form of `subquotient` names classes with U and
-    generators with U^-1.  The default tracks all four.
+    track nothing; a `Factorization` takes the Smith form of its core
+    only, with V for `kernel_basis` and with U and V to solve; the
+    relation form of `subquotient` names classes with U and generators
+    with U^-1.  The default tracks all four, for callers that read them
+    all.
     """
 
     d: tuple[int, ...]
@@ -359,31 +375,182 @@ def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> S
     return SmithForm(d=d, U=out(u, n), V=out(vt, m, True), uinv=out(uit, n, True), vinv=out(vi, m), rows=n, cols=m)
 
 
+# The Smith form of the 0 x 0 core that unit steps leave when they use up
+# every nonzero row: all its transforms are empty, so it serves any `track`.
+_NO_CORE = smith_normal_form(IntMatrix(0, 0, ()))
+
+# A unit step (i, j, row, ops): the pivot a'[i][j] = +-1 of the matrix a'
+# reached so far, row i of a' as {column: entry}, and the row operations
+# row_k -= f * row_i, as (k, f), that cleared column j from the active rows.
+UnitStep = tuple[int, int, dict[int, int], tuple[tuple[int, int], ...]]
+
+
+def _markowitz_pivot(rows: list[dict[int, int]], counts: list[int], buckets: dict[int, set[int]]) -> tuple[int, int] | None:
+    """A +-1 entry of least Markowitz cost (r - 1)(c - 1) among the active
+    rows, r and c the nonzero counts of its row and column (`counts`), or
+    None when they hold no +-1.  Rows are searched by increasing count
+    (`buckets` maps a count to its rows), and the search stops once no row
+    left can beat the best cost: a row of count r costs at least
+    (r - 1)(c_min - 1)."""
+    cmin = min(filter(None, counts), default=1)
+    best, piv = None, None
+    for r in sorted(buckets):
+        bound = (r - 1) * (cmin - 1)
+        for i in sorted(buckets[r]):
+            if best is not None and best <= bound:
+                return piv
+            for j, x in rows[i].items():
+                if x == 1 or x == -1:
+                    cost = (r - 1) * (counts[j] - 1)
+                    if best is None or cost < best:
+                        best, piv = cost, (i, j)
+    return piv
+
+
+def _factor(a: IntMatrix, track: Collection[str]) -> "Factorization":
+    """Eliminate the +-1 pivots of `a` forward on sparse rows, then take the
+    Smith form of the nonzero core that remains, tracking `track`."""
+    n, m, e = a.rows, a.cols, a.entries
+    if 1 not in e and -1 not in e:
+        # no unit step: the core is all of a
+        return Factorization(a, (), tuple(range(n)), tuple(range(m)), smith_normal_form(a, track=track))
+    ids = list(range(m))  # one int object per column, shared by every row
+    rows = [{j: x for j, x in zip(ids, e[i * m : (i + 1) * m]) if x} for i in range(n)]
+    # the active rows by nonzero count, and the nonzeros of each column in them
+    buckets: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        if row:
+            buckets.setdefault(len(row), set()).add(i)
+    counts = [n - e[j::m].count(0) for j in range(m)]
+    nnz = len(e) - e.count(0)
+    units: list[UnitStep] = []
+    while (piv := _markowitz_pivot(rows, counts, buckets)) is not None:
+        i, j = piv
+        prow = rows[i]
+        s = prow[j]
+        buckets[len(prow)].discard(i)
+        nnz -= len(prow)
+        for c in prow:
+            counts[c] -= 1
+        targets = sorted(k for bucket in buckets.values() for k in bucket if j in rows[k])
+        # A step that touches at least as many entries as the active rows
+        # hold recounts the columns afterwards, at no more than its own
+        # cost, instead of counting every fill and cancellation.
+        bulk = len(targets) * len(prow) >= nnz
+        ops = []
+        for k in targets:
+            rk = rows[k]
+            f = rk[j] * s
+            new = rk.copy()
+            for c, v in prow.items():
+                x = new.get(c, 0) - f * v
+                if x:
+                    if not bulk and c not in rk:
+                        counts[c] += 1
+                    new[c] = x
+                else:
+                    del new[c]
+                    if not bulk:
+                        counts[c] -= 1
+            if not bulk:
+                buckets[len(rk)].discard(k)
+                if new:
+                    buckets.setdefault(len(new), set()).add(k)
+            nnz += len(new) - len(rk)
+            rows[k] = new
+            ops.append((k, f))
+        units.append((i, j, prow, tuple(ops)))
+        if bulk:
+            # A dense step that emptied no row only shrank the block by its
+            # own row and column, which the Smith form does as cheaply on
+            # list rows.
+            if all(rows[k] for k in targets):
+                break
+            active = [k for bucket in buckets.values() for k in bucket if rows[k]]
+            buckets = {}
+            for k in active:
+                buckets.setdefault(len(rows[k]), set()).add(k)
+            recount = Counter(chain.from_iterable(rows[k] for k in active))
+            counts = [recount[c] for c in ids]
+        else:
+            for r in [r for r, bucket in buckets.items() if not bucket]:
+                del buckets[r]
+    pivot_rows = {u[0] for u in units}
+    core_rows = tuple(k for k in range(n) if rows[k] and k not in pivot_rows)
+    core_cols = tuple(sorted(set().union(*(rows[k] for k in core_rows))))
+    if not core_rows:
+        return Factorization(a, tuple(units), (), (), _NO_CORE)
+    core = IntMatrix(len(core_rows), len(core_cols), tuple(chain.from_iterable(map(rows[k].get, core_cols, repeat(0)) for k in core_rows)))
+    return Factorization(a, tuple(units), core_rows, core_cols, smith_normal_form(core, track=track))
+
+
 @dataclass(frozen=True)
 class Factorization:
-    """A matrix `a` with its Smith form, kept to solve a @ X = B for many B.
+    """A matrix `a` factored to solve a @ X = B for many B and to read its
+    kernel.
 
-    With U a V = D, a solution is x = V y where D y = U b; b is reachable
-    exactly when each (U b)_i is divisible by d_i, and (U b)_i = 0 past
-    the rank.  The columns of V past the rank are a kernel basis.
+    The unit block comes first: `units` lists the +-1 pivots eliminated
+    forward by row operations, in order (see `UnitStep`), with pivots of
+    least Markowitz cost.  Row operations are unimodular, so with L their
+    product, L a has the pivot rows, upper unitriangular up to sign in
+    the pivot columns, above rows that vanish in every pivot column.  The
+    nonzero part of those rows, over `core_rows` and `core_cols`, is the
+    core, with Smith form `core` (U c V = D); with no +-1 entry the core
+    is all of a.  The other active rows are zero, and the other non-pivot
+    columns are free.  No Smith form is taken of an empty core.
+
+    So a x = b exactly when the zero rows of L b vanish and the core
+    solves its rows of L b, x = V y with D y = U (L b); the pivot entries
+    of x then follow by back-substitution through the pivot rows.  The
+    kernel is the core's kernel (the columns of V past its rank) with a
+    unit vector for each free column, lifted the same way.  No transform
+    of the whole matrix is ever formed.
+
+    `of` tracks U and V of the core, which `solve` needs; `kernel_basis`
+    builds a factorization whose core tracks V alone, enough for
+    `kernel`.
     """
 
     a: IntMatrix
-    snf: SmithForm
+    units: tuple[UnitStep, ...]
+    core_rows: tuple[int, ...]
+    core_cols: tuple[int, ...]
+    core: SmithForm
 
     def __post_init__(self) -> None:
-        if (self.snf.rows, self.snf.cols) != (self.a.rows, self.a.cols):
-            raise DimensionMismatch("Smith form does not belong to this matrix")
-        if (self.snf.U.rows, self.snf.V.rows) != (self.a.rows, self.a.cols):
-            raise ValueError("a factorization needs a Smith form that tracks U and V")
+        if (self.core.rows, self.core.cols) != (len(self.core_rows), len(self.core_cols)):
+            raise DimensionMismatch("Smith form does not belong to this core")
+        if self.core.V.rows != self.core.cols:
+            raise ValueError("a factorization needs a core Smith form that tracks V")
 
     @staticmethod
     def of(a: IntMatrix) -> "Factorization":
-        return Factorization(a, smith_normal_form(a, track=("U", "V")))
+        return _factor(a, ("U", "V"))
+
+    def _lift(self, x: dict[int, list[int]], rhs: list[list[int]] | None, p: int) -> IntMatrix:
+        """Complete x, given on the non-pivot columns as rows of p values
+        (a missing column is zero), by back-substitution through the pivot
+        rows against `rhs` (rows of L b; zero when None), as an a.cols x p
+        matrix."""
+        zero = [0] * p
+        for i, j, row, _ in reversed(self.units):
+            acc = zero if rhs is None else rhs[i]
+            for c, v in row.items():
+                if c != j and c in x:
+                    acc = [t - v * u for t, u in zip(acc, x[c])]
+            x[j] = acc if row[j] == 1 else [-t for t in acc]
+        return IntMatrix(self.a.cols, p, tuple(chain.from_iterable(map(x.get, range(self.a.cols), repeat(zero)))))
 
     def kernel(self) -> IntMatrix:
         """Columns form a Z-basis of {x : a @ x = 0}."""
-        return self.snf.V.take_cols(list(range(self.snf.rank, self.a.cols)))
+        s = self.core
+        placed = {u[1] for u in self.units}.union(self.core_cols)
+        free = [c for c in range(self.a.cols) if c not in placed]
+        k, v, w = s.cols - s.rank, s.V.entries, s.cols
+        x = {c: list(v[t * w + s.rank : (t + 1) * w]) + [0] * len(free) for t, c in enumerate(self.core_cols)}
+        for q, c in enumerate(free):
+            x[c] = [0] * (k + q) + [1] + [0] * (len(free) - q - 1)
+        return self._lift(x, None, k + len(free))
 
     def solve(self, b: IntMatrix) -> list[tuple[int, ...] | None]:
         """One solution of a @ x = b_j for each column b_j of b, or None
@@ -392,27 +559,44 @@ class Factorization:
         Every returned solution is checked against a @ x == b_j, on one
         product a @ X for the whole block.
         """
-        a, s = self.a, self.snf
+        a, s = self.a, self.core
         if b.rows != a.rows:
             raise DimensionMismatch("rhs length mismatch")
+        if s.U.rows != s.rows:
+            raise ValueError("solving needs a core Smith form that tracks U")
         p = b.cols
-        c = (s.U @ b).entries
-        y = [0] * (a.cols * p)
+        lb = [list(b.entries[i * p : (i + 1) * p]) for i in range(a.rows)]  # rows of L b
+        for i, _, _, ops in self.units:
+            li = lb[i]
+            for k, f in ops:
+                lb[k] = [x - f * y for x, y in zip(lb[k], li)]
         ok = [True] * p
-        for i in range(a.rows):
-            di = s.d[i] if i < s.rank else 0
-            for j in range(p):
-                cij = c[i * p + j]
-                if di:
-                    q, r = divmod(cij, di)
-                    if r:
+        placed = {u[0] for u in self.units}.union(self.core_rows)
+        for k in range(a.rows):
+            if k not in placed:
+                for j, x in enumerate(lb[k]):
+                    if x:
                         ok[j] = False
-                    else:
-                        y[i * p + j] = q
-                elif cij:
-                    ok[j] = False
-        x = (s.V @ IntMatrix(a.cols, p, tuple(y))).entries
-        ax, be = (a @ IntMatrix(a.cols, p, x)).entries, b.entries
+        xs: dict[int, list[int]] = {}
+        if self.core_rows:
+            cu = (s.U @ IntMatrix(s.rows, p, tuple(x for k in self.core_rows for x in lb[k]))).entries
+            y = [0] * (s.cols * p)
+            for i in range(s.rows):
+                di = s.d[i] if i < s.rank else 0
+                for j in range(p):
+                    cij = cu[i * p + j]
+                    if di:
+                        q, r = divmod(cij, di)
+                        if r:
+                            ok[j] = False
+                        else:
+                            y[i * p + j] = q
+                    elif cij:
+                        ok[j] = False
+            xc = (s.V @ IntMatrix(s.cols, p, tuple(y))).entries
+            xs = {col: list(xc[t * p : (t + 1) * p]) for t, col in enumerate(self.core_cols)}
+        xm = self._lift(xs, lb, p)
+        x, ax, be = xm.entries, (a @ xm).entries, b.entries
         for j in range(p):
             if ok[j] and ax[j::p] != be[j::p]:
                 raise AssertionError("solution fails the certificate a @ x == b")
@@ -420,9 +604,9 @@ class Factorization:
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form a Z-basis of {x : a @ x = 0}, read off V alone."""
-    s = smith_normal_form(a, track=("V",))
-    return s.V.take_cols(list(range(s.rank, a.cols)))
+    """Columns form a Z-basis of {x : a @ x = 0}; the core's Smith form
+    tracks V alone."""
+    return _factor(a, ("V",)).kernel()
 
 
 def solve_linear(a: IntMatrix, b: list[int] | tuple) -> tuple[int, ...] | None:

@@ -5,6 +5,8 @@ are expanded combinatorially, determinants use Bareiss elimination, ranks
 come from sympy, group-theoretic answers are derived from classical
 formulas rather than from the package's own Smith-form pipeline, and Hasse
 diagrams are assembled from a dict on pairs rather than from bitsets.
+`WholeSmithReference` is the one exception: it keeps the whole-matrix
+Smith-form solve that the unit elimination of `Factorization` replaced.
 """
 
 from __future__ import annotations
@@ -60,6 +62,35 @@ def oracle_homology_group(a_rows: list[list[int]], b_rows: list[list[int]]) -> t
     torsion = [d for d in invariant_factors_by_minors(a_rows) if d >= 2] if a_rows and a_rows[0] else []
     free = (n - rank_b) - rank_a
     return free, torsion
+
+
+class WholeSmithReference:
+    """The whole-matrix reference for `intalg.Factorization`.
+
+    It keeps the path that `Factorization` replaced: one
+    `smith_normal_form(a, track=("U", "V"))` of all of a, with no unit
+    elimination in front.  With U a V = D, the columns of V past the rank
+    are a kernel basis, and a @ x = b is solvable exactly when D y = U b
+    is, with x = V y.  Unlike the other oracles here it runs the
+    package's Smith form, which has tests of its own.
+    """
+
+    def __init__(self, a):
+        from immorder.intalg import smith_normal_form
+
+        self.a = a
+        self.snf = smith_normal_form(a, track=("U", "V"))
+
+    def kernel(self):
+        return self.snf.V.take_cols(list(range(self.snf.rank, self.a.cols)))
+
+    def solve(self, b) -> tuple[int, ...] | None:
+        s = self.snf
+        c = s.U.apply_vec(list(b))
+        if any(c[s.rank :]) or any(x % d for x, d in zip(c, s.d)):
+            return None
+        y = [x // d for x, d in zip(c, s.d)] + [0] * (self.a.cols - s.rank)
+        return tuple(s.V.apply_vec(y))
 
 
 def cyclic_convolution(a, b) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from immorder import fibering, intalg
+from immorder.groupring import GroupRingElement, regular_representation
 from immorder.intalg import (
     DimensionMismatch,
     Factorization,
@@ -30,8 +31,15 @@ from immorder.intalg import (
     solve_linear,
     subquotient,
 )
+from immorder.postnikov import shift_data
 
-from oracles import det_int, elementary_reachable, invariant_factors_by_minors, oracle_homology_group
+from oracles import (
+    WholeSmithReference,
+    det_int,
+    elementary_reachable,
+    invariant_factors_by_minors,
+    oracle_homology_group,
+)
 
 
 small_entries = st.integers(min_value=-6, max_value=6)
@@ -136,10 +144,18 @@ def test_smith_rejects_unknown_transform_names():
 
 
 def test_factorization_rejects_a_form_without_u_and_v():
-    a = IntMatrix.from_rows([[2, 1], [0, 3]])
-    for track in (("U",), ("V",), ("uinv", "vinv"), ()):
-        with pytest.raises(ValueError, match="tracks U and V"):
-            Factorization(a, smith_normal_form(a, track=track))
+    # no entry is +-1, so the core is the whole matrix: no unit steps, every
+    # row and column in the core
+    a = IntMatrix.from_rows([[2, 4], [6, 3]])
+    assert Factorization.of(a).units == ()
+    for track in (("U",), ("uinv", "vinv"), ()):
+        with pytest.raises(ValueError, match="tracks V"):
+            Factorization(a, (), (0, 1), (0, 1), smith_normal_form(a, track=track))
+    # the kernel needs V alone; solving needs U as well
+    f = Factorization(a, (), (0, 1), (0, 1), smith_normal_form(a, track=("V",)))
+    assert f.kernel().cols == 0
+    with pytest.raises(ValueError, match="tracks U"):
+        f.solve(a)
 
 
 def test_each_caller_tracks_only_what_it_reads(monkeypatch):
@@ -160,18 +176,30 @@ def test_each_caller_tracks_only_what_it_reads(monkeypatch):
 
     assert calls(cokernel, a) == [frozenset()]
     assert calls(fibering.abelianization, fibering.Presentation.parse("<a,b|aab,bbAB>")) == [frozenset()]
+    # a factorization takes the Smith form of its core only: with no +-1
+    # entry that is all of a, with one it is what the unit step leaves
     assert calls(Factorization.of, a) == [frozenset({"U", "V"})]
     assert calls(kernel_basis, a) == [frozenset({"V"})]
     assert calls(solve_linear, a, [2, 6]) == [frozenset({"U", "V"})]
-    # subquotient factors its sublattice basis to solve, then reads the
-    # relation form with U (classes) and U^-1 (generators)
-    basis = IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
+    unit = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert calls(Factorization.of, unit) == [frozenset({"U", "V"})]
+    assert calls(kernel_basis, unit) == [frozenset({"V"})]
+    f = Factorization.of(unit)
+    assert len(f.units) == 1 and (f.core.rows, f.core.cols, f.core.d) == (1, 1, (2,))
+    # subquotient factors its sublattice basis to solve (one unit step
+    # leaves the core [2]), then reads the relation form with U (classes)
+    # and U^-1 (generators)
+    basis = IntMatrix.from_rows([[2, 0], [0, 1], [0, 0]])
     rel = IntMatrix.from_rows([[2], [4], [0]])
-    subquotient_calls = [frozenset({"U", "V"}), frozenset({"U", "uinv"})]
-    assert calls(subquotient, basis, rel) == subquotient_calls
-    # the mod-2 cycle lattice comes from the F2 elimination, so the only
-    # Smith forms are the subquotient's two
-    assert calls(homology_data_mod2, IntMatrix.from_rows([[1], [1], [0]]), a) == subquotient_calls
+    assert calls(subquotient, basis, rel) == [frozenset({"U", "V"}), frozenset({"U", "uinv"})]
+    # when the unit steps use up the whole basis, no Smith form is taken of
+    # its empty core, and the relation form is the only one
+    identity_basis = IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
+    assert calls(subquotient, identity_basis, rel) == [frozenset({"U", "uinv"})]
+    # the mod-2 cycle lattice comes from the F2 elimination, and its basis
+    # (2 on the pivot, 0/1 lifts) is all unit steps here, so the only Smith
+    # form is the relation form
+    assert calls(homology_data_mod2, IntMatrix.from_rows([[1], [1], [0]]), a) == [frozenset({"U", "uinv"})]
     assert calls(f2_solvable, a, [1, 0]) == []
 
 
@@ -303,6 +331,67 @@ def test_square_consistency_agrees_with_cramer(rows_and_rhs):
             assert x is None
 
 
+@st.composite
+def unit_path_matrices(draw):
+    """Inputs for the unit elimination: the shift blocks, circulants of
+    group-ring elements, sparse matrices, empty shapes, a matrix with no
+    +-1 entry (its core is all of it) and the rank-one all-ones matrix."""
+    kind = draw(st.sampled_from(["shift", "circulant", "sparse", "empty", "no_unit", "ones"]))
+    if kind == "shift":
+        w = draw(st.sampled_from((0, 1)))
+        n = 2 * draw(st.integers(1, 48)) if w else draw(st.integers(2, 96))
+        sd = shift_data(n, w)
+        return draw(st.sampled_from([sd.proj_i, sd.ring[0], sd.ring[1], sd.ideal[0], sd.ideal[1]]))
+    if kind == "circulant":
+        n = draw(st.integers(1, 12))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return regular_representation(GroupRingElement(n, tuple(coeffs)))
+    if kind == "empty":
+        k = draw(st.integers(0, 4))
+        return draw(st.sampled_from([IntMatrix.zeros(0, k), IntMatrix.zeros(k, 0), IntMatrix.zeros(k, k)]))
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if kind == "ones":
+        return IntMatrix(r, c, (1,) * (r * c))
+    values = [0, 0, 0, 2, -2, 3, -3] if kind == "no_unit" else [0, 0, 0, 1, -1, 2, -2, 3, -3]
+    return IntMatrix(r, c, tuple(draw(st.lists(st.sampled_from(values), min_size=r * c, max_size=r * c))))
+
+
+def _solves_into(basis: IntMatrix, vectors: IntMatrix) -> bool:
+    ref = WholeSmithReference(basis)
+    return all(ref.solve(vectors.col_list(j)) is not None for j in range(vectors.cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_path_matrices(), st.data())
+def test_unit_elimination_matches_the_whole_smith_form(a, data):
+    """The unit steps and the core's Smith form give the invariant factors,
+    the kernel lattice and the solve verdicts of one Smith form of the
+    whole matrix."""
+    f, ref = Factorization.of(a), WholeSmithReference(a)
+    # each unit step is an invariant factor 1, ahead of the core's
+    d = (1,) * len(f.units) + f.core.d
+    assert d == ref.snf.d
+    if max(a.rows, a.cols) <= 4:
+        assert list(d) == invariant_factors_by_minors(a.to_rows())
+    # the kernels span one lattice, and the new one is a basis of it
+    k, k_ref = f.kernel(), ref.kernel()
+    assert k == kernel_basis(a)
+    assert (a @ k).is_zero() and k.cols == k_ref.cols
+    assert len(WholeSmithReference(k).snf.d) == k.cols
+    assert _solves_into(k, k_ref) and _solves_into(k_ref, k)
+    # solve verdicts, on planted and random right-hand sides
+    cols = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        x = data.draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
+        cols.append(a.apply_vec(x))
+        cols.append(data.draw(st.lists(st.integers(-4, 4), min_size=a.rows, max_size=a.rows)))
+    b = IntMatrix(a.rows, len(cols), tuple(col[i] for i in range(a.rows) for col in cols))
+    for x, col in zip(f.solve(b), cols):
+        assert (x is None) == (ref.solve(col) is None)
+        if x is not None:
+            assert a.apply_vec(list(x)) == col
+
+
 def test_factorization_kernel_is_the_kernel_basis():
     a = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
     f = Factorization.of(a)
@@ -311,18 +400,23 @@ def test_factorization_kernel_is_the_kernel_basis():
 
 
 def test_factorization_rejects_a_foreign_smith_form():
+    # the identity is all unit steps, so its core is empty
+    f = Factorization.of(IntMatrix.identity(2))
+    assert (f.core.rows, f.core.cols) == (0, 0)
     with pytest.raises(DimensionMismatch):
-        Factorization(IntMatrix.identity(2), smith_normal_form(IntMatrix.identity(3)))
+        replace(f, core=smith_normal_form(IntMatrix.identity(3)))
+    with pytest.raises(DimensionMismatch):
+        replace(f, core_rows=(0,))
     with pytest.raises(DimensionMismatch):
         Factorization.of(IntMatrix.identity(2)).solve(IntMatrix.zeros(3, 1))
 
 
 _TAMPERED_V = """
 from dataclasses import replace
-from immorder.intalg import Factorization, IntMatrix, smith_normal_form
+from immorder.intalg import Factorization, IntMatrix
 a = IntMatrix.from_rows([[2, 1], [0, 3]])
-snf = smith_normal_form(a)
-bad = Factorization(a, replace(snf, V=snf.V.scale(2)))
+good = Factorization.of(a)
+bad = replace(good, core=replace(good.core, V=good.core.V.scale(2)))
 try:
     bad.solve(a)
 except AssertionError as e:
@@ -331,11 +425,17 @@ except AssertionError as e:
 
 
 def test_tampered_factorization_fails_its_certificate():
+    # one unit step on the entry 1 leaves the 1 x 1 core [-6]
     a = IntMatrix.from_rows([[2, 1], [0, 3]])
-    snf = smith_normal_form(a)
-    good = Factorization(a, snf)
+    good = Factorization.of(a)
+    assert len(good.units) == 1 and good.core.d == (6,)
     assert good.solve(a) == [(1, 0), (0, 1)]
-    bad = Factorization(a, replace(snf, V=snf.V.scale(2)))
+    bad = replace(good, core=replace(good.core, V=good.core.V.scale(2)))
+    with pytest.raises(AssertionError, match="certificate"):
+        bad.solve(a)
+    # a tampered pivot row fails the same certificate
+    i, j, row, ops = good.units[0]
+    bad = replace(good, units=((i, j, {**row, 0: row[0] + 1}, ops),))
     with pytest.raises(AssertionError, match="certificate"):
         bad.solve(a)
 
