@@ -12,20 +12,25 @@ shifts and adds in O(t n) while t is at most `_SHIFT_ADD_MAX_TERMS` = 8,
 and otherwise packs each factor into one integer and multiplies once
 (Kronecker substitution), O(n) work plus one product of O(n w)-bit
 integers, w the bit length of the largest coefficient the product can
-reach.  Each shift-and-add pass costs about as much as packing and
-unpacking one factor, so the two meet at a term count that does not depend
-on n: measured with CPython 3.11 for n from 64 to 100000 and coefficients
-in [-2, 2], they take the same time at 8 terms (1.6 ms each at n = 2048),
-shift-and-add is 2-8 times faster at 1-4 terms and Kronecker substitution
-2-3 times faster at 16-32.  The resolutions multiply 1 - a, the norm and
-the twisted norm, so each of their products is O(n).
+reach, in whole bytes.  A product whose digits would need more than 8
+bytes shifts and adds at any t, which is exact at every size.  Both run their loops in C, through `map`, `itertools` and `array`.
+Measured with CPython 3.11 for n from 64 to 100000 and coefficients in
+[-2, 2], shift-and-add is 1.2-4 times faster at 1-4 terms and Kronecker
+substitution 2-5 times faster at 16-32 for n up to 32768; they take the
+same time at 5-7 terms (1.4 against 1.0 ms at 8 terms and n = 2048).  At
+n = 100000 the integer product grows faster than n: shift-and-add is
+still 1.4-2 times faster at 8 terms (55-75 against 80-120 ms), and they
+tie at 12-16.  The switch stays at 8: lowering it would save tens of
+microseconds at small orders and lose tens of milliseconds at n = 100000.
+The resolutions multiply 1 - a, the norm and the twisted norm, so each of
+their products is O(n).
 
 Every complex here has rank one in each degree, so a boundary is one
 element.  The resolution of Z has period 2: from degree 1 on, d_k = d_(k-2),
 so the homology in any degree k >= 1 is that of degree 1 or 2 and needs no
 resolution past top degree 3.  `cohomology.cyclic_homology` builds only
-that window; a resolution of top degree t costs t - 1 products to check
-and t `rho` calls to expand.
+that window; a resolution of top degree t >= 2 costs one product to
+check, N (1 - a), and t `rho` calls to expand.
 
 A coefficient module is one of the four named ones, of rank at most 2,
 whose generator acts by a symmetric involution, so `rho(x)` is O(n): the
@@ -36,13 +41,19 @@ module and the augmentation ideal off `regular_representation`.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain, compress, islice, repeat
+from operator import add, mul, neg, sub
 
-from .intalg import IntComplex, IntMatrix
+from .intalg import IntComplex, IntMatrix, _sum_vectors
 
 
 # the measured crossover between the two product algorithms (module docstring)
 _SHIFT_ADD_MAX_TERMS = 8
+# array type codes of unsigned 1-, 2-, 4- and 8-byte items, by item size
+_DIGIT_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 class RingMismatch(ValueError):
@@ -90,14 +101,14 @@ class GroupRingElement:
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check(other)
-        return GroupRingElement(self.n, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        return GroupRingElement(self.n, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check(other)
-        return GroupRingElement(self.n, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+        return GroupRingElement(self.n, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.n, tuple(-x for x in self.coeffs))
+        return GroupRingElement(self.n, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check(other)
@@ -108,20 +119,20 @@ class GroupRingElement:
             a, b, terms_a = b, a, terms_b
         if terms_a == 0:
             return GroupRingElement.zero(n)
-        if terms_a <= _SHIFT_ADD_MAX_TERMS:
-            out = [0] * n
-            for i, x in enumerate(a):
-                if x:
-                    # b[k - i] wraps through negative indices: a^i a^j = a^(i+j mod n)
-                    out = [out[k] + x * b[k - i] for k in range(n)]
-            return GroupRingElement(n, tuple(out))
-        return GroupRingElement(n, _kronecker_product(a, b, terms_a))
+        if terms_a > _SHIFT_ADD_MAX_TERMS:
+            # every product coefficient is at most this in absolute value
+            bound = terms_a * max(max(a), -min(a)) * max(max(b), -min(b))
+            if bound.bit_length() < 64:
+                return GroupRingElement(n, _kronecker_product(a, b, bound))
+        # a^i b is b rotated by i, read as a view of b b: a^i a^j = a^(i+j mod n)
+        rotations = (map(mul, repeat(a[i]), islice(chain(b, b), n - i, 2 * n - i)) for i in compress(range(n), a))
+        return GroupRingElement(n, _sum_vectors(rotations, n))
 
     def scale(self, c: int) -> "GroupRingElement":
-        return GroupRingElement(self.n, tuple(c * x for x in self.coeffs))
+        return GroupRingElement(self.n, tuple(map(mul, repeat(c), self.coeffs)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
+        return not any(self.coeffs)
 
     def augmentation(self) -> int:
         """Image under the ring map a -> 1."""
@@ -136,34 +147,53 @@ class GroupRingElement:
         return " + ".join(terms) if terms else "0"
 
 
-def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], terms: int) -> tuple[int, ...]:
+def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> tuple[int, ...]:
     """Cyclic convolution of two nonzero coefficient vectors of length n.
 
     Each vector is read as the value of its polynomial at 2^w, packed as
     one integer with signed w-bit digits, and one integer multiplication
-    computes the product polynomial at 2^w.  A coefficient of the product,
-    before or after folding a^n = 1, sums at most `terms` (the term count
-    of the shorter factor) products of coefficients, so its absolute value
-    is at most terms * max|a| * max|b|; w is the fewest whole bytes with
-    room for that bound and a sign, so the digits can be read back exactly.
+    computes the product polynomial at 2^w.  Every coefficient of the
+    product, before or after folding a^n = 1, is at most `bound` in
+    absolute value; w is the fewest whole bytes with room for that bound
+    and a sign, so the digits can be read back exactly.  The digits pass
+    through an `array` of unsigned 1-, 2-, 4- or 8-byte items, the next
+    size up, and `_resize_digits` narrows them to w bytes and widens them
+    back, so the integer product is no longer than the digits need.
     """
     n = len(a)
-    bound = terms * max(max(a), -min(a)) * max(max(b), -min(b))
     width = bound.bit_length() // 8 + 1  # bytes per digit; bound < 2^(8 width - 1)
-    half = 1 << (8 * width - 1)
+    size = 1 << (width - 1).bit_length()  # bytes per array item
+    code, half = _DIGIT_CODES[size], 1 << (8 * width - 1)
     # adding `offset` makes every digit nonnegative: half + c lies in [0, 2^(8 width))
     offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
 
     def pack(coeffs: tuple[int, ...]) -> int:
-        return int.from_bytes(b"".join((x + half).to_bytes(width, "little") for x in coeffs), "little") - offset
+        items = array(code, map(add, coeffs, repeat(half)))
+        if sys.byteorder == "big":
+            items.byteswap()
+        return int.from_bytes(_resize_digits(items.tobytes(), size, width), "little") - offset
 
     # digits 0..n-1 of the product plus the offset, then digits n..2n-2
     # added on top of them: the folded coefficients, each plus half
     low_bits = 8 * width * n
     full = pack(a) * pack(b) + offset
     folded = (full & ((1 << low_bits) - 1)) + (full >> low_bits)
-    digits = folded.to_bytes(width * n, "little")
-    return tuple(int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * n, width))
+    items = array(code, _resize_digits(folded.to_bytes(width * n, "little"), width, size))
+    if sys.byteorder == "big":
+        items.byteswap()
+    return tuple(map(sub, items, repeat(half)))
+
+
+def _resize_digits(data: bytes, src: int, dst: int) -> bytes | bytearray:
+    """Little-endian unsigned digits of `src` bytes each, as digits of `dst`
+    bytes, one strided slice per byte kept: the high bytes dropped must be
+    zero, and those added are."""
+    if src == dst:
+        return data
+    out = bytearray(len(data) // src * dst)
+    for j in range(min(src, dst)):
+        out[j::dst] = data[j::src]
+    return out
 
 
 def norm(n: int) -> GroupRingElement:
@@ -188,9 +218,9 @@ def twisted_norm(n: int) -> GroupRingElement:
 
 def regular_representation(x: GroupRingElement) -> IntMatrix:
     """Matrix of left multiplication by x on Z[Z/n] in the basis (a^i)."""
-    n = x.n
-    rows = [[x.coeffs[(i - j) % n] for j in range(n)] for i in range(n)]
-    return IntMatrix.from_rows(rows)
+    # entry (i, j) is c[(i - j) % n]: row i is the reversed c rotated by n - 1 - i
+    n, twice = x.n, x.coeffs[::-1] * 2
+    return IntMatrix(n, n, tuple(chain.from_iterable(twice[n - 1 - i : 2 * n - 1 - i] for i in range(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +300,9 @@ class GroupRingComplex:
 
     C_0, ..., C_top are each Z[Z/n], and d_k : C_k -> C_(k-1) is
     multiplication by boundaries[k-1].  Consecutive boundaries must
-    compose to zero; every adjacent pair is multiplied once.
+    compose to zero.  The ring is commutative, so every adjacent pair is
+    checked by one product per distinct pair up to order: (1 - a, N, 1 - a)
+    takes one.
     """
 
     n: int
@@ -279,7 +311,11 @@ class GroupRingComplex:
     def __post_init__(self) -> None:
         if any(d.n != self.n for d in self.boundaries):
             raise RingMismatch("boundary over wrong group ring")
-        if not all((d_out * d_in).is_zero() for d_out, d_in in zip(self.boundaries, self.boundaries[1:])):
+        pairs: list[tuple[GroupRingElement, GroupRingElement]] = []
+        for d_out, d_in in zip(self.boundaries, self.boundaries[1:]):
+            if (d_out, d_in) not in pairs and (d_in, d_out) not in pairs:
+                pairs.append((d_out, d_in))
+        if not all((d_out * d_in).is_zero() for d_out, d_in in pairs):
             raise ValueError("consecutive boundaries do not compose to zero")
 
     @property

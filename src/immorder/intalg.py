@@ -47,10 +47,10 @@ are read off its reduced echelon form.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import mul
+from itertools import chain, compress, repeat
+from operator import add, index, mul
 
 
 class DimensionMismatch(ValueError):
@@ -63,6 +63,23 @@ class NotAComplex(ValueError):
 
 # ---------------------------------------------------------------------------
 # matrices
+
+# how many lazy `map(add, ...)` passes `_sum_vectors` stacks before it makes
+# the sum a tuple: next() on a stack of maps recurses in C, one level each
+_LAZY_SUM_DEPTH = 8
+
+
+def _sum_vectors(vectors: Iterable[Iterable[int]], length: int) -> tuple[int, ...]:
+    """The entrywise sum of `vectors`, each of `length` entries (zeros if
+    there are none).  The sum composes lazily as map(add, ...), so the
+    loops run in C and no partial sum is stored between vectors, except
+    every `_LAZY_SUM_DEPTH` vectors, where it becomes a tuple."""
+    acc = None
+    for k, vec in enumerate(vectors, 1):
+        acc = vec if acc is None else map(add, acc, vec)
+        if k % _LAZY_SUM_DEPTH == 0:
+            acc = tuple(acc)
+    return (0,) * length if acc is None else tuple(acc)
 
 
 @dataclass(frozen=True)
@@ -90,7 +107,7 @@ class IntMatrix:
         for row in rows:
             if len(row) != c:
                 raise DimensionMismatch("ragged rows")
-        return IntMatrix(r, c, tuple(int(x) for row in rows for x in row))
+        return IntMatrix(r, c, tuple(map(index, chain.from_iterable(rows))))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
@@ -105,15 +122,14 @@ class IntMatrix:
         n = len(diag)
         r = n if rows is None else rows
         c = n if cols is None else cols
+        diag, k = tuple(map(index, diag)), min(n, r, c)
         ent = [0] * (r * c)
-        for i, d in enumerate(diag):
-            if i < r and i < c:
-                ent[i * c + i] = int(d)
+        ent[: k * (c + 1) : c + 1] = diag[:k]
         return IntMatrix(r, c, tuple(ent))
 
     @staticmethod
     def column(vec: list[int] | tuple) -> "IntMatrix":
-        return IntMatrix(len(vec), 1, tuple(int(x) for x in vec))
+        return IntMatrix(len(vec), 1, tuple(map(index, vec)))
 
     # -- access ------------------------------------------------------------
 
@@ -130,7 +146,7 @@ class IntMatrix:
         return [self.row_list(i) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.entries)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -142,28 +158,24 @@ class IntMatrix:
             return IntMatrix(self.rows, 1, tuple(self.apply_vec(other.entries)))
         a, b = self.entries, other.entries
         n, m, p = self.rows, self.cols, other.cols
-        out = [0] * (n * p)
-        for i in range(n):
-            arow = a[i * m : (i + 1) * m]
-            base = i * p
-            for k in range(m):
-                aik = arow[k]
-                if aik:
-                    brow = b[k * p : (k + 1) * p]
-                    for j in range(p):
-                        out[base + j] += aik * brow[j]
-        return IntMatrix(n, p, tuple(out))
+        brows = [b[k * p : (k + 1) * p] for k in range(m)]
+        # row i of the product sums a_ik times row k of other over the nonzero a_ik
+        rows = (
+            _sum_vectors((map(mul, repeat(arow[k]), brows[k]) for k in compress(range(m), arow)), p)
+            for arow in (a[i * m : (i + 1) * m] for i in range(n))
+        )
+        return IntMatrix(n, p, tuple(chain.from_iterable(rows)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("addition shape mismatch")
-        return IntMatrix(self.rows, self.cols, tuple(x + y for x, y in zip(self.entries, other.entries)))
+        return IntMatrix(self.rows, self.cols, tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
+        return IntMatrix(self.rows, self.cols, tuple(map(mul, repeat(c), self.entries)))
 
     def transpose(self) -> "IntMatrix":
         e, c = self.entries, self.cols
@@ -415,7 +427,7 @@ def _factor(a: IntMatrix, track: Collection[str]) -> "Factorization":
         # no unit step: the core is all of a
         return Factorization(a, (), tuple(range(n)), tuple(range(m)), smith_normal_form(a, track=track))
     ids = list(range(m))  # one int object per column, shared by every row
-    rows = [{j: x for j, x in zip(ids, e[i * m : (i + 1) * m]) if x} for i in range(n)]
+    rows = [dict(compress(zip(ids, row), row)) for row in (e[i * m : (i + 1) * m] for i in range(n))]
     # the active rows by nonzero count, and the nonzeros of each column in them
     buckets: dict[int, set[int]] = {}
     for i, row in enumerate(rows):

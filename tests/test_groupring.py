@@ -23,6 +23,7 @@ from immorder.groupring import (
     twisted_norm,
 )
 from immorder.intalg import FgAbelianGroup, IntComplex, IntMatrix
+from immorder.postnikov import model_complex_X
 from oracles import action_power_sum, cyclic_convolution, reference_resolution_boundaries
 
 
@@ -109,6 +110,70 @@ def test_product_matches_dense_reference(data):
     assert (y * x).coeffs == want
 
 
+# bit lengths of the coefficient bound at both edges of each digit width
+# (w bytes hold a bound below 2^(8w - 1), up to 8 bytes) and past it
+DIGIT_EDGE_BITS = [1, 7, 8, 15, 16, 23, 24, 31, 32, 39, 40, 47, 48, 55, 56, 63, 64, 90]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_product_kernels_match_dense_reference(data):
+    """Both product algorithms against the double loop: n from 1, zero and
+    one-term factors, terms at offsets 0 and n - 1, coefficients at the
+    edges of every digit width, and the short factor on either side."""
+    n = data.draw(st.sampled_from([1, 2, SWITCH, SWITCH + 1]) | st.integers(min_value=1, max_value=90))
+    bits = data.draw(st.sampled_from(DIGIT_EDGE_BITS))
+    values = st.integers(min_value=-(2**bits), max_value=2**bits)
+    offsets = data.draw(st.sets(st.sampled_from([0, n - 1]) | st.integers(min_value=0, max_value=n - 1), max_size=SWITCH + 3))
+    short = [0] * n
+    for i in offsets:
+        short[i] = data.draw(values)
+    short = tuple(short)
+    other = tuple(data.draw(st.lists(values, min_size=n, max_size=n)))
+    want = cyclic_convolution(short, other)
+    x, y = GroupRingElement(n, short), GroupRingElement(n, other)
+    assert (x * y).coeffs == want
+    assert (y * x).coeffs == want
+
+
+@pytest.mark.parametrize("bits", DIGIT_EDGE_BITS[2:])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_product_digit_width_and_route(monkeypatch, bits, sign):
+    """Constant factors of SWITCH + 1 terms whose coefficient bound has
+    `bits` bits, at the bottom and top of that bit length: the digits are
+    the fewest whole bytes that hold the bound and a sign, they pass
+    through array items of the fewest of 1, 2, 4 or 8 bytes that hold
+    them, and a bound past 8 bytes takes shift-and-add."""
+    n = SWITCH + 1
+    widths, resized = [], []
+    original_array, original_resize = groupring.array, groupring._resize_digits
+
+    def spy_array(code, init=()):
+        made = original_array(code, init)
+        widths.append(made.itemsize)
+        return made
+
+    def spy_resize(data, src, dst):
+        resized.append((src, dst))
+        return original_resize(data, src, dst)
+
+    monkeypatch.setattr(groupring, "array", spy_array)
+    monkeypatch.setattr(groupring, "_resize_digits", spy_resize)
+    for m in (-(-(2 ** (bits - 1)) // n), (2**bits - 1) // n):
+        assert (n * m).bit_length() == bits
+        widths.clear()
+        resized.clear()
+        a, b = (m,) * n, (sign,) * n
+        want = cyclic_convolution(a, b)
+        assert want == (sign * n * m,) * n
+        assert (GroupRingElement(n, a) * GroupRingElement(n, b)).coeffs == want
+        assert (GroupRingElement(n, b) * GroupRingElement(n, a)).coeffs == want
+        item_sizes = [w for w in (1, 2, 4, 8) if bits < 8 * w]
+        assert set(widths) == set(item_sizes[:1])
+        digit = bits // 8 + 1
+        assert set(resized) == ({(item_sizes[0], digit), (digit, item_sizes[0])} if item_sizes else set())
+
+
 @pytest.mark.parametrize("terms", [SWITCH - 1, SWITCH, SWITCH + 1, 40])
 @pytest.mark.parametrize("n", [40, 257])
 def test_product_on_both_sides_of_the_switch(n, terms):
@@ -142,6 +207,19 @@ def test_product_coefficients_at_the_digit_bound(n, bits):
         root = max(1, int((target // n) ** 0.5))
         a = (root,) * n
         assert (GroupRingElement(n, a) * GroupRingElement(n, a)).coeffs == (n * root * root,) * n
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_regular_representation_entries(n):
+    """Entry (i, j) is c[(i - j) % n], and the matrix applied to the
+    coefficients of y is x * y."""
+    rng = random.Random(n)
+    c = tuple(rng.randint(-5, 5) for _ in range(n))
+    d = tuple(rng.randint(-5, 5) for _ in range(n))
+    m = regular_representation(GroupRingElement(n, c))
+    assert (m.rows, m.cols) == (n, n)
+    assert m.entries == tuple(c[(i - j) % n] for i in range(n) for j in range(n))
+    assert (m @ IntMatrix.column(d)).entries == (GroupRingElement(n, c) * GroupRingElement(n, d)).coeffs
 
 
 def test_regular_representation_of_generator_is_cyclic_permutation():
@@ -289,6 +367,49 @@ def test_complex_validation_rejects_non_complex():
         GroupRingComplex(n, (one - GroupRingElement.gen(n), norm(n), one))
     with pytest.raises(RingMismatch):
         GroupRingComplex(n, (norm(n), GroupRingElement.one(2)))
+
+
+def test_complex_checks_every_adjacent_pair():
+    """Each failing pair is caught, also after a passing pair or when it
+    repeats one element: the ring is commutative, so only pairs equal up
+    to order share a product."""
+    n = 6
+    one_minus_a = GroupRingElement.one(n) - GroupRingElement.gen(n)
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        GroupRingComplex(n, (one_minus_a, one_minus_a))
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        GroupRingComplex(n, (norm(n), one_minus_a, one_minus_a))
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        GroupRingComplex(n, (one_minus_a, norm(n), norm(n)))
+    assert GroupRingComplex(n, (one_minus_a, norm(n), one_minus_a, norm(n))).top == 4
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 64])
+def test_complex_check_takes_one_product_per_pair_up_to_order(monkeypatch, k):
+    """(1 - a, N, 1 - a) takes one product; (1 - a, N, N_w) takes two."""
+    calls = []
+    original_mul, original_init = GroupRingElement.__mul__, GroupRingComplex.__post_init__
+    checking = []
+
+    def counting_mul(self, other):
+        if checking:
+            calls.append((self, other))
+        return original_mul(self, other)
+
+    def counting_init(self):
+        checking.append(1)
+        try:
+            original_init(self)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(GroupRingElement, "__mul__", counting_mul)
+    monkeypatch.setattr(GroupRingComplex, "__post_init__", counting_init)
+    standard_resolution(2 * k, 3)
+    assert len(calls) == 1
+    calls.clear()
+    model_complex_X(k)
+    assert len(calls) == 2
 
 
 @settings(max_examples=30, deadline=None)

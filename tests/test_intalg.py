@@ -55,6 +55,75 @@ def random_matrix(draw, max_dim=4, entries=small_entries):
 matrices = st.composite(random_matrix)()
 
 
+# -- matrices ----------------------------------------------------------------
+
+
+@st.composite
+def product_shapes(draw):
+    """A pair of matrices that can be multiplied, with any dimension 0 and
+    whole rows or columns of zeros likely."""
+    n, m, p = (draw(st.integers(min_value=0, max_value=6)) for _ in range(3))
+
+    def matrix(r, c):
+        rows = [draw(st.lists(st.sampled_from([0, 0, 1, -1, 7, -(2**70)]), min_size=c, max_size=c)) for _ in range(r)]
+        for i in draw(st.sets(st.integers(min_value=0, max_value=max(r - 1, 0)))):
+            if i < r:
+                rows[i] = [0] * c
+        return rows
+
+    return matrix(n, m), matrix(m, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_shapes())
+def test_matmul_matches_triple_loop(pair):
+    a, b = pair
+    n, m, p = len(a), len(b), len(b[0]) if b else 0
+    want = [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)] for i in range(n)]
+    got = IntMatrix(n, m, tuple(x for row in a for x in row)) @ IntMatrix(m, p, tuple(x for row in b for x in row))
+    assert (got.rows, got.cols) == (n, p)
+    assert got.to_rows() == want
+
+
+@pytest.mark.parametrize("n, m, p", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (3, 2, 1), (0, 2, 1)])
+def test_matmul_with_empty_shapes(n, m, p):
+    """0 x k and k x 0 factors: the product has the outer shape, all zeros."""
+    a = IntMatrix(n, m, tuple(range(1, n * m + 1)))
+    b = IntMatrix(m, p, tuple(range(1, m * p + 1)))
+    got = a @ b
+    assert (got.rows, got.cols) == (n, p)
+    assert got.to_rows() == [[sum(a.at(i, k) * b.at(k, j) for k in range(m)) for j in range(p)] for i in range(n)]
+
+
+def test_constructors_accept_integers_of_every_kind():
+    import numpy as np
+
+    assert IntMatrix.from_rows([[True, np.int64(-3)], [np.int8(2), 2**80]]).entries == (1, -3, 2, 2**80)
+    assert all(type(x) is int for x in IntMatrix.from_rows([[True, np.int64(-3)]]).entries)
+    assert IntMatrix.column([np.int32(4), False]).entries == (4, 0)
+    assert IntMatrix.diagonal([np.int64(2), True], 2, 3).to_rows() == [[2, 0, 0], [0, 1, 0]]
+    assert IntMatrix.diagonal([5, 6, 7], 3, 2).to_rows() == [[5, 0], [0, 6], [0, 0]]
+    assert IntMatrix.diagonal([], 2, 0).to_rows() == [[], []]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: IntMatrix.from_rows([[1, x]]),
+        lambda x: IntMatrix.column([x]),
+        lambda x: IntMatrix.diagonal([1, x]),
+        lambda x: solve_linear(IntMatrix.identity(1), [x]),
+    ],
+    ids=["from_rows", "column", "diagonal", "solve_linear"],
+)
+@pytest.mark.parametrize("value", [2.7, 3.9, 3.0, "3"])
+def test_constructors_refuse_non_integers(build, value):
+    """A float or a string is refused, not truncated: solve_linear(a, [3.9])
+    once solved for 3."""
+    with pytest.raises(TypeError):
+        build(value)
+
+
 # -- Smith normal form -------------------------------------------------------
 
 
