@@ -2,7 +2,8 @@
 """Print the Smith forms, cokernels, kernels and solutions of a fixed grid.
 
 For each matrix of a seeded grid it prints `d`, `U`, `V`, `uinv` and
-`vinv` from `smith_normal_form`, then `cokernel`, the kernel lattice of
+`vinv` from `smith_normal_form` and the bit length of the largest entry of
+the four transforms, then `cokernel`, the kernel lattice of
 `kernel_basis` as its column Hermite basis, and the verdict of
 `solve_linear` with whether A x == b holds (one consistent right-hand
 side and one random one).  The kernel and solve lines do not depend on
@@ -51,6 +52,10 @@ def _rows(m: IntMatrix | None) -> str:
     return "None" if m is None else repr(m.to_rows())
 
 
+def _max_bits(*mats: IntMatrix) -> int:
+    return max((abs(x).bit_length() for m in mats for x in m.entries), default=0)
+
+
 def hermite_columns(basis: IntMatrix) -> list[list[int]]:
     """The column Hermite basis of the lattice spanned by the columns of
     `basis`: row echelon form of its transpose over Z, each pivot
@@ -86,6 +91,7 @@ def main() -> None:
         out.write(f"# {label}\n{_rows(a)}\n")
         out.write(f"d {list(s.d)}\nU {_rows(s.U)}\nV {_rows(s.V)}\n")
         out.write(f"uinv {_rows(s.uinv)}\nvinv {_rows(s.vinv)}\n")
+        out.write(f"transform bits {_max_bits(s.U, s.V, s.uinv, s.vinv)}\n")
         out.write(f"cokernel {cokernel(a).pretty()}\n")
         out.write(f"kernel {hermite_columns(kernel_basis(a))}\n")
         x = [rng.randint(-5, 5) for _ in range(a.cols)]

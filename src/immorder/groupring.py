@@ -23,7 +23,11 @@ still 1.4-2 times faster at 8 terms (55-75 against 80-120 ms), and they
 tie at 12-16.  The switch stays at 8: lowering it would save tens of
 microseconds at small orders and lose tens of milliseconds at n = 100000.
 The resolutions multiply 1 - a, the norm and the twisted norm, so each of
-their products is O(n).
+their products is O(n).  A product with the norm element N, the sum of the
+group, is read in closed form, N x = augmentation(x) N: the check
+(1 - a) N of a resolution at n = 100000 takes about 2 ms instead of
+about 12 (CPython 3.11), and N N_w in `postnikov.model_complex_X` needs
+no integer product.
 
 Every complex here has rank one in each degree, so a boundary is one
 element.  The resolution of Z has period 2: from degree 1 on, d_k = d_(k-2),
@@ -116,9 +120,14 @@ class GroupRingElement:
         terms_a, terms_b = n - a.count(0), n - b.count(0)
         # the ring is commutative: let a be the factor with fewer terms
         if terms_a > terms_b:
-            a, b, terms_a = b, a, terms_b
+            a, b, terms_a, terms_b = b, a, terms_b, terms_a
         if terms_a == 0:
             return GroupRingElement.zero(n)
+        if terms_b == n:
+            # the norm element N, the sum of the group, has x N = augmentation(x) N
+            for x, y in ((a, b), (b, a)):
+                if y.count(1) == n:
+                    return GroupRingElement(n, (sum(x),) * n)
         if terms_a > _SHIFT_ADD_MAX_TERMS:
             # every product coefficient is at most this in absolute value
             bound = terms_a * max(max(a), -min(a)) * max(max(b), -min(b))

@@ -7,6 +7,8 @@ formulas rather than from the package's own Smith-form pipeline, and Hasse
 diagrams are assembled from a dict on pairs rather than from bitsets.
 `WholeSmithReference` is the one exception: it keeps the whole-matrix
 Smith-form solve that the unit elimination of `Factorization` replaced.
+`euclid_invariant_factors` keeps the elimination that `smith_normal_form`
+ran before its Hermite pass.
 """
 
 from __future__ import annotations
@@ -91,6 +93,55 @@ class WholeSmithReference:
             return None
         y = [x // d for x, d in zip(c, s.d)] + [0] * (self.a.cols - s.rank)
         return tuple(s.V.apply_vec(y))
+
+
+def euclid_invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
+    """The nonzero invariant factors of the matrix `rows` by the Euclid loop
+    that `intalg.smith_normal_form` ran on the whole matrix before it started
+    with a Hermite pass: take an entry of least absolute value in the
+    trailing block as the pivot, clear its row and column by quotients,
+    promoting any remainder to the pivot, and once the cross is clear add a
+    row whose entries the pivot does not divide.  Only the working matrix is
+    kept, whose entries grow to hundreds of bits on dense 18 x 18 inputs."""
+    w = [list(r) for r in rows]
+    n, m = len(w), len(w[0]) if w else 0
+    t = 0
+    while t < min(n, m):
+        nonzero = [(abs(w[i][j]), i, j) for i in range(t, n) for j in range(t, m) if w[i][j]]
+        if not nonzero:
+            break
+        _, pi, pj = min(nonzero)
+        w[t], w[pi] = w[pi], w[t]
+        for r in w[t:]:
+            r[t], r[pj] = r[pj], r[t]
+        while True:
+            if w[t][t] < 0:
+                w[t] = [-x for x in w[t]]
+            p = w[t][t]
+            for i in range(t + 1, n):
+                if w[i][t]:
+                    q = w[i][t] // p
+                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                    if w[i][t]:
+                        w[t], w[i] = w[i], w[t]
+                        break
+            else:
+                for j in range(t + 1, m):
+                    if w[t][j]:
+                        q = w[t][j] // p
+                        for r in w[t:]:
+                            r[j] -= q * r[t]
+                        if w[t][j]:
+                            for r in w[t:]:
+                                r[t], r[j] = r[j], r[t]
+                            break
+                else:
+                    offender = next((i for i in range(t + 1, n) if any(x % p for x in w[i][t + 1 :])), None)
+                    if offender is None:
+                        break
+                    w[t] = [x + y for x, y in zip(w[t], w[offender])]
+        t += 1
+    return tuple(w[i][i] for i in range(min(n, m)) if w[i][i])
 
 
 def cyclic_convolution(a, b) -> tuple[int, ...]:

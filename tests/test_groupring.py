@@ -110,6 +110,33 @@ def test_product_matches_dense_reference(data):
     assert (y * x).coeffs == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_with_the_norm_matches_dense_reference(data):
+    """N x = augmentation(x) N in closed form, against the double loop, with
+    N on either side; elements that are all ones but one entry are not N."""
+    n = data.draw(st.integers(min_value=1, max_value=120))
+    nrm = (1,) * n
+    near = list(nrm)
+    near[data.draw(st.integers(min_value=0, max_value=n - 1))] = data.draw(st.sampled_from([0, 2, -1]))
+    x = data.draw(sparse_coeffs(n) | st.sampled_from([nrm, tuple(near)]))
+    for a, b in ((nrm, x), (x, nrm), (tuple(near), x), (x, tuple(near))):
+        assert (GroupRingElement(n, a) * GroupRingElement(n, b)).coeffs == cyclic_convolution(a, b)
+
+
+def test_product_with_the_norm_takes_no_integer_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Kronecker product taken")
+
+    monkeypatch.setattr(groupring, "_kronecker_product", refuse)
+    n = 4096
+    dense = GroupRingElement(n, tuple(random.Random(1).randint(-9, 9) for _ in range(n)))
+    for x in (dense, twisted_norm(n), norm(n)):
+        want = (x.augmentation(),) * n
+        assert (norm(n) * x).coeffs == want
+        assert (x * norm(n)).coeffs == want
+
+
 # bit lengths of the coefficient bound at both edges of each digit width
 # (w bytes hold a bound below 2^(8w - 1), up to 8 bytes) and past it
 DIGIT_EDGE_BITS = [1, 7, 8, 15, 16, 23, 24, 31, 32, 39, 40, 47, 48, 55, 56, 63, 64, 90]
@@ -143,7 +170,8 @@ def test_product_digit_width_and_route(monkeypatch, bits, sign):
     `bits` bits, at the bottom and top of that bit length: the digits are
     the fewest whole bytes that hold the bound and a sign, they pass
     through array items of the fewest of 1, 2, 4 or 8 bytes that hold
-    them, and a bound past 8 bytes takes shift-and-add."""
+    them, and a bound past 8 bytes takes shift-and-add.  The unit factor
+    is -N, not the norm element N, whose products take a closed form."""
     n = SWITCH + 1
     widths, resized = [], []
     original_array, original_resize = groupring.array, groupring._resize_digits
@@ -163,9 +191,9 @@ def test_product_digit_width_and_route(monkeypatch, bits, sign):
         assert (n * m).bit_length() == bits
         widths.clear()
         resized.clear()
-        a, b = (m,) * n, (sign,) * n
+        a, b = (sign * m,) * n, (-1,) * n
         want = cyclic_convolution(a, b)
-        assert want == (sign * n * m,) * n
+        assert want == (-sign * n * m,) * n
         assert (GroupRingElement(n, a) * GroupRingElement(n, b)).coeffs == want
         assert (GroupRingElement(n, b) * GroupRingElement(n, a)).coeffs == want
         item_sizes = [w for w in (1, 2, 4, 8) if bits < 8 * w]

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -37,6 +40,7 @@ from oracles import (
     WholeSmithReference,
     det_int,
     elementary_reachable,
+    euclid_invariant_factors,
     invariant_factors_by_minors,
     oracle_homology_group,
 )
@@ -177,6 +181,14 @@ def test_smith_matches_minors_oracle(a):
     assert list(s.d) == invariant_factors_by_minors(a.to_rows())
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.lists(small_entries, min_size=25, max_size=25))
+def test_hermite_path_matches_minors_oracle(entries):
+    # 5 x 5 is the smallest shape on which the Hermite passes run
+    a = IntMatrix(5, 5, tuple(entries))
+    assert list(smith_normal_form(a).d) == invariant_factors_by_minors(a.to_rows())
+
+
 @st.composite
 def shaped_matrices(draw):
     """Matrices up to 7x7 with a zero side allowed, some of low rank."""
@@ -210,6 +222,123 @@ def test_tracking_a_subset_changes_no_tracked_transform(a):
 def test_smith_rejects_unknown_transform_names():
     with pytest.raises(ValueError, match="unknown transforms"):
         smith_normal_form(IntMatrix.identity(2), track=("U", "W"))
+
+
+def transform_bit_bound(rows: int, cols: int, entry_bits: int) -> int:
+    """The stated bound on the bit length of every entry of U, V, U^-1 and
+    V^-1 when the Hermite pass runs: 8 k (b + ceil(log2 k) + 1), with k the
+    shorter side and b the bit length of the largest entry.  A k x k minor
+    has at most k (b + log2(k) / 2) bits (Hadamard), and the transforms of
+    the Hermite form are built from a few minors; the elimination alone
+    has no such bound (its transforms reach 27,481 bits on dense 18 x 18
+    matrices with entries in -9..9, whose minors need at most 82)."""
+    k = min(rows, cols)
+    return 8 * k * (entry_bits + (k - 1).bit_length() + 1)
+
+
+def max_transform_bits(s) -> int:
+    return max((abs(x).bit_length() for name in intalg.TRANSFORMS for x in getattr(s, name).entries), default=0)
+
+
+@st.composite
+def hermite_matrices(draw):
+    """Matrices whose shorter side is 5 to 9, so the Hermite pass runs, with
+    entries of 1 to 64 bits, dense, sparse, or diagonal with shared factors."""
+    r = draw(st.integers(min_value=intalg._HERMITE_MIN_SIDE, max_value=9))
+    c = draw(st.integers(min_value=intalg._HERMITE_MIN_SIDE, max_value=9))
+    bits = draw(st.sampled_from([1, 4, 16, 64]))
+    values = st.integers(min_value=-(2**bits), max_value=2**bits)
+    kind = draw(st.sampled_from(["dense", "sparse", "diagonal"]))
+    if kind == "diagonal":
+        factors = st.sampled_from([1, 2, 6, 12, 60])
+        ent = [draw(values) * draw(factors) if i == j else 0 for i in range(r) for j in range(c)]
+    else:
+        cell = values if kind == "dense" else st.just(0) | values
+        ent = draw(st.lists(cell, min_size=r * c, max_size=r * c))
+    return IntMatrix(r, c, tuple(ent))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hermite_matrices())
+def test_transform_bits_are_bounded_by_shape_and_entry_size(a):
+    s = _assert_valid_smith(a)
+    bits = max((abs(x).bit_length() for x in a.entries), default=0)
+    assert max_transform_bits(s) <= transform_bit_bound(a.rows, a.cols, max(bits, 1))
+
+
+@pytest.mark.parametrize("n", [30, 40])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_seeded_dense_matrices_against_the_determinant(n, seed):
+    """The dense matrices of sides 30 and 40 whose transforms used to reach
+    hundreds of thousands of bits (seed 1 at 40 did not finish in 270 s)."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    a = IntMatrix.from_rows(rows)
+    s = _assert_valid_smith(a)
+    det = det_int(rows)
+    assert det != 0 and len(s.d) == n
+    assert math.prod(s.d) == abs(det)
+    assert smith_normal_form(a, track=()).d == s.d
+    assert max_transform_bits(s) <= transform_bit_bound(n, n, 4)
+
+
+def _snf_grid():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "snf_grid.py"
+    spec = importlib.util.spec_from_file_location("snf_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.grid())
+
+
+@pytest.mark.parametrize("name, a", _snf_grid())
+def test_invariant_factors_match_the_euclid_loop_on_the_snf_grid(name, a):
+    assert smith_normal_form(a, track=()).d == euclid_invariant_factors(a.to_rows())
+
+
+@settings(max_examples=120, deadline=None)
+@given(shaped_matrices())
+def test_column_hermite_pass(a):
+    """The pass on its own, at every shape: A V is in column Hermite form
+    (each pivot positive with zeros above it and entries in [0, pivot) to
+    its left, the other columns zero), V V^-1 = I, and V is reduced against
+    the zero columns, whose V columns span the kernel."""
+    cols = [a.col_list(j) for j in range(a.cols)]
+    vt, vi = intalg._column_hermite(cols, a.rows, True, True)
+    v = IntMatrix.from_rows([list(r) for r in zip(*vt)]) if vt else IntMatrix.zeros(a.cols, a.cols)
+    h = IntMatrix.from_rows([list(r) for r in zip(*cols)]) if cols else IntMatrix.zeros(a.rows, 0)
+    assert (a @ v).entries == h.entries
+    assert (v @ IntMatrix.from_rows(vi) if vi else v).entries == IntMatrix.identity(a.cols).entries
+    lead = {}
+    for j, col in enumerate(cols):
+        r = next((i for i, x in enumerate(col) if x), None)
+        if r is not None:
+            assert r not in lead and col[r] > 0
+            lead[r] = j
+    for r, p in lead.items():
+        for q in (lead[s] for s in lead if s < r):
+            assert 0 <= cols[q][r] < cols[p][r]
+    zero = [j for j in range(a.cols) if j not in lead.values()]
+    assert not any(itertools.chain.from_iterable(cols[j] for j in zero))
+    assert kernel_basis(a).cols == len(zero)
+    # the kernel columns of V are in Hermite form too, and every other
+    # column of V is reduced against them
+    kernel_lead = {next(i for i, x in enumerate(vt[z]) if x): z for z in zero}
+    assert len(kernel_lead) == len(zero)
+    for r, z in kernel_lead.items():
+        assert vt[z][r] > 0
+        others = [p for p in range(a.cols) if p not in zero] + [kernel_lead[s] for s in kernel_lead if s < r]
+        assert all(0 <= vt[p][r] < vt[z][r] for p in others)
+
+
+def test_small_matrices_take_no_hermite_pass(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Hermite pass on a small matrix")
+
+    monkeypatch.setattr(intalg, "_column_hermite", refuse)
+    rng = random.Random(4)
+    for r, c in ((1, 1), (1, 39), (39, 1), (2, 2), (3, 3), (6, 4), (4, 6), (4, 40)):
+        a = IntMatrix(r, c, tuple(rng.randint(-9, 9) for _ in range(r * c)))
+        _assert_valid_smith(a)
 
 
 def test_factorization_rejects_a_form_without_u_and_v():
@@ -480,6 +609,7 @@ def test_factorization_rejects_a_foreign_smith_form():
         Factorization.of(IntMatrix.identity(2)).solve(IntMatrix.zeros(3, 1))
 
 
+# a script for a fresh interpreter under python -O, which imports what it uses
 _TAMPERED_V = """
 from dataclasses import replace
 from immorder.intalg import Factorization, IntMatrix
