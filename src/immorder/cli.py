@@ -7,14 +7,9 @@ with a machine-readable ``{"error": ...}`` object; 3 when a comparison
 falls outside the packaged decision rules, with an
 ``{"answer": "undetermined", "reason": ...}`` object.
 
-Budgets: a cyclic group Z/n needs n <= 100000 (n <= 96 for `shift`);
-`homology --degree` needs degree <= 64; `model-cohomology --k` and
-`order-graph --max-exp` need 2^k <= 100000, so k <= 16 (and max-exp
->= 1); `chain-verify` needs 1 <= source with 2 * source <= 100000 and
-1 <= target <= 500; the
-`--relator` and `--presentation` text of `fibered`, `abelianization` and
-`integral-lift` needs at most 1000000 characters.  Inputs past a budget
-exit 2 with the reason.
+Budgets: each subcommand states the sizes it accepts in its own
+``--help`` (``immorder shift --help``); inputs past a budget exit 2 with
+the reason.
 """
 
 from __future__ import annotations
@@ -33,17 +28,17 @@ from .order import ImmersionType, UndecidablePair, UndeterminedComparison
 
 # Ceilings on cyclic group orders and degrees, measured with CPython 3.11
 # on a 2-core x86-64 machine.  On Z/100000, `homology` takes the same time
-# at every degree up to 64, with every twist and coefficient system:
+# at every degree, with every twist and coefficient system:
 # `cohomology.cyclic_homology` reads any degree on a resolution of top
-# degree at most 3 (in-process and uncached, about 0.08 s at degree 4, 64
-# and 1000 on a loaded machine), so time does not set the degree budget.  `realizable` answers
-# in 0.1 s; `model-cohomology --k 16` (Z/65536) answers in 0.4 s and
-# `order-graph --max-exp 16 --combined` in about 0.35 s.  `shift` solves
-# integer systems of size about n and answers on Z/64 in about 0.3 s and
-# on Z/96 in about 0.4 s.
-# `chain-verify` solves a dense system of side 2 * target: at target 500
-# it takes up to about 3 s and 130 MB.  Free-word text of 10^6
-# characters answers in about 2 s.  Every `run` call adds about 0.1 ms of
+# degree at most 3, so time does not set the degree budget.  `realizable`
+# answers in 0.1 s; `model-cohomology --k 16` (Z/65536) answers in about
+# 0.03 s in-process and `order-graph --max-exp 16 --combined` in about 0.35 s.
+# `shift` and `chain-verify` solve in the group ring, in O(n) but for one
+# kernel of a sparse (n - 1) x (n - 1) block in `shift`: in-process,
+# `shift` answers on Z/96 in about 4 ms, and `chain-verify --source 49500
+# --target 500` in about 0.05 s with a 24 MB peak, so time does not set
+# their budgets either.  Free-word text of 10^6 characters answers in
+# about 2 s.  Every `run` call adds about 0.1 ms of
 # argv parsing: the parser is built once per process, on the first call.
 MAX_CYCLIC_ORDER = 100_000
 MAX_SHIFT_ORDER = 96

@@ -39,8 +39,9 @@ check, N (1 - a), and t `rho` calls to expand.
 A coefficient module is one of the four named ones, of rank at most 2,
 whose generator acts by a symmetric involution, so `rho(x)` is O(n): the
 sums of the even and of the odd coefficients of x scale the identity and
-the action.  `postnikov.shift_data` reads the action on the regular
-module and the augmentation ideal off `regular_representation`.
+the action.  `postnikov` solves the shift and the chain maps between
+models in the ring itself; only `postnikov.factorization_obstruction`
+solves against a dense `regular_representation`.
 """
 
 from __future__ import annotations

@@ -202,10 +202,6 @@ class IntMatrix:
             raise DimensionMismatch("vstack col mismatch")
         return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
-    def take_cols(self, idx: list[int]) -> "IntMatrix":
-        e, c = self.entries, self.cols
-        return IntMatrix(self.rows, len(idx), tuple(x for row in zip(*(e[j::c] for j in idx)) for x in row))
-
     def apply_vec(self, vec: list[int] | tuple) -> list[int]:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")

@@ -12,16 +12,16 @@ odd-index projection diagrams with their candidate verticals
 (m^2 p, m p, p, p), decides the retraction obstruction for the augmentation
 ideal, and evaluates the shift homomorphism
 H_4(Z/n; Z^w) -> H_1(Z/n; (ker N)^w) by composing three explicit
-snake-lemma connecting homomorphisms.  The resolution behind the shift
-has period 2, so the ring and ideal complexes are kept as their two
-distinct boundaries, and H_4 = H_2 with Z^w coefficients is read from the
-cached `cohomology.cyclic_homology`.
+snake-lemma connecting homomorphisms.  Both solve in Z[Z/n], not in its
+regular representation: each system is a product with 1 - a, N or a
+twist of either, with closed-form kernels, images and preimages (Brown,
+Cohomology of Groups, ch. I.6 and II.3), checked in O(n).  H_1 = H_3 on
+the ideal is a chain-level subquotient; H_4 = H_2 is `cyclic_homology`.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .cohomology import CyclicHom, IllFormedHom, cyclic_homology
@@ -38,13 +38,12 @@ from .groupring import (
     twisted_norm,
 )
 from .intalg import (
-    Factorization,
     FgAbelianGroup,
     IntMatrix,
     f2_solvable,
-    homology_data,
     kernel_basis,
     solve_linear,
+    subquotient,
 )
 
 
@@ -128,10 +127,10 @@ def push_forward(phi: CyclicHom, x: GroupRingElement) -> GroupRingElement:
     """The ring map Z[Z/l1] -> Z[Z/l2] induced by a -> a^m."""
     if x.n != phi.l1:
         raise RingMismatch("element lives over the wrong group ring for this homomorphism")
+    # a^i goes to a^(m i mod l2), which depends on i mod l2 alone
     out = [0] * phi.l2
-    for i, c in enumerate(x.coeffs):
-        if c:
-            out[(phi.m * i) % phi.l2] += c
+    for r in range(min(phi.l1, phi.l2)):
+        out[(phi.m * r) % phi.l2] += sum(x.coeffs[r :: phi.l2])
     return GroupRingElement(phi.l2, tuple(out))
 
 
@@ -144,8 +143,10 @@ def chain_map_exists(
     """Solve for a degree-2 vertical h with d2_D . h = c1 . phi#(d2_C).
 
     c1 is the prescribed degree-1 vertical, an element of the target ring.
-    Returns the witness h or None when no integral solution exists; a
-    returned witness is re-verified by exact group-ring multiplication.
+    The target's degree-2 boundary must be m N with m != 0, as in every
+    model complex (ValueError otherwise): m N h = m eps(h) N, so the
+    witness is h = (c / m) e_0 when the right side is c N with m | c, and
+    None otherwise.  It is re-verified by exact group-ring multiplication.
     """
     if phi.l1 != c_complex.n or phi.l2 != d_complex.n:
         raise IllFormedHom("homomorphism does not connect the two group rings")
@@ -154,11 +155,14 @@ def chain_map_exists(
     if c1.n != d_complex.n:
         raise RingMismatch("degree-1 vertical must live over the target ring")
     d2_d = d_complex.boundary(2)
+    m = d2_d.coeffs[0]
+    if m == 0 or d2_d.coeffs.count(m) != d2_d.n:
+        raise ValueError("the target's degree-2 boundary must be a nonzero multiple of the norm")
     rhs = c1 * push_forward(phi, c_complex.boundary(2))
-    sol = solve_linear(regular_representation(d2_d), rhs.coeffs)
-    if sol is None:
+    c = rhs.coeffs[0]
+    if rhs.coeffs.count(c) != rhs.n or c % m:
         return None
-    h = GroupRingElement(d_complex.n, sol)
+    h = GroupRingElement.one(d_complex.n).scale(c // m)
     if d2_d * h != rhs:
         raise AssertionError("solver produced a witness that fails the commutation identity")
     return h
@@ -257,31 +261,32 @@ def factorization_obstruction(k: int, full_module: bool = False) -> bool:
 
 @dataclass(frozen=True)
 class ShiftData:
-    """Integer-matrix presentation of the three short exact sequences.
+    """The twisted boundaries behind the three short exact sequences.
 
     Modules: R = Z[Z/n], Z (trivial), I = ker(eps) = ker(N), and the norm
-    line (N) = ker(1 - a), all twisted by the character w.  Sequences:
+    line (N) = ker(1 - a), all twisted by the character w; s = (-1)^w.
+    Sequences:
 
-      0 -> I  -> R -> Z   -> 0   (x -> eps x, the augmentation row)
-      0 -> (N)-> R -> I   -> 0   (proj_i: x -> (1-a) x)
+      0 -> I  -> R -> Z   -> 0   (x -> eps x, the augmentation)
+      0 -> (N)-> R -> I   -> 0   (x -> (1-a) x)
       0 -> I  -> R -> (N) -> 0   (x -> N x, read as eps x)
 
-    The standard resolution has period 2 (d_k = d_(k-2) for k >= 1), so
-    R^w and I^w tensored over it have two distinct boundaries each:
-    `ring[k % 2]` and `ideal[k % 2]` are the boundaries of degree k >= 1.
-    An element acts on R by its `regular_representation` with the odd
-    coefficients times (-1)^w, and on I by that matrix read in the basis
-    [-1 ... -1; I] of the augmentation ideal.  Z^w and (N)^w are both the
-    trivial module twisted by w, whose homology is `cyclic_homology`.
-    Nothing is solved against the inclusions: I and (N) are read by
-    coordinates (`_ideal_coordinates`, `_norm_line_coordinates`).
+    The standard resolution has period 2, and on R^w its boundary of
+    degree k >= 1 is the product with 1 - s a for odd k and with the
+    element N^w = sum (s a)^i, coefficients `norm_w`, for even k; N^w x =
+    eps_w(x) N^w with eps_w(x) = sum s^i x_i.  On I^w, in the basis
+    a^j - 1 (j = 1..n-1) whose coordinates `_ideal_coordinates` reads,
+    1 - s a is the block `ideal`, with three nonzeros per column, and the
+    image of N^w is spanned by the column `image`, N^w (1 - a) = 2 N^w, or
+    is zero when w = 0.  Z^w and (N)^w are both the trivial module twisted
+    by w, whose homology is `cyclic_homology`.
     """
 
     n: int
     w: int
-    proj_i: IntMatrix
-    ring: tuple[IntMatrix, IntMatrix]
-    ideal: tuple[IntMatrix, IntMatrix]
+    norm_w: tuple[int, ...]
+    ideal: IntMatrix
+    image: IntMatrix
 
 
 def _ideal_coordinates(block: IntMatrix, message: str) -> IntMatrix:
@@ -311,57 +316,55 @@ def shift_data(n: int, w: int) -> ShiftData:
         raise InvalidTwist("the orientation character is 0 or 1")
     if w == 1 and n % 2 != 0:
         raise InvalidTwist("a nontrivial character needs an even group order")
-    eps = IntMatrix.from_rows([[1] * n])
-    incl_i = IntMatrix.from_rows([[-1] * (n - 1)]).vstack(IntMatrix.identity(n - 1))
-    # projection R -> I: multiplication by 1 - a, in I coordinates
-    d1 = GroupRingElement.one(n) - GroupRingElement.gen(n)
-    proj_i = _ideal_coordinates(
-        regular_representation(d1), "multiplication by 1 - a escaped the augmentation ideal"
-    )
-    # proj_i kills the norm line: N (1 - a) = 0, so N and 1 - a alternate
-    if not (eps @ incl_i).is_zero() or not (proj_i @ IntMatrix.column([1] * n)).is_zero():
-        raise AssertionError("short exact sequences fail to compose to zero")
-    sign = -1 if w else 1
-    on_ring: list[IntMatrix] = []
-    on_ideal: list[IntMatrix] = []
-    for d in (norm(n), d1):
-        # d acts on R^w as d with a replaced by (-1)^w a acts on R, and on I^w
-        # by that matrix times incl_i, whose column j - 1 is column j minus column 0
-        m = regular_representation(GroupRingElement(n, tuple(sign * c if i % 2 else c for i, c in enumerate(d.coeffs))))
-        e = m.entries
-        restricted = IntMatrix(n, n - 1, tuple(e[i + j] - e[i] for i in range(0, n * n, n) for j in range(1, n)))
-        on_ring.append(m)
-        on_ideal.append(_ideal_coordinates(restricted, "augmentation-ideal basis is not action-invariant"))
-    return ShiftData(n=n, w=w, proj_i=proj_i, ring=tuple(on_ring), ideal=tuple(on_ideal))
+    s = -1 if w else 1
+    one, gen = GroupRingElement.one(n), GroupRingElement.gen(n)
+    norm_w = GroupRingElement(n, tuple(s if i % 2 else 1 for i in range(n)))
+    # (1 - a) N = 0 makes the middle sequence compose, and (1 - s a) N^w = 0
+    # makes the twisted boundaries a complex
+    if not ((one - gen) * norm(n)).is_zero() or not ((one - gen.scale(s)) * norm_w).is_zero():
+        raise AssertionError("the boundaries fail to compose to zero")
+    # (1 - s a)(a^j - 1) = (a^j - 1) - s (a^(j+1) - 1) + s (a - 1), and a^n - 1 = 0
+    m = n - 1
+    e = [0] * (m * m)
+    e[:: m + 1], e[m :: m + 1] = [1] * m, [-s] * (m - 1)
+    e[:m] = [x + s for x in e[:m]]
+    image = IntMatrix.column((norm_w * (one - gen)).coeffs) if w else IntMatrix(n, 0, ())
+    image = _ideal_coordinates(image, "the image of N^w escaped the augmentation ideal")
+    return ShiftData(n, w, norm_w.coeffs, IntMatrix(m, m, tuple(e)), image)
 
 
-def _connecting(
-    boundary: IntMatrix,
-    pull_back: Callable[[IntMatrix, str], IntMatrix],
-    proj: Factorization,
-    cycle,
-    rng: random.Random,
-) -> tuple[int, ...]:
-    """Snake-lemma connecting map for one sequence, across the ring
-    boundary `boundary`.
+def _difference(x: list[int], s: int) -> list[int]:
+    """(1 - s a) x: coefficient i is x_i - s x_(i-1), indices mod n."""
+    return [u - s * v for u, v in zip(x, x[-1:] + x[:-1])]
 
-    Lifts the cycle through the projection (adding a random kernel element
-    so tests can certify independence of the choice), takes the boundary
-    in the ring complex, and pulls the result back through the inclusion
-    by its coordinate map, whose membership check certifies the preimage.
-    The factorization of the projection gives both the lift and the kernel.
-    """
-    particular = proj.solve(IntMatrix.column(cycle))[0]
-    if particular is None:
+
+def _through_augmentation(z: int, norm_w: tuple[int, ...], rng: random.Random) -> tuple[int, ...]:
+    """Snake-lemma connecting map across N^w, for the sequences onto Z and
+    onto (N): lift z through eps by z e_0 plus a random combination of the
+    basis a^j - 1 of ker eps (so tests can certify independence of the
+    choice), apply N^w as x -> eps_w(x) N^w, and read the result in I,
+    whose membership check certifies the preimage."""
+    t = [rng.randint(-4, 4) for _ in range(len(norm_w) - 1)]
+    lift = [z - sum(t), *t]
+    e = sum(v * x for v, x in zip(norm_w, lift))
+    boundary = IntMatrix.column([e * v for v in norm_w])
+    return _ideal_coordinates(boundary, "boundary of the lift escaped the submodule").entries
+
+
+def _through_difference(y: tuple[int, ...], s: int, rng: random.Random) -> tuple[int, ...]:
+    """Snake-lemma connecting map across 1 - s a, for the sequence onto I:
+    lift the I-coordinates y through 1 - a by partial sums plus a random
+    multiple of N, checked in O(n), apply 1 - s a, and read the result in
+    (N), whose membership check certifies the preimage."""
+    full = [-sum(y), *y]
+    lift, acc = [], rng.randint(-4, 4)
+    for v in full:
+        acc += v
+        lift.append(acc)
+    if _difference(lift, 1) != full:
         raise ValueError("representative is not hit by the projection")
-    ker = proj.kernel()
-    lifted = list(particular)
-    for j in range(ker.cols):
-        t = rng.randint(-4, 4)
-        col = ker.col_list(j)
-        lifted = [x + t * y for x, y in zip(lifted, col)]
-    db = boundary.apply_vec(lifted)
-    return pull_back(IntMatrix.column(db), "boundary of the lift escaped the submodule").entries
+    boundary = IntMatrix.column(_difference(lift, s))
+    return _norm_line_coordinates(boundary, "boundary of the lift escaped the submodule").entries
 
 
 @dataclass(frozen=True)
@@ -397,23 +400,18 @@ def shift(n: int, w: int, c: int, seed: int = 0) -> ShiftResult:
     # Z^w and (N)^w are one module, and the period gives H_2 = H_4 (the
     # subquotient at degree 2 of the window of `cyclic_homology`)
     h4 = h2 = cyclic_homology(n, "Zw" if w else "Z", 4)
-    if h4.group.is_zero():
-        z4: tuple[int, ...] = (0,)
-    else:
-        gen4 = h4.generator(0)
-        z4 = tuple(c * x for x in gen4)
-    eps = Factorization.of(IntMatrix.from_rows([[1] * n]))  # R -> Z and R -> (N)
-    # the ring boundaries of degrees 4, 3 and 2 are ring[0], ring[1], ring[0]
-    z3 = _connecting(data.ring[0], _ideal_coordinates, eps, z4, rng)
-    z2 = _connecting(data.ring[1], _norm_line_coordinates, Factorization.of(data.proj_i), z3, rng)
-    z1 = _connecting(data.ring[0], _ideal_coordinates, eps, z2, rng)
-    # likewise H_3 = H_1 on I^w
-    h1 = h3 = homology_data(data.ideal[0], data.ideal[1])
+    z4 = (0,) if h4.group.is_zero() else tuple(c * x for x in h4.generator(0))
+    # the ring boundaries of degrees 4, 3 and 2 are N^w, 1 - s a and N^w
+    z3 = _through_augmentation(z4[0], data.norm_w, rng)
+    z2 = _through_difference(z3, -1 if w else 1, rng)
+    z1 = _through_augmentation(z2[0], data.norm_w, rng)
+    # likewise H_3 = H_1 on I^w: the kernel of 1 - s a modulo the image of N^w
+    h1 = h3 = subquotient(kernel_basis(data.ideal), data.image)
     return ShiftResult(
         n=n,
         w=w,
         input_multiple=c,
         groups=(h4.group, h3.group, h2.group, h1.group),
         classes=(h4.class_of(z4), h3.class_of(z3), h2.class_of(z2), h1.class_of(z1)),
-        cycles=(tuple(z4), z3, z2, z1),
+        cycles=(z4, z3, z2, z1),
     )

@@ -8,7 +8,9 @@ diagrams are assembled from a dict on pairs rather than from bitsets.
 `WholeSmithReference` is the one exception: it keeps the whole-matrix
 Smith-form solve that the unit elimination of `Factorization` replaced.
 `euclid_invariant_factors` keeps the elimination that `smith_normal_form`
-ran before its Hermite pass.
+ran before its Hermite pass.  `reference_shift` and `reference_chain_map`
+keep the dense `regular_representation` solves that `postnikov.shift` and
+`postnikov.chain_map_exists` replaced with closed forms in the group ring.
 """
 
 from __future__ import annotations
@@ -84,7 +86,11 @@ class WholeSmithReference:
         self.snf = smith_normal_form(a, track=("U", "V"))
 
     def kernel(self):
-        return self.snf.V.take_cols(list(range(self.snf.rank, self.a.cols)))
+        """The columns of V past the rank."""
+        from immorder.intalg import IntMatrix
+
+        v, r = self.snf.V, self.snf.rank
+        return IntMatrix(v.rows, v.cols - r, tuple(x for i in range(v.rows) for x in v.row_list(i)[r:]))
 
     def solve(self, b) -> tuple[int, ...] | None:
         s = self.snf
@@ -604,3 +610,97 @@ def hasse_by_pairs(types, leq):
     covers = [(a, b) for a in reps for b in above[a] if not any(rel[(c, b)] for c in above[a] if c != b)]
     edges = tuple(sorted((node_name(u), node_name(v)) for u, v in covers))
     return OrderGraph(nodes=tuple(reps), edges=edges)
+
+
+def reference_shift_data(n: int, w: int):
+    """The dense presentation that `postnikov.shift` solved against before
+    it worked in the group ring, the reference for `postnikov.shift_data`.
+
+    Returns (proj_i, ring, ideal): the projection x -> (1 - a) x onto the
+    augmentation ideal I, in the basis [-1 ... -1; I] of I, and the two
+    boundaries (degree k in `ring[k % 2]` and `ideal[k % 2]`, k >= 1) of
+    R^w = Z[Z/n]^w and of I^w, each the `regular_representation` of the
+    norm or of 1 - a with the odd coefficients times (-1)^w, read in that
+    basis of I on the ideal.
+    """
+    from immorder.groupring import GroupRingElement, norm, regular_representation
+    from immorder.intalg import IntMatrix
+
+    def in_ideal(block):
+        p = block.cols
+        assert not any(sum(block.entries[j::p]) for j in range(p)), "block escaped the augmentation ideal"
+        return IntMatrix(block.rows - 1, p, block.entries[p:])
+
+    d1 = GroupRingElement.one(n) - GroupRingElement.gen(n)
+    proj_i = in_ideal(regular_representation(d1))
+    sign = -1 if w else 1
+    ring, ideal = [], []
+    for d in (norm(n), d1):
+        m = regular_representation(GroupRingElement(n, tuple(sign * c if i % 2 else c for i, c in enumerate(d.coeffs))))
+        e = m.entries
+        # m restricted to I: column j - 1 of the basis is e_j - e_0
+        restricted = IntMatrix(n, n - 1, tuple(e[i + j] - e[i] for i in range(0, n * n, n) for j in range(1, n)))
+        ring.append(m)
+        ideal.append(in_ideal(restricted))
+    return proj_i, tuple(ring), tuple(ideal)
+
+
+def reference_shift(n: int, w: int, c: int, seed: int = 0):
+    """`postnikov.shift` by the dense path it replaced: every lift is a
+    Smith-form solve against the projection's matrix plus a random
+    combination of the columns of its kernel basis (one draw in -4..4 per
+    column, in column order), every boundary a dense matrix product, and
+    H_1 = H_3 on I^w the `homology_data` of the two ideal blocks.
+
+    Returns (groups, classes, cycles) indexed by stage, as in
+    `postnikov.ShiftResult`.
+    """
+    import random
+
+    from immorder.cohomology import cyclic_homology
+    from immorder.intalg import Factorization, IntMatrix, homology_data
+
+    proj_i, ring, ideal = reference_shift_data(n, w)
+    rng = random.Random(seed)
+    h4 = h2 = cyclic_homology(n, "Zw" if w else "Z", 4)
+    z4 = (0,) if h4.group.is_zero() else tuple(c * x for x in h4.generator(0))
+
+    def connecting(boundary, keep, proj, cycle):
+        lifted = list(proj.solve(IntMatrix.column(cycle))[0])
+        ker = proj.kernel()
+        for j in range(ker.cols):
+            t = rng.randint(-4, 4)
+            lifted = [x + t * y for x, y in zip(lifted, ker.col_list(j))]
+        db = boundary.apply_vec(lifted)
+        return keep(db)
+
+    def in_ideal(x):
+        assert sum(x) == 0, "boundary of the lift escaped the augmentation ideal"
+        return tuple(x[1:])
+
+    def in_norm_line(x):
+        assert x == [x[0]] * n, "boundary of the lift escaped the norm line"
+        return (x[0],)
+
+    eps = Factorization.of(IntMatrix.from_rows([[1] * n]))
+    z3 = connecting(ring[0], in_ideal, eps, z4)
+    z2 = connecting(ring[1], in_norm_line, Factorization.of(proj_i), z3)
+    z1 = connecting(ring[0], in_ideal, eps, z2)
+    h1 = h3 = homology_data(ideal[0], ideal[1])
+    groups = (h4.group, h3.group, h2.group, h1.group)
+    classes = (h4.class_of(z4), h3.class_of(z3), h2.class_of(z2), h1.class_of(z1))
+    return groups, classes, (tuple(z4), z3, z2, z1)
+
+
+def reference_chain_map(c_complex, d_complex, phi, c1):
+    """The degree-2 vertical h with d2_D h = c1 phi#(d2_C) by the dense
+    path that `postnikov.chain_map_exists` replaced: one `solve_linear`
+    against the `regular_representation` of d2_D (None when the system
+    has no integer solution)."""
+    from immorder.groupring import GroupRingElement, regular_representation
+    from immorder.intalg import solve_linear
+    from immorder.postnikov import push_forward
+
+    rhs = c1 * push_forward(phi, c_complex.boundary(2))
+    sol = solve_linear(regular_representation(d_complex.boundary(2)), rhs.coeffs)
+    return None if sol is None else GroupRingElement(d_complex.n, sol)

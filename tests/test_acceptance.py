@@ -36,10 +36,9 @@ from immorder.postnikov import (
     model_cohomology,
     push_forward,
     shift,
-    shift_data,
     verify_projection_diagram,
 )
-from oracles import exhaustive_connecting_classes, reference_shift_sequences
+from oracles import exhaustive_connecting_classes, reference_shift_data, reference_shift_sequences
 
 ZERO = FgAbelianGroup.zero()
 Z2 = FgAbelianGroup.cyclic(2)
@@ -246,16 +245,16 @@ def test_criterion_09_shift_self_consistency():
     # brute-force snake-lemma oracle: every bounded preimage choice gives
     # the same connecting class at each stage
     for n in (2, 4):
-        data = shift_data(n, 1)
+        proj_i, ring, ideal = reference_shift_data(n, 1)
         r = shift(n, 1, 1)
         eps, inclusion_i, _, inclusion_n = reference_shift_sequences(n)
         # ring[k % 2] is the degree-k boundary; degrees 3 and 1 of I^w share theirs
-        h3 = h1 = homology_data(data.ideal[0], data.ideal[1])
+        h3 = h1 = homology_data(ideal[0], ideal[1])
         h2 = cyclic_homology(n, "Zw", 2)
         stages = (
-            (eps, inclusion_i, data.ring[4 % 2], r.cycles[0], h3.class_of),
-            (data.proj_i, inclusion_n, data.ring[3 % 2], r.cycles[1], h2.class_of),
-            (eps, inclusion_i, data.ring[2 % 2], r.cycles[2], h1.class_of),
+            (eps, inclusion_i, ring[4 % 2], r.cycles[0], h3.class_of),
+            (proj_i, inclusion_n, ring[3 % 2], r.cycles[1], h2.class_of),
+            (eps, inclusion_i, ring[2 % 2], r.cycles[2], h1.class_of),
         )
         for (proj, incl, bd, cycle, classify), expected in zip(stages, r.classes[1:]):
             assert exhaustive_connecting_classes(proj, incl, bd, cycle, classify, 3) == {expected}

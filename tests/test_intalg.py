@@ -34,7 +34,6 @@ from immorder.intalg import (
     solve_linear,
     subquotient,
 )
-from immorder.postnikov import shift_data
 
 from oracles import (
     WholeSmithReference,
@@ -43,6 +42,7 @@ from oracles import (
     euclid_invariant_factors,
     invariant_factors_by_minors,
     oracle_homology_group,
+    reference_shift_data,
 )
 
 
@@ -531,15 +531,16 @@ def test_square_consistency_agrees_with_cramer(rows_and_rhs):
 
 @st.composite
 def unit_path_matrices(draw):
-    """Inputs for the unit elimination: the shift blocks, circulants of
-    group-ring elements, sparse matrices, empty shapes, a matrix with no
-    +-1 entry (its core is all of it) and the rank-one all-ones matrix."""
+    """Inputs for the unit elimination: the dense shift blocks of
+    `oracles.reference_shift_data`, circulants of group-ring elements,
+    sparse matrices, empty shapes, a matrix with no +-1 entry (its core is
+    all of it) and the rank-one all-ones matrix."""
     kind = draw(st.sampled_from(["shift", "circulant", "sparse", "empty", "no_unit", "ones"]))
     if kind == "shift":
         w = draw(st.sampled_from((0, 1)))
         n = 2 * draw(st.integers(1, 48)) if w else draw(st.integers(2, 96))
-        sd = shift_data(n, w)
-        return draw(st.sampled_from([sd.proj_i, sd.ring[0], sd.ring[1], sd.ideal[0], sd.ideal[1]]))
+        proj_i, ring, ideal = reference_shift_data(n, w)
+        return draw(st.sampled_from([proj_i, ring[0], ring[1], ideal[0], ideal[1]]))
     if kind == "circulant":
         n = draw(st.integers(1, 12))
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))

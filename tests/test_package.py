@@ -55,14 +55,12 @@ def test_cli_import_leaves_networkx_out():
     assert out.stdout.strip() == "False"
 
 
-def test_only_cyclic_homology_builds_a_resolution():
-    # one entry point for the homology of Z/n: every other caller reads it
+def _scopes_calling(name: str) -> list[str]:
+    """The `module.function` scopes of the sources that call `name`."""
+
     def callers(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "standard_resolution" in (
-                getattr(child.func, "id", None),
-                getattr(child.func, "attr", None),
-            ):
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
                 yield scope
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             yield from callers(child, f"{scope}.{child.name}" if named else scope)
@@ -70,4 +68,15 @@ def test_only_cyclic_homology_builds_a_resolution():
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += callers(ast.parse(path.read_text(), filename=str(path)), path.stem)
-    assert found == ["cohomology.cyclic_homology"]
+    return found
+
+
+def test_only_cyclic_homology_builds_a_resolution():
+    # one entry point for the homology of Z/n: every other caller reads it
+    assert _scopes_calling("standard_resolution") == ["cohomology.cyclic_homology"]
+
+
+def test_only_factorization_obstruction_reads_a_regular_representation():
+    # `shift` and `chain_map_exists` solve in the group ring; the dense n x n
+    # matrix of a ring element is left to the one small solve that reads it
+    assert _scopes_calling("regular_representation") == ["postnikov.factorization_obstruction"]

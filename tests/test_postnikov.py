@@ -20,9 +20,12 @@ from oracles import (
     box_chain_witnesses,
     exhaustive_connecting_classes,
     oracle_homology_group,
+    reference_chain_map,
     reference_ideal_blocks,
     reference_pull_back,
     reference_resolution_boundaries,
+    reference_shift,
+    reference_shift_data,
     reference_shift_sequences,
 )
 
@@ -36,15 +39,16 @@ from immorder.groupring import (
     regular_representation,
     twisted_norm,
 )
-from immorder import intalg
+from immorder import intalg, postnikov
 from immorder.cli import MAX_SHIFT_ORDER
-from immorder.intalg import Factorization, FgAbelianGroup, IntComplex, IntMatrix, kernel_basis, solve_linear
+from immorder.intalg import FgAbelianGroup, IntComplex, IntMatrix, kernel_basis, solve_linear, subquotient
 from immorder.postnikov import (
     InvalidClass,
     UnsupportedCoefficient,
-    _connecting,
     _ideal_coordinates,
     _norm_line_coordinates,
+    _through_augmentation,
+    _through_difference,
     chain_map_exists,
     factorization_obstruction,
     lift_exists,
@@ -346,6 +350,49 @@ def test_projection_solver_any_degree_one_vertical(data):
     assert w.augmentation() == m * c1.augmentation()
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_chain_map_closed_form_matches_the_dense_solve(data):
+    """The closed form agrees with the `solve_linear` path it replaced,
+    kept in `oracles.reference_chain_map`, for random degree-1 verticals:
+    on the projections X(km) -> X(k) with k <= 12 and m odd, on maps
+    between models along the homomorphisms of `VALID_HOMS` and the trivial
+    one, and on targets whose degree-2 boundary is a multiple of the norm.
+    Both find a witness or neither does, and a witness satisfies the
+    identity with the augmentation the dense solve gives."""
+    kind = data.draw(st.sampled_from(["projection", "hom", "multiple"]))
+    if kind == "projection":
+        k, m = data.draw(st.integers(1, 12)), data.draw(st.sampled_from((1, 3, 5, 7)))
+        c, d, phi = model_complex_X(k * m), model_complex_X(k), CyclicHom(2 * k * m, 2 * k, 1)
+    elif kind == "hom":
+        l1, l2, m = data.draw(st.sampled_from(VALID_HOMS + [(4, 4, 0), (8, 2, 0)]))
+        c, d, phi = model_complex_X(l1 // 2), model_complex_X(l2 // 2), CyclicHom(l1, l2, m)
+    else:
+        n, j = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 2))
+        multiple = data.draw(st.sampled_from((-4, -3, -1, 1, 2, 3, 5)))
+        c, phi = model_complex_X(n * j), CyclicHom(2 * n * j, n, 1)
+        d = GroupRingComplex(n, (one(n) - gen(n), norm(n).scale(multiple)))
+    c1 = GroupRingElement(d.n, tuple(data.draw(st.lists(st.integers(-3, 3), min_size=d.n, max_size=d.n))))
+    h, ref = chain_map_exists(c, d, phi, c1), reference_chain_map(c, d, phi, c1)
+    assert (h is None) == (ref is None)
+    if h is not None:
+        rhs = c1 * push_forward(phi, c.boundary(2))
+        assert d.boundary(2) * h == rhs == d.boundary(2) * ref
+        assert h == one(d.n).scale(ref.augmentation())
+
+
+def test_chain_map_refuses_a_target_boundary_off_the_norm_line():
+    """The closed form reads the target's degree-2 boundary as m N with
+    m != 0; any other boundary raises the explicit error."""
+    x, phi, a2 = model_complex_X(2), CyclicHom(4, 4, 1), gen(4, 2)
+    for d in (
+        GroupRingComplex(4, (one(4) - a2, one(4) + a2)),
+        GroupRingComplex(4, (one(4) - gen(4), GroupRingElement.zero(4))),
+    ):
+        with pytest.raises(ValueError, match="nonzero multiple of the norm"):
+            chain_map_exists(x, d, phi, one(4))
+
+
 # ---------------------------------------------------------------------------
 # the retraction obstruction
 
@@ -403,15 +450,15 @@ def test_shift_rejects():
 
 def test_shift_cycles_are_cycles():
     for n in (2, 4, 8):
-        data = shift_data(n, 1)
+        ideal = reference_shift_data(n, 1)[2]
         r = shift(n, 1, 1)
         z4, z3, z2, z1 = r.cycles
         # d_1..d_5 on Z^w (= (N)^w), and ideal[k % 2] is d_k on I^w
         trivial = [IntMatrix.from_rows(m) for m in reference_resolution_boundaries(n, 5, [[-1]])]
         assert all(v == 0 for v in trivial[3].apply_vec(list(z4)))
-        assert all(v == 0 for v in data.ideal[3 % 2].apply_vec(list(z3)))
+        assert all(v == 0 for v in ideal[3 % 2].apply_vec(list(z3)))
         assert all(v == 0 for v in trivial[1].apply_vec(list(z2)))
-        assert all(v == 0 for v in data.ideal[1 % 2].apply_vec(list(z1)))
+        assert all(v == 0 for v in ideal[1 % 2].apply_vec(list(z1)))
 
 
 def test_shift_data_exactness():
@@ -419,15 +466,14 @@ def test_shift_data_exactness():
     vanish and each projection's kernel lies in the image of the
     corresponding inclusion."""
     for n in (2, 4):
-        data = shift_data(n, 1)
-        proj_z, inclusion_i, _, inclusion_n = reference_shift_sequences(n)
+        proj_z, inclusion_i, proj_i, inclusion_n = reference_shift_sequences(n)
         proj_n = proj_z  # x -> N x, read in the basis of (N)
         assert (proj_z @ inclusion_i).is_zero()
-        assert (data.proj_i @ inclusion_n).is_zero()
+        assert (proj_i @ inclusion_n).is_zero()
         assert (proj_n @ inclusion_i).is_zero()
         for proj, incl in (
             (proj_z, inclusion_i),
-            (data.proj_i, inclusion_n),
+            (proj_i, inclusion_n),
             (proj_n, inclusion_i),
         ):
             ker = kernel_basis(proj)
@@ -437,39 +483,67 @@ def test_shift_data_exactness():
 
 def test_shift_connecting_matches_exhaustive_oracle():
     """Every bounded chain-level preimage choice yields the same class as
-    the package's randomized choice, at each of the three stages."""
+    the package's randomized choice, at each of the three stages; the ring
+    boundaries are the dense `regular_representation` blocks."""
     for n in (2, 4):
-        data = shift_data(n, 1)
+        proj_i, ring, ideal = reference_shift_data(n, 1)
         r = shift(n, 1, 1)
         eps, inclusion_i, _, inclusion_n = reference_shift_sequences(n)
         # degrees 3 and 1 of I^w both sit between ideal[0] and ideal[1]
-        h3 = h1 = intalg.homology_data(data.ideal[0], data.ideal[1])
+        h3 = h1 = intalg.homology_data(ideal[0], ideal[1])
         h2 = cyclic_homology(n, "Zw", 2)
-        stage1 = exhaustive_connecting_classes(eps, inclusion_i, data.ring[4 % 2], r.cycles[0], h3.class_of, 3)
-        stage2 = exhaustive_connecting_classes(
-            data.proj_i, inclusion_n, data.ring[3 % 2], r.cycles[1], h2.class_of, 3
-        )
-        stage3 = exhaustive_connecting_classes(eps, inclusion_i, data.ring[2 % 2], r.cycles[2], h1.class_of, 3)
+        stage1 = exhaustive_connecting_classes(eps, inclusion_i, ring[4 % 2], r.cycles[0], h3.class_of, 3)
+        stage2 = exhaustive_connecting_classes(proj_i, inclusion_n, ring[3 % 2], r.cycles[1], h2.class_of, 3)
+        stage3 = exhaustive_connecting_classes(eps, inclusion_i, ring[2 % 2], r.cycles[2], h1.class_of, 3)
         assert stage1 == {r.classes[1]}
         assert stage2 == {r.classes[2]}
         assert stage3 == {r.classes[3]}
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shift_matches_the_dense_reference(data):
+    """Solving in the group ring gives the groups and classes of the dense
+    path it replaced, kept in `oracles.reference_shift`, at every order the
+    shift command accepts, both twists, any multiple and any seed."""
+    w = data.draw(st.sampled_from((0, 1)))
+    n = 2 * data.draw(st.integers(1, MAX_SHIFT_ORDER // 2)) if w else data.draw(st.integers(2, MAX_SHIFT_ORDER))
+    c = data.draw(st.integers(-(2**40), 2**40))
+    seed = data.draw(st.integers(0, 2**32))
+    r = shift(n, w, c, seed=seed)
+    groups, classes, _ = reference_shift(n, w, c, seed)
+    assert (r.groups, r.classes) == (groups, classes)
+
+
+def test_shift_classes_match_the_closed_form():
+    """With the twist every stage is Z/2 and the class of c times the
+    generator is c mod 2 at every stage; untwisted, every group is zero."""
+    for n in range(2, MAX_SHIFT_ORDER + 1):
+        for c in (-3, 0, 1, 2, 7):
+            r = shift(n, 0, c, seed=n)
+            assert r.groups == (ZERO,) * 4 and r.classes == ((),) * 4
+            if n % 2 == 0:
+                r = shift(n, 1, c, seed=n)
+                assert r.groups == (Z2,) * 4
+                assert r.classes == ((c % 2,),) * 4
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_shift_coordinate_maps_match_solved_reference(data):
-    """The blocks that `shift_data` reads off by coordinates, and the
-    pull-backs through both inclusions, equal what a Smith-form
-    factorization of each inclusion solves for; vectors outside the
-    submodule are refused where the solver finds no preimage."""
+    """The block of 1 - s a that `shift_data` writes down by its three
+    nonzeros per column, and the pull-backs through both inclusions, equal
+    what a Smith-form factorization of each inclusion solves for; vectors
+    outside the submodule are refused where the solver finds no preimage."""
     w = data.draw(st.sampled_from((0, 1)))
     n = 2 * data.draw(st.integers(1, 48)) if w else data.draw(st.integers(2, 96))
     sd = shift_data(n, w)
-    _, inclusion, projection, inclusion_n = reference_shift_sequences(n)
+    inclusion, action, _ = reference_ideal_blocks(n)
+    inclusion_n = reference_shift_sequences(n)[3]
     # the coordinates are read in the solver's basis of I and of (N)
     assert _ideal_coordinates(inclusion, "outside I") == IntMatrix.identity(n - 1)
     assert _norm_line_coordinates(inclusion_n, "outside (N)") == IntMatrix.identity(1)
-    assert sd.proj_i == projection
+    assert sd.ideal == IntMatrix.identity(n - 1) - action.scale(-1 if w else 1)
 
     entries = st.integers(-(2**70), 2**70)
     cols = data.draw(st.lists(st.lists(entries, min_size=n - 1, max_size=n - 1), min_size=1, max_size=3))
@@ -497,40 +571,66 @@ def test_shift_coordinate_maps_match_solved_reference(data):
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_shift_ring_and_ideal_complexes_match_power_sum_reference(data):
-    """The ring and ideal blocks, repeated by the period (block k % 2 in
-    degree k), equal the resolution expanded degree by degree to degree 5,
-    each boundary a power sum of the twisted action: a acts on R by the
-    cyclic permutation and on I by the action that the general solver
-    finds, each times (-1)^w."""
+    """The dense ring and ideal blocks of the reference, repeated by the
+    period (block k % 2 in degree k), equal the resolution expanded degree
+    by degree to degree 5, each boundary a power sum of the twisted action:
+    a acts on R by the cyclic permutation and on I by the action that the
+    general solver finds, each times (-1)^w.  The block of 1 - s a in
+    `shift_data` is the odd boundary on I, its `image` column spans the
+    image of the even one, and the two give H_1 = H_3 of the expanded
+    complex."""
     w = data.draw(st.sampled_from((0, 1)))
     n = 2 * data.draw(st.integers(1, 12)) if w else data.draw(st.integers(2, 24))
     sd = shift_data(n, w)
+    _, ring_blocks, ideal_blocks = reference_shift_data(n, w)
     sign = -1 if w else 1
     # a sends the basis vector a^j to a^(j + 1)
     ring = [[sign * int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
     ideal = reference_ideal_blocks(n)[1].scale(sign).to_rows()
-    for blocks, rank, rows in ((sd.ring, n, ring), (sd.ideal, n - 1, ideal)):
+    for blocks, rank, rows in ((ring_blocks, n, ring), (ideal_blocks, n - 1, ideal)):
         got = tuple(blocks[k % 2] for k in range(1, 6))
         ref = tuple(IntMatrix.from_rows(m) for m in reference_resolution_boundaries(n, 5, rows))
         assert IntComplex((rank,) * 6, got) == IntComplex((rank,) * 6, ref)
+    expanded = IntComplex((n - 1,) * 6, tuple(IntMatrix.from_rows(m) for m in reference_resolution_boundaries(n, 5, ideal)))
+    assert sd.ideal == expanded.down[0] == expanded.down[2]
+    norm_block = expanded.down[1]
+    assert sd.image.cols == w
+    assert all(solve_linear(sd.image, norm_block.col_list(j)) is not None for j in range(n - 1))
+    assert all(solve_linear(norm_block, sd.image.col_list(j)) is not None for j in range(sd.image.cols))
+    h = subquotient(kernel_basis(sd.ideal), sd.image)
+    for k in (1, 3):
+        ref = expanded.homology_data(k)
+        assert h.group == ref.group
+        assert [h.class_of(ref.generator(i)) for i in range(len(ref.group.torsion))] == [
+            ref.class_of(ref.generator(i)) for i in range(len(ref.group.torsion))
+        ]
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_shift_pull_back_refuses_a_boundary_outside_the_submodule(n):
-    """With the identity as the ring boundary, the boundary of a lift is
-    the lift itself: a lift of 1 through the augmentation sums to 1, and a
-    lift of a nonzero I-vector through 1 - a is not constant, so both
-    pull-backs raise the explicit error."""
-    data = shift_data(n, 0)
-    eps = reference_shift_sequences(n)[0]
+    """Untwisted, the boundary N of a lift of 1 through the augmentation is
+    N, which sums to n, and (1 - a) of a lift of a nonzero I-vector through
+    1 - a is that vector, which is not constant: both pull-backs raise the
+    explicit error."""
     message = "boundary of the lift escaped the submodule"
     with pytest.raises(AssertionError, match=message):
-        _connecting(IntMatrix.identity(n), _ideal_coordinates, Factorization.of(eps), (1,), random.Random(0))
+        _through_augmentation(1, shift_data(n, 0).norm_w, random.Random(0))
     cycle = tuple(int(i == 0) for i in range(n - 1))
     with pytest.raises(AssertionError, match=message):
-        _connecting(
-            IntMatrix.identity(n), _norm_line_coordinates, Factorization.of(data.proj_i), cycle, random.Random(0)
-        )
+        _through_difference(cycle, 1, random.Random(0))
+
+
+def test_shift_lift_through_one_minus_a_is_certified(monkeypatch):
+    """The partial-sum lift through 1 - a is checked by its product with
+    1 - a: with that product miscomputed the lift is refused with the
+    explicit error, not returned."""
+    # (-1, 1, -1) is N^w = 1 - a + a^2 - a^3 in I, a cycle of 1 + a
+    assert len(_through_difference((-1, 1, -1), -1, random.Random(0))) == 1
+    monkeypatch.setattr(postnikov, "_difference", lambda x, s: [2 * v for v in x])
+    with pytest.raises(ValueError, match="not hit by the projection"):
+        _through_difference((-1, 1, -1), -1, random.Random(0))
+    with pytest.raises(ValueError, match="not hit by the projection"):
+        shift(4, 1, 1)
 
 
 def test_shift_h4_is_degree_four_of_the_full_trivial_complex():
@@ -560,7 +660,10 @@ def test_shift_factors_each_basis_once(monkeypatch, n, w):
     the +-1 pivots first leaves no core at all in most factorizations, and
     no Smith form is taken of an empty core: shift(40, 1, 3) takes 3 cold
     and 1 warm, shift(27, 0, 3) 6 and 3, each of a core or a relation
-    form with at most one row or at most one column."""
+    form with at most one row or at most one column.  Solving in the group
+    ring keeps those counts and factors no augmentation row: a warm call
+    factors the (n - 1) x (n - 1) block of 1 - s a and the basis of its
+    kernel, for H_1 = H_3 on I^w, and nothing else."""
     cold, warm = {(40, 1): (3, 1), (27, 0): (6, 3)}[n, w]
     cyclic_homology.cache_clear()
     calls, factored = [], []
@@ -578,13 +681,11 @@ def test_shift_factors_each_basis_once(monkeypatch, n, w):
     monkeypatch.setattr(intalg, "_factor", counted_factor)
     shift(n, w, 3)
     assert len(calls) == cold
-    assert sum((a.rows, a.cols) == (1, n) for a in factored) == 1
-    assert not any((a.rows, a.cols) in ((n, n - 1), (n, 1)) for a in factored)
+    assert not any((a.rows, a.cols) in ((1, n), (n, n - 1), (n, 1)) for a in factored)
     assert all(min(a.rows, a.cols) <= 1 for a in calls)
     calls.clear()
     factored.clear()
     shift(n, w, 3, seed=1)
     assert len(calls) == warm
-    assert sum((a.rows, a.cols) == (1, n) for a in factored) == 1
-    assert not any((a.rows, a.cols) in ((1, 1), (n, n - 1), (n, 1)) for a in factored)
+    assert [(a.rows, a.cols) for a in factored] == [(n - 1, n - 1), (n - 1, w)]
     assert all(min(a.rows, a.cols) <= 1 for a in calls)
