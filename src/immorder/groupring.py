@@ -2,32 +2,17 @@
 
 Elements of Z[Z/n] are stored as coefficient vectors indexed by powers of
 the generator a.  The module provides the norm element, its twisted
-companion used as the degree-3 boundary of the small model complexes, the
-regular representation, free resolutions of Z over Z[Z/n], and the functor
-that turns a complex of free Z[Z/n]-modules into an integer chain complex
-for a chosen coefficient system; cohomology is read off its transpose.
+companion used as the degree-3 boundary of the small model complexes,
+free resolutions of Z over Z[Z/n], and the functor that turns a complex
+of free Z[Z/n]-modules into an integer chain complex for a chosen
+coefficient system; cohomology is read off its transpose.
 
 Cost.  A product of two elements with t and u nonzero terms, t <= u,
-shifts and adds in O(t n) while t is at most `_SHIFT_ADD_MAX_TERMS` = 8,
-and otherwise packs each factor into one integer and multiplies once
-(Kronecker substitution), O(n) work plus one product of O(n w)-bit
-integers, w the bit length of the largest coefficient the product can
-reach, in whole bytes.  A product whose digits would need more than 8
-bytes shifts and adds at any t, which is exact at every size.  Both run their loops in C, through `map`, `itertools` and `array`.
-Measured with CPython 3.11 for n from 64 to 100000 and coefficients in
-[-2, 2], shift-and-add is 1.2-4 times faster at 1-4 terms and Kronecker
-substitution 2-5 times faster at 16-32 for n up to 32768; they take the
-same time at 5-7 terms (1.4 against 1.0 ms at 8 terms and n = 2048).  At
-n = 100000 the integer product grows faster than n: shift-and-add is
-still 1.4-2 times faster at 8 terms (55-75 against 80-120 ms), and they
-tie at 12-16.  The switch stays at 8: lowering it would save tens of
-microseconds at small orders and lose tens of milliseconds at n = 100000.
-The resolutions multiply 1 - a, the norm and the twisted norm, so each of
-their products is O(n).  A product with the norm element N, the sum of the
-group, is read in closed form, N x = augmentation(x) N: the check
-(1 - a) N of a resolution at n = 100000 takes about 2 ms instead of
-about 12 (CPython 3.11), and N N_w in `postnikov.model_complex_X` needs
-no integer product.
+adds t rotations of the longer factor, O(t n) with its loops in C, and is
+exact at every size.  The package's own products have a factor of at
+most two terms, such as 1 - a, or the norm element N, the sum of the
+group, as a factor; N x = augmentation(x) N is read in closed form, and
+so is the twisted norm, with no product.
 
 Every complex here has rank one in each degree, so a boundary is one
 element.  The resolution of Z has period 2: from degree 1 on, d_k = d_(k-2),
@@ -39,26 +24,17 @@ check, N (1 - a), and t `rho` calls to expand.
 A coefficient module is one of the four named ones, of rank at most 2,
 whose generator acts by a symmetric involution, so `rho(x)` is O(n): the
 sums of the even and of the odd coefficients of x scale the identity and
-the action.  `postnikov` solves the shift and the chain maps between
-models in the ring itself; only `postnikov.factorization_obstruction`
-solves against a dense `regular_representation`.
+the action.  Every solve in `postnikov` works in the ring itself, not in
+its regular representation.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import add, mul, neg, sub
 
 from .intalg import IntComplex, IntMatrix, _sum_vectors
-
-
-# the measured crossover between the two product algorithms (module docstring)
-_SHIFT_ADD_MAX_TERMS = 8
-# array type codes of unsigned 1-, 2-, 4- and 8-byte items, by item size
-_DIGIT_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 class RingMismatch(ValueError):
@@ -118,22 +94,14 @@ class GroupRingElement:
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check(other)
         n, a, b = self.n, self.coeffs, other.coeffs
-        terms_a, terms_b = n - a.count(0), n - b.count(0)
         # the ring is commutative: let a be the factor with fewer terms
-        if terms_a > terms_b:
-            a, b, terms_a, terms_b = b, a, terms_b, terms_a
-        if terms_a == 0:
-            return GroupRingElement.zero(n)
-        if terms_b == n:
+        if a.count(0) < b.count(0):
+            a, b = b, a
+        if 0 not in b:
             # the norm element N, the sum of the group, has x N = augmentation(x) N
             for x, y in ((a, b), (b, a)):
                 if y.count(1) == n:
                     return GroupRingElement(n, (sum(x),) * n)
-        if terms_a > _SHIFT_ADD_MAX_TERMS:
-            # every product coefficient is at most this in absolute value
-            bound = terms_a * max(max(a), -min(a)) * max(max(b), -min(b))
-            if bound.bit_length() < 64:
-                return GroupRingElement(n, _kronecker_product(a, b, bound))
         # a^i b is b rotated by i, read as a view of b b: a^i a^j = a^(i+j mod n)
         rotations = (map(mul, repeat(a[i]), islice(chain(b, b), n - i, 2 * n - i)) for i in compress(range(n), a))
         return GroupRingElement(n, _sum_vectors(rotations, n))
@@ -157,55 +125,6 @@ class GroupRingElement:
         return " + ".join(terms) if terms else "0"
 
 
-def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...], bound: int) -> tuple[int, ...]:
-    """Cyclic convolution of two nonzero coefficient vectors of length n.
-
-    Each vector is read as the value of its polynomial at 2^w, packed as
-    one integer with signed w-bit digits, and one integer multiplication
-    computes the product polynomial at 2^w.  Every coefficient of the
-    product, before or after folding a^n = 1, is at most `bound` in
-    absolute value; w is the fewest whole bytes with room for that bound
-    and a sign, so the digits can be read back exactly.  The digits pass
-    through an `array` of unsigned 1-, 2-, 4- or 8-byte items, the next
-    size up, and `_resize_digits` narrows them to w bytes and widens them
-    back, so the integer product is no longer than the digits need.
-    """
-    n = len(a)
-    width = bound.bit_length() // 8 + 1  # bytes per digit; bound < 2^(8 width - 1)
-    size = 1 << (width - 1).bit_length()  # bytes per array item
-    code, half = _DIGIT_CODES[size], 1 << (8 * width - 1)
-    # adding `offset` makes every digit nonnegative: half + c lies in [0, 2^(8 width))
-    offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
-
-    def pack(coeffs: tuple[int, ...]) -> int:
-        items = array(code, map(add, coeffs, repeat(half)))
-        if sys.byteorder == "big":
-            items.byteswap()
-        return int.from_bytes(_resize_digits(items.tobytes(), size, width), "little") - offset
-
-    # digits 0..n-1 of the product plus the offset, then digits n..2n-2
-    # added on top of them: the folded coefficients, each plus half
-    low_bits = 8 * width * n
-    full = pack(a) * pack(b) + offset
-    folded = (full & ((1 << low_bits) - 1)) + (full >> low_bits)
-    items = array(code, _resize_digits(folded.to_bytes(width * n, "little"), width, size))
-    if sys.byteorder == "big":
-        items.byteswap()
-    return tuple(map(sub, items, repeat(half)))
-
-
-def _resize_digits(data: bytes, src: int, dst: int) -> bytes | bytearray:
-    """Little-endian unsigned digits of `src` bytes each, as digits of `dst`
-    bytes, one strided slice per byte kept: the high bytes dropped must be
-    zero, and those added are."""
-    if src == dst:
-        return data
-    out = bytearray(len(data) // src * dst)
-    for j in range(min(src, dst)):
-        out[j::dst] = data[j::src]
-    return out
-
-
 def norm(n: int) -> GroupRingElement:
     """The norm element 1 + a + ... + a^(n-1)."""
     return GroupRingElement(n, (1,) * n)
@@ -215,22 +134,14 @@ def twisted_norm(n: int) -> GroupRingElement:
     """(1 - a) * (1 + a^2 + a^4 + ... + a^n) for even n = 2k.
 
     The even-power sum runs over k+1 terms including both a^0 and a^n = 1,
-    so the leading coefficient is 2.  The element annihilates and is
-    annihilated by the norm.
+    so it is 2 + a^2 + ... + a^(n-2), and the product is read in closed
+    form: (1 - a) a^(2i) = a^(2i) - a^(2i+1) gives the coefficients
+    (2, -2) followed by (1, -1) k - 1 times.  The element annihilates and
+    is annihilated by the norm.
     """
     if n % 2 != 0:
         raise InvalidTwist("twisted norm requires an even group order")
-    evens = [0] * n
-    evens[::2] = [1] * (n // 2)
-    evens[0] = 2  # a^0 and a^n
-    return (GroupRingElement.one(n) - GroupRingElement.gen(n)) * GroupRingElement(n, tuple(evens))
-
-
-def regular_representation(x: GroupRingElement) -> IntMatrix:
-    """Matrix of left multiplication by x on Z[Z/n] in the basis (a^i)."""
-    # entry (i, j) is c[(i - j) % n]: row i is the reversed c rotated by n - 1 - i
-    n, twice = x.n, x.coeffs[::-1] * 2
-    return IntMatrix(n, n, tuple(chain.from_iterable(twice[n - 1 - i : 2 * n - 1 - i] for i in range(n))))
+    return GroupRingElement(n, (2, -2) + (1, -1) * (n // 2 - 1))
 
 
 # ---------------------------------------------------------------------------

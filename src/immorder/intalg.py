@@ -197,11 +197,6 @@ class IntMatrix:
         rows = [self.row_list(i) + other.row_list(i) for i in range(self.rows)]
         return IntMatrix(self.rows, self.cols + other.cols, tuple(x for row in rows for x in row))
 
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack col mismatch")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def apply_vec(self, vec: list[int] | tuple) -> list[int]:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")

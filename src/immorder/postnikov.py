@@ -12,8 +12,8 @@ odd-index projection diagrams with their candidate verticals
 (m^2 p, m p, p, p), decides the retraction obstruction for the augmentation
 ideal, and evaluates the shift homomorphism
 H_4(Z/n; Z^w) -> H_1(Z/n; (ker N)^w) by composing three explicit
-snake-lemma connecting homomorphisms.  Both solve in Z[Z/n], not in its
-regular representation: each system is a product with 1 - a, N or a
+snake-lemma connecting homomorphisms.  Every solve works in Z[Z/n], not
+in its regular representation: each system is a product with 1 - a, N or a
 twist of either, with closed-form kernels, images and preimages (Brown,
 Cohomology of Groups, ch. I.6 and II.3), checked in O(n).  H_1 = H_3 on
 the ideal is a chain-level subquotient; H_4 = H_2 is `cyclic_homology`.
@@ -34,7 +34,6 @@ from .groupring import (
     coefficient_module,
     coefficients_complex,
     norm,
-    regular_representation,
     twisted_norm,
 )
 from .intalg import (
@@ -42,7 +41,6 @@ from .intalg import (
     IntMatrix,
     f2_solvable,
     kernel_basis,
-    solve_linear,
     subquotient,
 )
 
@@ -238,21 +236,22 @@ def factorization_obstruction(k: int, full_module: bool = False) -> bool:
 
     A module map f: Z[Z/2k] -> ker(N) is determined by y = f(1), which
     must satisfy eps(y) = 0, and restricts to the identity on ker(N)
-    exactly when (1 - a) y = 1 - a.  Returns True when the linear system
-    has no integral solution (the extension does not split).  With
-    `full_module` the target constraint eps(y) = 0 is dropped (maps to
-    the whole ring), and y = 1 always works.
+    exactly when (1 - a) y = 1 - a.  Returns True when no integral y
+    exists (the extension does not split).  Solved in the ring: (1 - a) y
+    = 1 - a exactly when y - 1 lies in ker(1 - a) = Z N, so y = 1 + t N,
+    and eps(y) = 1 + t n is never 0 for n = 2k >= 2.  With `full_module`
+    the target constraint eps(y) = 0 is dropped (maps to the whole ring),
+    and y = 1 works.  Both ring identities behind the solution, (1 - a) 1
+    = 1 - a and (1 - a) N = 0, are checked, in O(n).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = 2 * k
-    d1 = GroupRingElement.one(n) - GroupRingElement.gen(n)
-    system = regular_representation(d1)
-    b = list(d1.coeffs)
-    if not full_module:
-        system = system.vstack(IntMatrix.from_rows([[1] * n]))
-        b.append(0)
-    return solve_linear(system, b) is None
+    one = GroupRingElement.one(n)
+    d1 = one - GroupRingElement.gen(n)
+    if d1 * one != d1 or not (d1 * norm(n)).is_zero():
+        raise AssertionError("1 - a fails to fix 1 or to annihilate the norm")
+    return not full_module
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,13 @@ diagrams are assembled from a dict on pairs rather than from bitsets.
 `WholeSmithReference` is the one exception: it keeps the whole-matrix
 Smith-form solve that the unit elimination of `Factorization` replaced.
 `euclid_invariant_factors` keeps the elimination that `smith_normal_form`
-ran before its Hermite pass.  `reference_shift` and `reference_chain_map`
-keep the dense `regular_representation` solves that `postnikov.shift` and
-`postnikov.chain_map_exists` replaced with closed forms in the group ring.
+ran before its Hermite pass.  `regular_representation` is the dense n x n
+matrix of a group-ring element, which the package no longer builds:
+`reference_shift`, `reference_chain_map` and
+`reference_factorization_obstruction` keep the solves against it that
+`postnikov.shift`, `postnikov.chain_map_exists` and
+`postnikov.factorization_obstruction` replaced with closed forms in the
+group ring.
 """
 
 from __future__ import annotations
@@ -164,6 +168,16 @@ def cyclic_convolution(a, b) -> tuple[int, ...]:
                 if y:
                     out[(i + j) % n] += x * y
     return tuple(out)
+
+
+def regular_representation(x):
+    """Matrix of left multiplication by the group-ring element x on
+    Z[Z/n] in the basis (a^i)."""
+    from immorder.intalg import IntMatrix
+
+    # entry (i, j) is c[(i - j) % n]: row i is the reversed c rotated by n - 1 - i
+    n, twice = x.n, x.coeffs[::-1] * 2
+    return IntMatrix(n, n, tuple(itertools.chain.from_iterable(twice[n - 1 - i : 2 * n - 1 - i] for i in range(n))))
 
 
 def action_power_sum(action_rows: list[list[int]], coeffs) -> list[list[int]]:
@@ -334,7 +348,7 @@ class DiagonalOracle:
     """
 
     def __init__(self, n: int, top: int = 4):
-        from immorder.groupring import GroupRingElement, regular_representation, standard_resolution
+        from immorder.groupring import GroupRingElement, standard_resolution
 
         self.n = n
         self.top = top
@@ -421,7 +435,7 @@ def pullback_multiplier_oracle(l1: int, l2: int, m: int, degree: int) -> int:
     Solves for an equivariant chain map over the group homomorphism
     between the two periodic resolutions and augments it.
     """
-    from immorder.groupring import GroupRingElement, regular_representation, standard_resolution
+    from immorder.groupring import GroupRingElement, standard_resolution
     from immorder.intalg import solve_linear
 
     def push(elt):
@@ -451,7 +465,7 @@ def reference_ideal_blocks(n: int):
     a on I and the projection x -> (1 - a) x are solved against one
     Smith-form factorization of the inclusion.
     """
-    from immorder.groupring import GroupRingElement, regular_representation
+    from immorder.groupring import GroupRingElement
     from immorder.intalg import Factorization, IntMatrix, kernel_basis
 
     inclusion = kernel_basis(IntMatrix.from_rows([[1] * n]))
@@ -502,8 +516,6 @@ def box_chain_witnesses(d2_target, rhs, bound: int):
     Only supports the rank-one case (single generator in degree 2).
     """
     import numpy as np
-
-    from immorder.groupring import regular_representation
 
     n = d2_target.n
     reg = np.array([regular_representation(d2_target).row_list(i) for i in range(n)], dtype=np.int64)
@@ -623,7 +635,7 @@ def reference_shift_data(n: int, w: int):
     norm or of 1 - a with the odd coefficients times (-1)^w, read in that
     basis of I on the ideal.
     """
-    from immorder.groupring import GroupRingElement, norm, regular_representation
+    from immorder.groupring import GroupRingElement, norm
     from immorder.intalg import IntMatrix
 
     def in_ideal(block):
@@ -697,10 +709,28 @@ def reference_chain_map(c_complex, d_complex, phi, c1):
     path that `postnikov.chain_map_exists` replaced: one `solve_linear`
     against the `regular_representation` of d2_D (None when the system
     has no integer solution)."""
-    from immorder.groupring import GroupRingElement, regular_representation
+    from immorder.groupring import GroupRingElement
     from immorder.intalg import solve_linear
     from immorder.postnikov import push_forward
 
     rhs = c1 * push_forward(phi, c_complex.boundary(2))
     sol = solve_linear(regular_representation(d_complex.boundary(2)), rhs.coeffs)
     return None if sol is None else GroupRingElement(d_complex.n, sol)
+
+
+def reference_factorization_obstruction(k: int, full_module: bool = False) -> bool:
+    """`postnikov.factorization_obstruction` by the dense solve it
+    replaced: y with (1 - a) y = 1 - a against the `regular_representation`
+    of 1 - a, with the row eps(y) = 0 appended unless `full_module`; True
+    when the system has no integer solution."""
+    from immorder.groupring import GroupRingElement
+    from immorder.intalg import IntMatrix, solve_linear
+
+    n = 2 * k
+    d1 = GroupRingElement.one(n) - GroupRingElement.gen(n)
+    rows = regular_representation(d1).to_rows()
+    b = list(d1.coeffs)
+    if not full_module:
+        rows.append([1] * n)
+        b.append(0)
+    return solve_linear(IntMatrix.from_rows(rows), b) is None

@@ -18,13 +18,12 @@ from immorder.groupring import (
     coefficient_module,
     coefficients_complex,
     norm,
-    regular_representation,
     standard_resolution,
     twisted_norm,
 )
 from immorder.intalg import FgAbelianGroup, IntComplex, IntMatrix
 from immorder.postnikov import model_complex_X
-from oracles import action_power_sum, cyclic_convolution, reference_resolution_boundaries
+from oracles import action_power_sum, cyclic_convolution, reference_resolution_boundaries, regular_representation
 
 
 orders = st.integers(min_value=1, max_value=9)
@@ -73,20 +72,14 @@ def test_norm_absorbs_everything(data):
     assert (norm(n) * x).coeffs == norm(n).scale(x.augmentation()).coeffs
 
 
-SWITCH = groupring._SHIFT_ADD_MAX_TERMS
-
-
 @st.composite
 def sparse_coeffs(draw, n):
-    """Length-n coefficients with a chosen number of nonzero terms.
-
-    Term counts cluster at the switch between the two product algorithms,
-    and magnitudes range up to 2^70 so that several digit widths are used.
-    """
+    """Length-n coefficients with a chosen number of nonzero terms: few
+    (0-3), several (7-11) or any up to n, with magnitudes up to 2^70."""
     terms = draw(
         st.one_of(
             st.integers(min_value=0, max_value=min(n, 3)),
-            st.integers(min_value=max(0, min(n, SWITCH - 1)), max_value=min(n, SWITCH + 2)),
+            st.integers(min_value=min(n, 7), max_value=min(n, 11)),
             st.integers(min_value=0, max_value=n),
         )
     )
@@ -124,11 +117,13 @@ def test_product_with_the_norm_matches_dense_reference(data):
         assert (GroupRingElement(n, a) * GroupRingElement(n, b)).coeffs == cyclic_convolution(a, b)
 
 
-def test_product_with_the_norm_takes_no_integer_product(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("Kronecker product taken")
+def test_product_with_the_norm_takes_the_closed_form(monkeypatch):
+    """N x = augmentation(x) N with N on either side adds no rotations."""
 
-    monkeypatch.setattr(groupring, "_kronecker_product", refuse)
+    def refuse(*args):
+        raise AssertionError("shift-and-add product taken")
+
+    monkeypatch.setattr(groupring, "_sum_vectors", refuse)
     n = 4096
     dense = GroupRingElement(n, tuple(random.Random(1).randint(-9, 9) for _ in range(n)))
     for x in (dense, twisted_norm(n), norm(n)):
@@ -137,21 +132,20 @@ def test_product_with_the_norm_takes_no_integer_product(monkeypatch):
         assert (x * norm(n)).coeffs == want
 
 
-# bit lengths of the coefficient bound at both edges of each digit width
-# (w bytes hold a bound below 2^(8w - 1), up to 8 bytes) and past it
+# coefficient bit lengths at both edges of each whole byte up to 8 and past them
 DIGIT_EDGE_BITS = [1, 7, 8, 15, 16, 23, 24, 31, 32, 39, 40, 47, 48, 55, 56, 63, 64, 90]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_product_kernels_match_dense_reference(data):
-    """Both product algorithms against the double loop: n from 1, zero and
-    one-term factors, terms at offsets 0 and n - 1, coefficients at the
-    edges of every digit width, and the short factor on either side."""
-    n = data.draw(st.sampled_from([1, 2, SWITCH, SWITCH + 1]) | st.integers(min_value=1, max_value=90))
+    """The product against the double loop: n from 1, zero and one-term
+    factors, terms at offsets 0 and n - 1, coefficients at the edges of
+    every byte width, and the short factor on either side."""
+    n = data.draw(st.sampled_from([1, 2, 8, 9]) | st.integers(min_value=1, max_value=90))
     bits = data.draw(st.sampled_from(DIGIT_EDGE_BITS))
     values = st.integers(min_value=-(2**bits), max_value=2**bits)
-    offsets = data.draw(st.sets(st.sampled_from([0, n - 1]) | st.integers(min_value=0, max_value=n - 1), max_size=SWITCH + 3))
+    offsets = data.draw(st.sets(st.sampled_from([0, n - 1]) | st.integers(min_value=0, max_value=n - 1), max_size=11))
     short = [0] * n
     for i in offsets:
         short[i] = data.draw(values)
@@ -163,46 +157,7 @@ def test_product_kernels_match_dense_reference(data):
     assert (y * x).coeffs == want
 
 
-@pytest.mark.parametrize("bits", DIGIT_EDGE_BITS[2:])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_product_digit_width_and_route(monkeypatch, bits, sign):
-    """Constant factors of SWITCH + 1 terms whose coefficient bound has
-    `bits` bits, at the bottom and top of that bit length: the digits are
-    the fewest whole bytes that hold the bound and a sign, they pass
-    through array items of the fewest of 1, 2, 4 or 8 bytes that hold
-    them, and a bound past 8 bytes takes shift-and-add.  The unit factor
-    is -N, not the norm element N, whose products take a closed form."""
-    n = SWITCH + 1
-    widths, resized = [], []
-    original_array, original_resize = groupring.array, groupring._resize_digits
-
-    def spy_array(code, init=()):
-        made = original_array(code, init)
-        widths.append(made.itemsize)
-        return made
-
-    def spy_resize(data, src, dst):
-        resized.append((src, dst))
-        return original_resize(data, src, dst)
-
-    monkeypatch.setattr(groupring, "array", spy_array)
-    monkeypatch.setattr(groupring, "_resize_digits", spy_resize)
-    for m in (-(-(2 ** (bits - 1)) // n), (2**bits - 1) // n):
-        assert (n * m).bit_length() == bits
-        widths.clear()
-        resized.clear()
-        a, b = (sign * m,) * n, (-1,) * n
-        want = cyclic_convolution(a, b)
-        assert want == (-sign * n * m,) * n
-        assert (GroupRingElement(n, a) * GroupRingElement(n, b)).coeffs == want
-        assert (GroupRingElement(n, b) * GroupRingElement(n, a)).coeffs == want
-        item_sizes = [w for w in (1, 2, 4, 8) if bits < 8 * w]
-        assert set(widths) == set(item_sizes[:1])
-        digit = bits // 8 + 1
-        assert set(resized) == ({(item_sizes[0], digit), (digit, item_sizes[0])} if item_sizes else set())
-
-
-@pytest.mark.parametrize("terms", [SWITCH - 1, SWITCH, SWITCH + 1, 40])
+@pytest.mark.parametrize("terms", [7, 8, 9, 40])
 @pytest.mark.parametrize("n", [40, 257])
 def test_product_on_both_sides_of_the_switch(n, terms):
     """Full-length factors, one with exactly `terms` terms, extreme values."""
@@ -216,15 +171,12 @@ def test_product_on_both_sides_of_the_switch(n, terms):
     assert (GroupRingElement(n, dense) * GroupRingElement(n, tuple(short))).coeffs == want
 
 
-@pytest.mark.parametrize("n", [SWITCH + 1, 16, 100])
+@pytest.mark.parametrize("n", [9, 16, 100])
 @pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64, 71, 72])
 def test_product_coefficients_at_the_digit_bound(n, bits):
-    """Constant factors make every coefficient reach the bound n max|a| max|b|.
-
-    With the bound just below, at, and just above a power of two next to a
-    whole number of bytes, a digit width without room for the sign or the
-    bound fails here.
-    """
+    """Constant factors make every coefficient reach n max|a| max|b|, just
+    below, at and just above a power of two next to a whole number of
+    bytes."""
     for target in (2**bits - 1, 2**bits, 2**bits + 1):
         m = max(1, target // n)
         for sa, sb in ((1, 1), (1, -1), (-1, -1)):
@@ -365,7 +317,8 @@ def test_module_accepts_symmetric_involution_and_checks_shape():
 
 
 def test_twisted_norm_matches_its_definition():
-    for n in range(2, 66, 2):
+    """The closed form against the product (1 - a)(2 + a^2 + ... + a^(n-2))."""
+    for n in range(2, 302, 2):
         one_minus_a = [1, -1] + [0] * (n - 2)
         evens = [0] * n
         for i in range(n // 2 + 1):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from immorder import fibering, intalg
-from immorder.groupring import GroupRingElement, regular_representation
+from immorder.groupring import GroupRingElement
 from immorder.intalg import (
     DimensionMismatch,
     Factorization,
@@ -43,6 +43,7 @@ from oracles import (
     invariant_factors_by_minors,
     oracle_homology_group,
     reference_shift_data,
+    regular_representation,
 )
 
 

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import immorder
+from immorder import groupring
 
 SRC = Path(immorder.__file__).parent
 
@@ -76,7 +77,8 @@ def test_only_cyclic_homology_builds_a_resolution():
     assert _scopes_calling("standard_resolution") == ["cohomology.cyclic_homology"]
 
 
-def test_only_factorization_obstruction_reads_a_regular_representation():
-    # `shift` and `chain_map_exists` solve in the group ring; the dense n x n
-    # matrix of a ring element is left to the one small solve that reads it
-    assert _scopes_calling("regular_representation") == ["postnikov.factorization_obstruction"]
+def test_no_source_reads_a_regular_representation():
+    # every solve works in the group ring; the dense n x n matrix of a ring
+    # element is test code, in `oracles.regular_representation`
+    assert _scopes_calling("regular_representation") == []
+    assert not hasattr(groupring, "regular_representation")

@@ -21,12 +21,14 @@ from oracles import (
     exhaustive_connecting_classes,
     oracle_homology_group,
     reference_chain_map,
+    reference_factorization_obstruction,
     reference_ideal_blocks,
     reference_pull_back,
     reference_resolution_boundaries,
     reference_shift,
     reference_shift_data,
     reference_shift_sequences,
+    regular_representation,
 )
 
 from immorder.cohomology import CyclicHom, IllFormedHom, cyclic_homology, h_twisted
@@ -36,7 +38,6 @@ from immorder.groupring import (
     InvalidTwist,
     RingMismatch,
     norm,
-    regular_representation,
     twisted_norm,
 )
 from immorder import intalg, postnikov
@@ -403,6 +404,20 @@ def test_factorization_obstruction():
         assert factorization_obstruction(k, full_module=True) is False
     with pytest.raises(ValueError):
         factorization_obstruction(0)
+
+
+@pytest.mark.parametrize("full_module", [False, True])
+def test_factorization_obstruction_matches_the_dense_solve(full_module):
+    for k in range(1, 41):
+        assert factorization_obstruction(k, full_module) == reference_factorization_obstruction(k, full_module), k
+
+
+def test_factorization_obstruction_certifies_its_ring_identities(monkeypatch):
+    """A miscomputed product with 1 - a raises the explicit error."""
+    real = GroupRingElement.__mul__
+    monkeypatch.setattr(GroupRingElement, "__mul__", lambda x, y: real(x, y).scale(2))
+    with pytest.raises(AssertionError, match="1 - a fails"):
+        factorization_obstruction(3)
 
 
 # ---------------------------------------------------------------------------
