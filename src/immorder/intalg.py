@@ -31,11 +31,11 @@ nonzeros, picking each pivot by the Markowitz cost (r - 1)(c - 1), and
 gives only the non-unit core that remains to `smith_normal_form`.  This
 is the elimination strategy of Dumas, Saunders and Villard, "On efficient
 sparse integer matrix Smith normal form computations" (J. Symb. Comput.
-32, 2001).  The matrices of the shift homomorphism are sparse with +-1
-pivots, so their cores have at most one row or one column, and no
-transform of a whole matrix is ever formed.  A step that meets a dense
-block and empties no row ends the unit phase, because the Smith form
-eliminates dense list rows as cheaply.  `solve` takes a block of
+32, 2001).  Each step recounts the columns of the rows still active,
+which suits what the package factors: small matrices, and dense ones,
+where a step that empties no row ends the unit phase because the Smith
+form eliminates dense list rows as cheaply.  On a sparse n x n input
+the recounts cost time quadratic in n.  `solve` takes a block of
 right-hand sides: it replays the unit row operations, solves the core
 with one product by its U and one by its V, back-substitutes through
 the pivot rows, and checks the whole block with one certificate product
@@ -600,25 +600,23 @@ _NO_CORE = smith_normal_form(IntMatrix(0, 0, ()))
 UnitStep = tuple[int, int, dict[int, int], tuple[tuple[int, int], ...]]
 
 
-def _markowitz_pivot(rows: list[dict[int, int]], counts: list[int], buckets: dict[int, set[int]]) -> tuple[int, int] | None:
-    """A +-1 entry of least Markowitz cost (r - 1)(c - 1) among the active
-    rows, r and c the nonzero counts of its row and column (`counts`), or
-    None when they hold no +-1.  Rows are searched by increasing count
-    (`buckets` maps a count to its rows), and the search stops once no row
-    left can beat the best cost: a row of count r costs at least
-    (r - 1)(c_min - 1)."""
-    cmin = min(filter(None, counts), default=1)
+def _markowitz_pivot(rows: list[dict[int, int]], active: list[int]) -> tuple[int, int] | None:
+    """The next pivot by the rule of `Factorization`, or None when the
+    active rows hold no +-1.  Rows are searched by increasing count, then
+    index, and the search stops once no row left can beat the best cost:
+    a row of count r costs at least (r - 1)(c_min - 1)."""
+    counts = Counter(chain.from_iterable(rows[k] for k in active))
+    cmin = min(counts.values(), default=1)
     best, piv = None, None
-    for r in sorted(buckets):
-        bound = (r - 1) * (cmin - 1)
-        for i in sorted(buckets[r]):
-            if best is not None and best <= bound:
-                return piv
-            for j, x in rows[i].items():
-                if x == 1 or x == -1:
-                    cost = (r - 1) * (counts[j] - 1)
-                    if best is None or cost < best:
-                        best, piv = cost, (i, j)
+    for i in sorted(active, key=lambda k: len(rows[k])):
+        r = len(rows[i])
+        if best is not None and best <= (r - 1) * (cmin - 1):
+            break
+        for j, x in rows[i].items():
+            if x == 1 or x == -1:
+                cost = (r - 1) * (counts[j] - 1)
+                if best is None or cost < best:
+                    best, piv = cost, (i, j)
     return piv
 
 
@@ -626,77 +624,41 @@ def _factor(a: IntMatrix, track: Collection[str]) -> "Factorization":
     """Eliminate the +-1 pivots of `a` forward on sparse rows, then take the
     Smith form of the nonzero core that remains, tracking `track`."""
     n, m, e = a.rows, a.cols, a.entries
-    if 1 not in e and -1 not in e:
+    if any(e) and 1 not in e and -1 not in e:
         # no unit step: the core is all of a
         return Factorization(a, (), tuple(range(n)), tuple(range(m)), smith_normal_form(a, track=track))
     ids = list(range(m))  # one int object per column, shared by every row
     rows = [dict(compress(zip(ids, row), row)) for row in (e[i * m : (i + 1) * m] for i in range(n))]
-    # the active rows by nonzero count, and the nonzeros of each column in them
-    buckets: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        if row:
-            buckets.setdefault(len(row), set()).add(i)
-    counts = [n - e[j::m].count(0) for j in range(m)]
-    nnz = len(e) - e.count(0)
+    active = [i for i, row in enumerate(rows) if row]  # the nonzero rows not yet pivots
     units: list[UnitStep] = []
-    while (piv := _markowitz_pivot(rows, counts, buckets)) is not None:
+    while (piv := _markowitz_pivot(rows, active)) is not None:
         i, j = piv
         prow = rows[i]
-        s = prow[j]
-        buckets[len(prow)].discard(i)
-        nnz -= len(prow)
-        for c in prow:
-            counts[c] -= 1
-        targets = sorted(k for bucket in buckets.values() for k in bucket if j in rows[k])
-        # A step that touches at least as many entries as the active rows
-        # hold recounts the columns afterwards, at no more than its own
-        # cost, instead of counting every fill and cancellation.
-        bulk = len(targets) * len(prow) >= nnz
+        active.remove(i)
+        targets = [k for k in active if j in rows[k]]
+        nnz = sum(len(rows[k]) for k in active)
         ops = []
         for k in targets:
-            rk = rows[k]
-            f = rk[j] * s
-            new = rk.copy()
+            f = rows[k][j] * prow[j]
+            new = rows[k].copy()
             for c, v in prow.items():
                 x = new.get(c, 0) - f * v
                 if x:
-                    if not bulk and c not in rk:
-                        counts[c] += 1
                     new[c] = x
                 else:
                     del new[c]
-                    if not bulk:
-                        counts[c] -= 1
-            if not bulk:
-                buckets[len(rk)].discard(k)
-                if new:
-                    buckets.setdefault(len(new), set()).add(k)
-            nnz += len(new) - len(rk)
             rows[k] = new
             ops.append((k, f))
         units.append((i, j, prow, tuple(ops)))
-        if bulk:
-            # A dense step that emptied no row only shrank the block by its
-            # own row and column, which the Smith form does as cheaply on
-            # list rows.
-            if all(rows[k] for k in targets):
-                break
-            active = [k for bucket in buckets.values() for k in bucket if rows[k]]
-            buckets = {}
-            for k in active:
-                buckets.setdefault(len(rows[k]), set()).add(k)
-            recount = Counter(chain.from_iterable(rows[k] for k in active))
-            counts = [recount[c] for c in ids]
-        else:
-            for r in [r for r, bucket in buckets.items() if not bucket]:
-                del buckets[r]
-    pivot_rows = {u[0] for u in units}
-    core_rows = tuple(k for k in range(n) if rows[k] and k not in pivot_rows)
-    core_cols = tuple(sorted(set().union(*(rows[k] for k in core_rows))))
-    if not core_rows:
-        return Factorization(a, tuple(units), (), (), _NO_CORE)
-    core = IntMatrix(len(core_rows), len(core_cols), tuple(chain.from_iterable(map(rows[k].get, core_cols, repeat(0)) for k in core_rows)))
-    return Factorization(a, tuple(units), core_rows, core_cols, smith_normal_form(core, track=track))
+        # A dense step, touching at least as many entries as the active rows
+        # hold, that empties no row only shrank the block by its own row and
+        # column, which the Smith form does as cheaply on list rows.
+        if len(targets) * len(prow) >= nnz and all(rows[k] for k in targets):
+            break
+        active = [k for k in active if rows[k]]
+    core_cols = tuple(sorted(set().union(*(rows[k] for k in active))))
+    core = IntMatrix(len(active), len(core_cols), tuple(chain.from_iterable(map(rows[k].get, core_cols, repeat(0)) for k in active)))
+    return Factorization(a, tuple(units), tuple(active), core_cols, smith_normal_form(core, track=track) if active else _NO_CORE)
 
 
 @dataclass(frozen=True)
@@ -705,14 +667,20 @@ class Factorization:
     kernel.
 
     The unit block comes first: `units` lists the +-1 pivots eliminated
-    forward by row operations, in order (see `UnitStep`), with pivots of
-    least Markowitz cost.  Row operations are unimodular, so with L their
+    forward by row operations, in order (see `UnitStep`).  Each pivot is
+    a +-1 of least Markowitz cost in the active rows, the nonzero rows not
+    yet pivots, with ties to the shorter row, then the lower row index,
+    then the earlier entry in the row (fill-in goes to the end).  The
+    phase stops when no active row holds a +-1, or after a step that
+    touches at least as many entries as the other active rows hold and
+    empties none of them.  Row operations are unimodular, so with L their
     product, L a has the pivot rows, upper unitriangular up to sign in
     the pivot columns, above rows that vanish in every pivot column.  The
     nonzero part of those rows, over `core_rows` and `core_cols`, is the
-    core, with Smith form `core` (U c V = D); with no +-1 entry the core
-    is all of a.  The other active rows are zero, and the other non-pivot
-    columns are free.  No Smith form is taken of an empty core.
+    core, with Smith form `core` (U c V = D); in a nonzero matrix with no
+    +-1 entry the core is all of a.  The other rows are zero, and the
+    other non-pivot columns are free.  No Smith form is taken of an empty
+    core, so none of a zero matrix.
 
     So a x = b exactly when the zero rows of L b vanish and the core
     solves its rows of L b, x = V y with D y = U (L b); the pivot entries

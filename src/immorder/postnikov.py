@@ -16,7 +16,7 @@ snake-lemma connecting homomorphisms.  Every solve works in Z[Z/n], not
 in its regular representation: each system is a product with 1 - a, N or a
 twist of either, with closed-form kernels, images and preimages (Brown,
 Cohomology of Groups, ch. I.6 and II.3), checked in O(n).  H_1 = H_3 on
-the ideal is a chain-level subquotient; H_4 = H_2 is `cyclic_homology`.
+I^w is Z N^w cut with I, modulo 2 N^w; H_4 = H_2 is `cyclic_homology`.
 """
 
 from __future__ import annotations
@@ -273,18 +273,20 @@ class ShiftData:
     The standard resolution has period 2, and on R^w its boundary of
     degree k >= 1 is the product with 1 - s a for odd k and with the
     element N^w = sum (s a)^i, coefficients `norm_w`, for even k; N^w x =
-    eps_w(x) N^w with eps_w(x) = sum s^i x_i.  On I^w, in the basis
-    a^j - 1 (j = 1..n-1) whose coordinates `_ideal_coordinates` reads,
-    1 - s a is the block `ideal`, with three nonzeros per column, and the
-    image of N^w is spanned by the column `image`, N^w (1 - a) = 2 N^w, or
-    is zero when w = 0.  Z^w and (N)^w are both the trivial module twisted
-    by w, whose homology is `cyclic_homology`.
+    eps_w(x) N^w with eps_w(x) = sum s^i x_i.  On I^w, (1 - s a) x = 0
+    means x_i = s x_(i-1) (Brown, Cohomology of Groups, ch. I.6), so the
+    kernel is I cut with the line Z N^w: the column `kernel`, N^w, when
+    w = 1 (eps(N^w) = 0), and zero when w = 0 (eps(N) = n).  The image of
+    N^w is the column `image`, N^w (1 - a) = 2 N^w, or zero when w = 0,
+    both in the basis a^j - 1 (j = 1..n-1) of I (`_ideal_coordinates`).
+    Z^w and (N)^w are both the trivial module twisted by w, whose homology
+    is `cyclic_homology`.
     """
 
     n: int
     w: int
     norm_w: tuple[int, ...]
-    ideal: IntMatrix
+    kernel: IntMatrix
     image: IntMatrix
 
 
@@ -319,17 +321,14 @@ def shift_data(n: int, w: int) -> ShiftData:
     one, gen = GroupRingElement.one(n), GroupRingElement.gen(n)
     norm_w = GroupRingElement(n, tuple(s if i % 2 else 1 for i in range(n)))
     # (1 - a) N = 0 makes the middle sequence compose, and (1 - s a) N^w = 0
-    # makes the twisted boundaries a complex
+    # makes the twisted boundaries a complex with N^w in the kernel
     if not ((one - gen) * norm(n)).is_zero() or not ((one - gen.scale(s)) * norm_w).is_zero():
         raise AssertionError("the boundaries fail to compose to zero")
-    # (1 - s a)(a^j - 1) = (a^j - 1) - s (a^(j+1) - 1) + s (a - 1), and a^n - 1 = 0
-    m = n - 1
-    e = [0] * (m * m)
-    e[:: m + 1], e[m :: m + 1] = [1] * m, [-s] * (m - 1)
-    e[:m] = [x + s for x in e[:m]]
+    kernel = IntMatrix.column(norm_w.coeffs) if w else IntMatrix(n, 0, ())
+    kernel = _ideal_coordinates(kernel, "N^w escaped the augmentation ideal")
     image = IntMatrix.column((norm_w * (one - gen)).coeffs) if w else IntMatrix(n, 0, ())
     image = _ideal_coordinates(image, "the image of N^w escaped the augmentation ideal")
-    return ShiftData(n, w, norm_w.coeffs, IntMatrix(m, m, tuple(e)), image)
+    return ShiftData(n, w, norm_w.coeffs, kernel, image)
 
 
 def _difference(x: list[int], s: int) -> list[int]:
@@ -405,7 +404,7 @@ def shift(n: int, w: int, c: int, seed: int = 0) -> ShiftResult:
     z2 = _through_difference(z3, -1 if w else 1, rng)
     z1 = _through_augmentation(z2[0], data.norm_w, rng)
     # likewise H_3 = H_1 on I^w: the kernel of 1 - s a modulo the image of N^w
-    h1 = h3 = subquotient(kernel_basis(data.ideal), data.image)
+    h1 = h3 = subquotient(data.kernel, data.image)
     return ShiftResult(
         n=n,
         w=w,

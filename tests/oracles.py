@@ -105,6 +105,13 @@ class WholeSmithReference:
         return tuple(s.V.apply_vec(y))
 
 
+def solves_into(basis, vectors) -> bool:
+    """Does every column of `vectors` lie in the column span of `basis`
+    (by `WholeSmithReference`)?"""
+    ref = WholeSmithReference(basis)
+    return all(ref.solve(vectors.col_list(j)) is not None for j in range(vectors.cols))
+
+
 def euclid_invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
     """The nonzero invariant factors of the matrix `rows` by the Euclid loop
     that `intalg.smith_normal_form` ran on the whole matrix before it started
@@ -202,7 +209,7 @@ def reference_resolution_boundaries(n: int, top: int, action_rows: list[list[int
 
     The full-length reference for `standard_resolution`,
     `coefficients_complex` and the ring and ideal boundary blocks of
-    `postnikov.shift_data`, which share one period: every degree gets a
+    `reference_shift_data`, which share one period: every degree gets a
     fresh coefficient vector, 1 - a in odd degrees and the norm in even
     ones, every adjacent pair is checked to compose to zero by the dense
     convolution, and every degree runs its own `action_power_sum` for the
@@ -459,8 +466,8 @@ def pullback_multiplier_oracle(l1: int, l2: int, m: int, degree: int) -> int:
 def reference_ideal_blocks(n: int):
     """The augmentation ideal I of Z[Z/n] by the general solver.
 
-    The reference for `postnikov.shift_data`, which reads these blocks off
-    by coordinates: returns (inclusion, action, projection), where the
+    The reference for `postnikov.shift_data`, which writes the kernel and
+    image it needs on I in closed form, by coordinates: returns (inclusion, action, projection), where the
     inclusion is `kernel_basis` of the augmentation row, and the action of
     a on I and the projection x -> (1 - a) x are solved against one
     Smith-form factorization of the inclusion.
@@ -488,8 +495,8 @@ def reference_shift_sequences(n: int):
     augmentation row R -> Z, which is also x -> N x read in the norm line
     (N); the inclusion of the augmentation ideal I and the projection
     x -> (1 - a) x onto it, from `reference_ideal_blocks`; and the all-ones
-    column spanning (N).  `shift_data` keeps none of them but the
-    projection, and reads I and (N) by coordinates.
+    column spanning (N).  `shift_data` keeps none of them, and reads I and
+    (N) by coordinates.
     """
     from immorder.intalg import IntMatrix
 

@@ -9,11 +9,12 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from immorder import fibering, intalg
 from immorder.groupring import GroupRingElement
@@ -44,6 +45,7 @@ from oracles import (
     oracle_homology_group,
     reference_shift_data,
     regular_representation,
+    solves_into,
 )
 
 
@@ -556,11 +558,6 @@ def unit_path_matrices(draw):
     return IntMatrix(r, c, tuple(draw(st.lists(st.sampled_from(values), min_size=r * c, max_size=r * c))))
 
 
-def _solves_into(basis: IntMatrix, vectors: IntMatrix) -> bool:
-    ref = WholeSmithReference(basis)
-    return all(ref.solve(vectors.col_list(j)) is not None for j in range(vectors.cols))
-
-
 @settings(max_examples=80, deadline=None)
 @given(unit_path_matrices(), st.data())
 def test_unit_elimination_matches_the_whole_smith_form(a, data):
@@ -578,7 +575,7 @@ def test_unit_elimination_matches_the_whole_smith_form(a, data):
     assert k == kernel_basis(a)
     assert (a @ k).is_zero() and k.cols == k_ref.cols
     assert len(WholeSmithReference(k).snf.d) == k.cols
-    assert _solves_into(k, k_ref) and _solves_into(k_ref, k)
+    assert solves_into(k, k_ref) and solves_into(k_ref, k)
     # solve verdicts, on planted and random right-hand sides
     cols = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -590,6 +587,84 @@ def test_unit_elimination_matches_the_whole_smith_form(a, data):
         assert (x is None) == (ref.solve(col) is None)
         if x is not None:
             assert a.apply_vec(list(x)) == col
+
+
+def _has_unit(rows, active) -> bool:
+    return any(x in (1, -1) for k in active for x in rows[k].values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_path_matrices())
+# row 0 costs 2, above the bound 1 of row 1, whose pivot costs 1
+@example(IntMatrix.from_rows([[1, 0, 2, 0], [0, 1, 0, 2], [2, 2, 2, 2], [2, 0, 0, 2]]))
+def test_unit_pivots_follow_the_markowitz_rule(a):
+    """Replaying `Factorization.units` step by step: each pivot is the +-1
+    of least (Markowitz cost, row count, row index, position in its row)
+    among the active rows, the nonzero rows not yet pivots, with cost
+    (r - 1)(c - 1) counted in those rows; each step clears its column from
+    exactly the active rows that hold it, fill-in going to the end of a
+    row; and the unit phase stops exactly when no +-1 is left, or after a
+    step that touches at least as many entries as the other active rows
+    hold and empties none of them.  A nonzero matrix with no +-1 is all
+    core."""
+    f = Factorization.of(a)
+    if any(a.entries) and 1 not in a.entries and -1 not in a.entries:
+        assert f.units == () and f.core_rows == tuple(range(a.rows)) and f.core_cols == tuple(range(a.cols))
+        return
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a.to_rows()]
+    active = [i for i, row in enumerate(rows) if row]
+    assert f.units or not _has_unit(rows, active)
+    for t, (i, j, prow, ops) in enumerate(f.units):
+        counts = Counter(c for k in active for c in rows[k])
+        _, _, row, _, col = min(
+            ((len(rows[k]) - 1) * (counts[c] - 1), len(rows[k]), k, pos, c)
+            for k in active
+            for pos, (c, x) in enumerate(rows[k].items())
+            if x in (1, -1)
+        )
+        assert (i, j) == (row, col)
+        assert list(prow.items()) == list(rows[i].items())
+        active.remove(i)
+        nnz = sum(len(rows[k]) for k in active)
+        assert [k for k, _ in ops] == [k for k in active if j in rows[k]]
+        for k, factor in ops:
+            assert factor == rows[k][j] * prow[j]
+            new = dict(rows[k])
+            for c, v in prow.items():
+                x = new.get(c, 0) - factor * v
+                if x:
+                    new[c] = x
+                else:
+                    del new[c]
+            rows[k] = new
+        last = t == len(f.units) - 1
+        if len(ops) * len(prow) >= nnz and all(rows[k] for k, _ in ops):
+            assert last
+        else:
+            active = [k for k in active if rows[k]]
+            assert last != _has_unit(rows, active)
+    assert f.core_rows == tuple(active)
+    assert f.core_cols == tuple(sorted({c for k in active for c in rows[k]}))
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_zero_matrices_take_no_smith_form(monkeypatch, k):
+    """A zero matrix has no unit step and no core, so `Factorization.of`
+    takes no Smith form of it (the whole matrix's would build a k x k U),
+    and its kernel and solve verdicts agree with the whole-matrix
+    reference."""
+    mats = (IntMatrix.zeros(k, 0), IntMatrix.zeros(k, k))
+    refs = [WholeSmithReference(a) for a in mats]
+    calls = []
+    snf = intalg.smith_normal_form
+    monkeypatch.setattr(intalg, "smith_normal_form", lambda a, **kw: calls.append(a) or snf(a, **kw))
+    for a, ref in zip(mats, refs):
+        f = Factorization.of(a)
+        assert f.kernel() == ref.kernel()
+        cols = [[0] * k] + [[int(i == j) for i in range(k)] for j in range(k)]
+        b = IntMatrix(k, len(cols), tuple(col[i] for i in range(k) for col in cols))
+        assert f.solve(b) == [ref.solve(col) for col in cols]
+    assert calls == []
 
 
 def test_factorization_kernel_is_the_kernel_basis():

@@ -82,3 +82,8 @@ def test_no_source_reads_a_regular_representation():
     # element is test code, in `oracles.regular_representation`
     assert _scopes_calling("regular_representation") == []
     assert not hasattr(groupring, "regular_representation")
+
+
+def test_only_lift_exists_takes_a_kernel_basis_in_postnikov():
+    # the kernel of 1 - s a on I^w in `shift` is the closed-form line of N^w
+    assert [s for s in _scopes_calling("kernel_basis") if s.startswith("postnikov.")] == ["postnikov.lift_exists"]

@@ -29,6 +29,7 @@ from oracles import (
     reference_shift_data,
     reference_shift_sequences,
     regular_representation,
+    solves_into,
 )
 
 from immorder.cohomology import CyclicHom, IllFormedHom, cyclic_homology, h_twisted
@@ -546,10 +547,13 @@ def test_shift_classes_match_the_closed_form():
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_shift_coordinate_maps_match_solved_reference(data):
-    """The block of 1 - s a that `shift_data` writes down by its three
-    nonzeros per column, and the pull-backs through both inclusions, equal
-    what a Smith-form factorization of each inclusion solves for; vectors
-    outside the submodule are refused where the solver finds no preimage."""
+    """The kernel and image columns that `shift_data` writes down in closed
+    form, and the pull-backs through both inclusions, equal what a
+    Smith-form factorization of each inclusion solves for: the kernel of
+    the block of 1 - s a on I, built from the solver's action of a, and
+    the images of 1 and of 1 - a under the dense N^w, pulled back into I.
+    Vectors outside the submodule are refused where the solver finds no
+    preimage."""
     w = data.draw(st.sampled_from((0, 1)))
     n = 2 * data.draw(st.integers(1, 48)) if w else data.draw(st.integers(2, 96))
     sd = shift_data(n, w)
@@ -558,7 +562,14 @@ def test_shift_coordinate_maps_match_solved_reference(data):
     # the coordinates are read in the solver's basis of I and of (N)
     assert _ideal_coordinates(inclusion, "outside I") == IntMatrix.identity(n - 1)
     assert _norm_line_coordinates(inclusion_n, "outside (N)") == IntMatrix.identity(1)
-    assert sd.ideal == IntMatrix.identity(n - 1) - action.scale(-1 if w else 1)
+    # a rank-one lattice has one basis up to sign, and none when it is zero
+    block = IntMatrix.identity(n - 1) - action.scale(-1 if w else 1)
+    assert kernel_basis(block) in (sd.kernel, sd.kernel.scale(-1))
+    assert sd.kernel.cols == sd.image.cols == w
+    if w:
+        norm_block = reference_shift_data(n, w)[1][0]
+        for got, x in ((sd.kernel, [1] + [0] * (n - 1)), (sd.image, [1, -1] + [0] * (n - 2))):
+            assert got.col_list(0) == list(reference_pull_back(inclusion, norm_block.apply_vec(x)))
 
     entries = st.integers(-(2**70), 2**70)
     cols = data.draw(st.lists(st.lists(entries, min_size=n - 1, max_size=n - 1), min_size=1, max_size=3))
@@ -590,10 +601,10 @@ def test_shift_ring_and_ideal_complexes_match_power_sum_reference(data):
     period (block k % 2 in degree k), equal the resolution expanded degree
     by degree to degree 5, each boundary a power sum of the twisted action:
     a acts on R by the cyclic permutation and on I by the action that the
-    general solver finds, each times (-1)^w.  The block of 1 - s a in
-    `shift_data` is the odd boundary on I, its `image` column spans the
-    image of the even one, and the two give H_1 = H_3 of the expanded
-    complex."""
+    general solver finds, each times (-1)^w.  The `kernel` column of
+    `shift_data` spans the kernel of the odd boundary on I, its `image`
+    column spans the image of the even one, and the two give H_1 = H_3 of
+    the expanded complex."""
     w = data.draw(st.sampled_from((0, 1)))
     n = 2 * data.draw(st.integers(1, 12)) if w else data.draw(st.integers(2, 24))
     sd = shift_data(n, w)
@@ -607,18 +618,31 @@ def test_shift_ring_and_ideal_complexes_match_power_sum_reference(data):
         ref = tuple(IntMatrix.from_rows(m) for m in reference_resolution_boundaries(n, 5, rows))
         assert IntComplex((rank,) * 6, got) == IntComplex((rank,) * 6, ref)
     expanded = IntComplex((n - 1,) * 6, tuple(IntMatrix.from_rows(m) for m in reference_resolution_boundaries(n, 5, ideal)))
-    assert sd.ideal == expanded.down[0] == expanded.down[2]
+    assert expanded.down[0] == expanded.down[2]
+    odd_kernel = kernel_basis(expanded.down[0])
+    assert solves_into(sd.kernel, odd_kernel) and solves_into(odd_kernel, sd.kernel)
     norm_block = expanded.down[1]
     assert sd.image.cols == w
     assert all(solve_linear(sd.image, norm_block.col_list(j)) is not None for j in range(n - 1))
     assert all(solve_linear(norm_block, sd.image.col_list(j)) is not None for j in range(sd.image.cols))
-    h = subquotient(kernel_basis(sd.ideal), sd.image)
+    h = subquotient(sd.kernel, sd.image)
     for k in (1, 3):
         ref = expanded.homology_data(k)
         assert h.group == ref.group
         assert [h.class_of(ref.generator(i)) for i in range(len(ref.group.torsion))] == [
             ref.class_of(ref.generator(i)) for i in range(len(ref.group.torsion))
         ]
+
+
+def test_shift_kernel_column_spans_the_reference_block_kernel():
+    """The closed-form `kernel` of `shift_data` and the kernel basis of the
+    dense block of 1 - s a on I that the reference solves against span one
+    lattice, at every order the shift command accepts and both twists."""
+    for n in range(2, MAX_SHIFT_ORDER + 1):
+        for w in (0, 1) if n % 2 == 0 else (0,):
+            got, ref = shift_data(n, w).kernel, kernel_basis(reference_shift_data(n, w)[2][1])
+            assert got.cols == ref.cols == w, (n, w)
+            assert solves_into(got, ref) and solves_into(ref, got), (n, w)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
@@ -676,10 +700,12 @@ def test_shift_factors_each_basis_once(monkeypatch, n, w):
     no Smith form is taken of an empty core: shift(40, 1, 3) takes 3 cold
     and 1 warm, shift(27, 0, 3) 6 and 3, each of a core or a relation
     form with at most one row or at most one column.  Solving in the group
-    ring keeps those counts and factors no augmentation row: a warm call
-    factors the (n - 1) x (n - 1) block of 1 - s a and the basis of its
-    kernel, for H_1 = H_3 on I^w, and nothing else."""
-    cold, warm = {(40, 1): (3, 1), (27, 0): (6, 3)}[n, w]
+    ring keeps those counts and factors no augmentation row.  Writing the
+    kernel of 1 - s a on I^w in closed form, and taking no Smith form of a
+    zero matrix, bring them to 2 and 1, and 3 and 1: a warm call factors
+    only the (n - 1) x w kernel column, for H_1 = H_3 on I^w, and takes
+    the one Smith form of its relation."""
+    cold, warm = {(40, 1): (2, 1), (27, 0): (3, 1)}[n, w]
     cyclic_homology.cache_clear()
     calls, factored = [], []
     snf, factor = intalg.smith_normal_form, intalg._factor
@@ -702,5 +728,5 @@ def test_shift_factors_each_basis_once(monkeypatch, n, w):
     factored.clear()
     shift(n, w, 3, seed=1)
     assert len(calls) == warm
-    assert [(a.rows, a.cols) for a in factored] == [(n - 1, n - 1), (n - 1, w)]
+    assert [(a.rows, a.cols) for a in factored] == [(n - 1, w)]
     assert all(min(a.rows, a.cols) <= 1 for a in calls)
