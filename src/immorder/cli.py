@@ -34,9 +34,9 @@ from .order import ImmersionType, UndecidablePair, UndeterminedComparison
 # answers in 0.1 s; `model-cohomology --k 16` (Z/65536) answers in about
 # 0.03 s in-process and `order-graph --max-exp 16 --combined` in about 0.35 s.
 # `shift` and `chain-verify` solve in the group ring, in O(n): in-process,
-# `shift` answers on Z/96 in 1-1.5 ms, and `chain-verify --source 49500
-# --target 500` in about 0.05 s with a 24 MB peak, so time does not set
-# their budgets either.  Free-word text of 10^6 characters answers in
+# a warm `shift` answers on Z/96 in about 0.3 ms, and `chain-verify --source
+# 49500 --target 500` in about 0.05 s with a 24 MB peak, so time does not
+# set their budgets either.  Free-word text of 10^6 characters answers in
 # about 2 s.  Every `run` call adds about 0.1 ms of
 # argv parsing: the parser is built once per process, on the first call.
 MAX_CYCLIC_ORDER = 100_000

@@ -25,27 +25,16 @@ bits, and they now stay under 200.  With CPython 3.11 on x86-64 a dense
 40x40 matrix takes about 0.04 s with all four transforms, where the loop
 alone had not finished after 270 s.
 
-Every solve and kernel goes through one path, `Factorization`.  It
-first eliminates the +-1 pivots forward, on rows kept as dicts of
-nonzeros, picking each pivot by the Markowitz cost (r - 1)(c - 1), and
-gives only the non-unit core that remains to `smith_normal_form`.  This
-is the elimination strategy of Dumas, Saunders and Villard, "On efficient
-sparse integer matrix Smith normal form computations" (J. Symb. Comput.
-32, 2001).  Each step recounts the columns of the rows still active,
-which suits what the package factors: small matrices, and dense ones,
-where a step that empties no row ends the unit phase because the Smith
-form eliminates dense list rows as cheaply.  On a sparse n x n input
-the recounts cost time quadratic in n.  `solve` takes a block of
-right-hand sides: it replays the unit row operations, solves the core
-with one product by its U and one by its V, back-substitutes through
-the pivot rows, and checks the whole block with one certificate product
-with the matrix.  `kernel` lifts the core's kernel the same way.
-`solve_linear`, `kernel_basis`, `homology_data` and `subquotient` all
-factor through it, once per call.  Code that solves against the same
-matrix again and again keeps a factorization on the object that owns the
-matrix (a `Subquotient` keeps one of its sublattice basis for
-`class_of`), so it dies with its owner; nothing caches Smith forms
-beyond that.
+Every solve and kernel goes through one path, `Factorization`: one
+Smith form U a V = D of the whole matrix.  `solve` takes a block of
+right-hand sides, solves D y = U b with one product by U and one by V,
+and checks the whole block with one certificate product with the matrix;
+`kernel` is the columns of V past the rank.  `solve_linear`,
+`kernel_basis`, `homology_data` and `subquotient` all factor through it,
+once per call.  Code that solves against the same matrix again and again
+keeps a factorization on the object that owns the matrix (a `Subquotient`
+keeps one of its sublattice basis for `class_of`), so it dies with its
+owner; nothing caches Smith forms beyond that.
 
 Mod-2 questions take one path, the F2 elimination `_f2_echelon`:
 `f2_rank`, `f2_solvable` and the cycle lattice of `homology_data_mod2`
@@ -55,7 +44,6 @@ are read off its reduced echelon form.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
@@ -243,11 +231,10 @@ class SmithForm:
     is tracked exactly when its side matches A (for a side of 0 the two
     agree).  The callers in this package track what they read:
     `cokernel` and the abelianization in `fibering` read only `d` and
-    track nothing; a `Factorization` takes the Smith form of its core
-    only, with V for `kernel_basis` and with U and V to solve; the
-    relation form of `subquotient` names classes with U and generators
-    with U^-1.  The default tracks all four, for callers that read them
-    all.
+    track nothing; a `Factorization` tracks V for `kernel_basis` and U and
+    V to solve; the relation form of `subquotient` names classes with U
+    and generators with U^-1.  The default tracks all four, for callers
+    that read them all.
     """
 
     d: tuple[int, ...]
@@ -590,150 +577,39 @@ def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> S
     )
 
 
-# The Smith form of the 0 x 0 core that unit steps leave when they use up
-# every nonzero row: all its transforms are empty, so it serves any `track`.
-_NO_CORE = smith_normal_form(IntMatrix(0, 0, ()))
-
-# A unit step (i, j, row, ops): the pivot a'[i][j] = +-1 of the matrix a'
-# reached so far, row i of a' as {column: entry}, and the row operations
-# row_k -= f * row_i, as (k, f), that cleared column j from the active rows.
-UnitStep = tuple[int, int, dict[int, int], tuple[tuple[int, int], ...]]
-
-
-def _markowitz_pivot(rows: list[dict[int, int]], active: list[int]) -> tuple[int, int] | None:
-    """The next pivot by the rule of `Factorization`, or None when the
-    active rows hold no +-1.  Rows are searched by increasing count, then
-    index, and the search stops once no row left can beat the best cost:
-    a row of count r costs at least (r - 1)(c_min - 1)."""
-    counts = Counter(chain.from_iterable(rows[k] for k in active))
-    cmin = min(counts.values(), default=1)
-    best, piv = None, None
-    for i in sorted(active, key=lambda k: len(rows[k])):
-        r = len(rows[i])
-        if best is not None and best <= (r - 1) * (cmin - 1):
-            break
-        for j, x in rows[i].items():
-            if x == 1 or x == -1:
-                cost = (r - 1) * (counts[j] - 1)
-                if best is None or cost < best:
-                    best, piv = cost, (i, j)
-    return piv
-
-
 def _factor(a: IntMatrix, track: Collection[str]) -> "Factorization":
-    """Eliminate the +-1 pivots of `a` forward on sparse rows, then take the
-    Smith form of the nonzero core that remains, tracking `track`."""
-    n, m, e = a.rows, a.cols, a.entries
-    if any(e) and 1 not in e and -1 not in e:
-        # no unit step: the core is all of a
-        return Factorization(a, (), tuple(range(n)), tuple(range(m)), smith_normal_form(a, track=track))
-    ids = list(range(m))  # one int object per column, shared by every row
-    rows = [dict(compress(zip(ids, row), row)) for row in (e[i * m : (i + 1) * m] for i in range(n))]
-    active = [i for i, row in enumerate(rows) if row]  # the nonzero rows not yet pivots
-    units: list[UnitStep] = []
-    while (piv := _markowitz_pivot(rows, active)) is not None:
-        i, j = piv
-        prow = rows[i]
-        active.remove(i)
-        targets = [k for k in active if j in rows[k]]
-        nnz = sum(len(rows[k]) for k in active)
-        ops = []
-        for k in targets:
-            f = rows[k][j] * prow[j]
-            new = rows[k].copy()
-            for c, v in prow.items():
-                x = new.get(c, 0) - f * v
-                if x:
-                    new[c] = x
-                else:
-                    del new[c]
-            rows[k] = new
-            ops.append((k, f))
-        units.append((i, j, prow, tuple(ops)))
-        # A dense step, touching at least as many entries as the active rows
-        # hold, that empties no row only shrank the block by its own row and
-        # column, which the Smith form does as cheaply on list rows.
-        if len(targets) * len(prow) >= nnz and all(rows[k] for k in targets):
-            break
-        active = [k for k in active if rows[k]]
-    core_cols = tuple(sorted(set().union(*(rows[k] for k in active))))
-    core = IntMatrix(len(active), len(core_cols), tuple(chain.from_iterable(map(rows[k].get, core_cols, repeat(0)) for k in active)))
-    return Factorization(a, tuple(units), tuple(active), core_cols, smith_normal_form(core, track=track) if active else _NO_CORE)
+    """One Smith form of the whole of `a`, tracking `track`."""
+    return Factorization(a, smith_normal_form(a, track=track))
 
 
 @dataclass(frozen=True)
 class Factorization:
     """A matrix `a` factored to solve a @ X = B for many B and to read its
-    kernel.
+    kernel: one Smith form U a V = D of the whole matrix.
 
-    The unit block comes first: `units` lists the +-1 pivots eliminated
-    forward by row operations, in order (see `UnitStep`).  Each pivot is
-    a +-1 of least Markowitz cost in the active rows, the nonzero rows not
-    yet pivots, with ties to the shorter row, then the lower row index,
-    then the earlier entry in the row (fill-in goes to the end).  The
-    phase stops when no active row holds a +-1, or after a step that
-    touches at least as many entries as the other active rows hold and
-    empties none of them.  Row operations are unimodular, so with L their
-    product, L a has the pivot rows, upper unitriangular up to sign in
-    the pivot columns, above rows that vanish in every pivot column.  The
-    nonzero part of those rows, over `core_rows` and `core_cols`, is the
-    core, with Smith form `core` (U c V = D); in a nonzero matrix with no
-    +-1 entry the core is all of a.  The other rows are zero, and the
-    other non-pivot columns are free.  No Smith form is taken of an empty
-    core, so none of a zero matrix.
-
-    So a x = b exactly when the zero rows of L b vanish and the core
-    solves its rows of L b, x = V y with D y = U (L b); the pivot entries
-    of x then follow by back-substitution through the pivot rows.  The
-    kernel is the core's kernel (the columns of V past its rank) with a
-    unit vector for each free column, lifted the same way.  No transform
-    of the whole matrix is ever formed.
-
-    `of` tracks U and V of the core, which `solve` needs; `kernel_basis`
-    builds a factorization whose core tracks V alone, enough for
-    `kernel`.
+    So a x = b exactly when D y = U b has an integer solution y, and then
+    x = V y; the kernel is spanned by the columns of V past the rank.
+    `of` tracks U and V, which `solve` needs; `kernel_basis` builds a
+    factorization that tracks V alone, enough for `kernel`.
     """
 
     a: IntMatrix
-    units: tuple[UnitStep, ...]
-    core_rows: tuple[int, ...]
-    core_cols: tuple[int, ...]
-    core: SmithForm
+    snf: SmithForm
 
     def __post_init__(self) -> None:
-        if (self.core.rows, self.core.cols) != (len(self.core_rows), len(self.core_cols)):
-            raise DimensionMismatch("Smith form does not belong to this core")
-        if self.core.V.rows != self.core.cols:
-            raise ValueError("a factorization needs a core Smith form that tracks V")
+        if (self.snf.rows, self.snf.cols) != (self.a.rows, self.a.cols):
+            raise DimensionMismatch("Smith form does not belong to this matrix")
+        if self.snf.V.rows != self.snf.cols:
+            raise ValueError("a factorization needs a Smith form that tracks V")
 
     @staticmethod
     def of(a: IntMatrix) -> "Factorization":
         return _factor(a, ("U", "V"))
 
-    def _lift(self, x: dict[int, list[int]], rhs: list[list[int]] | None, p: int) -> IntMatrix:
-        """Complete x, given on the non-pivot columns as rows of p values
-        (a missing column is zero), by back-substitution through the pivot
-        rows against `rhs` (rows of L b; zero when None), as an a.cols x p
-        matrix."""
-        zero = [0] * p
-        for i, j, row, _ in reversed(self.units):
-            acc = zero if rhs is None else rhs[i]
-            for c, v in row.items():
-                if c != j and c in x:
-                    acc = [t - v * u for t, u in zip(acc, x[c])]
-            x[j] = acc if row[j] == 1 else [-t for t in acc]
-        return IntMatrix(self.a.cols, p, tuple(chain.from_iterable(map(x.get, range(self.a.cols), repeat(zero)))))
-
     def kernel(self) -> IntMatrix:
         """Columns form a Z-basis of {x : a @ x = 0}."""
-        s = self.core
-        placed = {u[1] for u in self.units}.union(self.core_cols)
-        free = [c for c in range(self.a.cols) if c not in placed]
-        k, v, w = s.cols - s.rank, s.V.entries, s.cols
-        x = {c: list(v[t * w + s.rank : (t + 1) * w]) + [0] * len(free) for t, c in enumerate(self.core_cols)}
-        for q, c in enumerate(free):
-            x[c] = [0] * (k + q) + [1] + [0] * (len(free) - q - 1)
-        return self._lift(x, None, k + len(free))
+        r, m, v = self.snf.rank, self.snf.cols, self.snf.V.entries
+        return IntMatrix(m, m - r, tuple(chain.from_iterable(v[i * m + r : (i + 1) * m] for i in range(m))))
 
     def solve(self, b: IntMatrix) -> list[tuple[int, ...] | None]:
         """One solution of a @ x = b_j for each column b_j of b, or None
@@ -742,43 +618,28 @@ class Factorization:
         Every returned solution is checked against a @ x == b_j, on one
         product a @ X for the whole block.
         """
-        a, s = self.a, self.core
+        a, s = self.a, self.snf
         if b.rows != a.rows:
             raise DimensionMismatch("rhs length mismatch")
         if s.U.rows != s.rows:
-            raise ValueError("solving needs a core Smith form that tracks U")
+            raise ValueError("solving needs a Smith form that tracks U")
         p = b.cols
-        lb = [list(b.entries[i * p : (i + 1) * p]) for i in range(a.rows)]  # rows of L b
-        for i, _, _, ops in self.units:
-            li = lb[i]
-            for k, f in ops:
-                lb[k] = [x - f * y for x, y in zip(lb[k], li)]
         ok = [True] * p
-        placed = {u[0] for u in self.units}.union(self.core_rows)
-        for k in range(a.rows):
-            if k not in placed:
-                for j, x in enumerate(lb[k]):
-                    if x:
+        cu = (s.U @ b).entries
+        y = [0] * (s.cols * p)
+        for i in range(s.rows):
+            di = s.d[i] if i < s.rank else 0
+            for j in range(p):
+                cij = cu[i * p + j]
+                if di:
+                    q, r = divmod(cij, di)
+                    if r:
                         ok[j] = False
-        xs: dict[int, list[int]] = {}
-        if self.core_rows:
-            cu = (s.U @ IntMatrix(s.rows, p, tuple(x for k in self.core_rows for x in lb[k]))).entries
-            y = [0] * (s.cols * p)
-            for i in range(s.rows):
-                di = s.d[i] if i < s.rank else 0
-                for j in range(p):
-                    cij = cu[i * p + j]
-                    if di:
-                        q, r = divmod(cij, di)
-                        if r:
-                            ok[j] = False
-                        else:
-                            y[i * p + j] = q
-                    elif cij:
-                        ok[j] = False
-            xc = (s.V @ IntMatrix(s.cols, p, tuple(y))).entries
-            xs = {col: list(xc[t * p : (t + 1) * p]) for t, col in enumerate(self.core_cols)}
-        xm = self._lift(xs, lb, p)
+                    else:
+                        y[i * p + j] = q
+                elif cij:
+                    ok[j] = False
+        xm = s.V @ IntMatrix(s.cols, p, tuple(y))
         x, ax, be = xm.entries, (a @ xm).entries, b.entries
         for j in range(p):
             if ok[j] and ax[j::p] != be[j::p]:
@@ -787,8 +648,8 @@ class Factorization:
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form a Z-basis of {x : a @ x = 0}; the core's Smith form
-    tracks V alone."""
+    """Columns form a Z-basis of {x : a @ x = 0}; the Smith form tracks V
+    alone."""
     return _factor(a, ("V",)).kernel()
 
 

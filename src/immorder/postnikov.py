@@ -41,7 +41,6 @@ from .intalg import (
     IntMatrix,
     f2_solvable,
     kernel_basis,
-    subquotient,
 )
 
 
@@ -273,21 +272,14 @@ class ShiftData:
     The standard resolution has period 2, and on R^w its boundary of
     degree k >= 1 is the product with 1 - s a for odd k and with the
     element N^w = sum (s a)^i, coefficients `norm_w`, for even k; N^w x =
-    eps_w(x) N^w with eps_w(x) = sum s^i x_i.  On I^w, (1 - s a) x = 0
-    means x_i = s x_(i-1) (Brown, Cohomology of Groups, ch. I.6), so the
-    kernel is I cut with the line Z N^w: the column `kernel`, N^w, when
-    w = 1 (eps(N^w) = 0), and zero when w = 0 (eps(N) = n).  The image of
-    N^w is the column `image`, N^w (1 - a) = 2 N^w, or zero when w = 0,
-    both in the basis a^j - 1 (j = 1..n-1) of I (`_ideal_coordinates`).
-    Z^w and (N)^w are both the trivial module twisted by w, whose homology
-    is `cyclic_homology`.
+    eps_w(x) N^w with eps_w(x) = sum s^i x_i.  Z^w and (N)^w are both the
+    trivial module twisted by w, whose homology is `cyclic_homology`; H_1
+    = H_3 on I^w is read by `_ideal_class`.
     """
 
     n: int
     w: int
     norm_w: tuple[int, ...]
-    kernel: IntMatrix
-    image: IntMatrix
 
 
 def _ideal_coordinates(block: IntMatrix, message: str) -> IntMatrix:
@@ -324,11 +316,7 @@ def shift_data(n: int, w: int) -> ShiftData:
     # makes the twisted boundaries a complex with N^w in the kernel
     if not ((one - gen) * norm(n)).is_zero() or not ((one - gen.scale(s)) * norm_w).is_zero():
         raise AssertionError("the boundaries fail to compose to zero")
-    kernel = IntMatrix.column(norm_w.coeffs) if w else IntMatrix(n, 0, ())
-    kernel = _ideal_coordinates(kernel, "N^w escaped the augmentation ideal")
-    image = IntMatrix.column((norm_w * (one - gen)).coeffs) if w else IntMatrix(n, 0, ())
-    image = _ideal_coordinates(image, "the image of N^w escaped the augmentation ideal")
-    return ShiftData(n, w, norm_w.coeffs, kernel, image)
+    return ShiftData(n, w, norm_w.coeffs)
 
 
 def _difference(x: list[int], s: int) -> list[int]:
@@ -363,6 +351,25 @@ def _through_difference(y: tuple[int, ...], s: int, rng: random.Random) -> tuple
         raise ValueError("representative is not hit by the projection")
     boundary = IntMatrix.column(_difference(lift, s))
     return _norm_line_coordinates(boundary, "boundary of the lift escaped the submodule").entries
+
+
+def _ideal_class(y: tuple[int, ...], data: ShiftData) -> tuple[int, ...]:
+    """The class in H_1 = H_3 on I^w, `_IDEAL_HOMOLOGY[w]`, of the
+    I-coordinates y.  On I^w, (1 - s a) x = 0 means x_i = s x_(i-1)
+    (Brown, Cohomology of Groups, ch. I.6), so the cycles are I cut with
+    the line Z N^w, and the boundaries are spanned by N^w (1 - a) = 2 N^w.
+    So y is a cycle exactly when x = [-sum y, *y] is t N^w, and its class
+    is t mod 2 in Z N^w / 2 N^w = Z/2 when w = 1; when w = 0 the line cuts
+    I in 0 (eps(N) = n), so only y = 0 is a cycle.  Raises ValueError on a
+    non-cycle."""
+    x = (-sum(y), *y)
+    if x != tuple(x[0] * v for v in data.norm_w):
+        raise ValueError("vector does not lie in the sublattice (not a cycle)")
+    return (x[0] % 2,) if data.w else ()
+
+
+# H_1 = H_3 on I^w, indexed by w
+_IDEAL_HOMOLOGY = (FgAbelianGroup.zero(), FgAbelianGroup.cyclic(2))
 
 
 @dataclass(frozen=True)
@@ -403,13 +410,13 @@ def shift(n: int, w: int, c: int, seed: int = 0) -> ShiftResult:
     z3 = _through_augmentation(z4[0], data.norm_w, rng)
     z2 = _through_difference(z3, -1 if w else 1, rng)
     z1 = _through_augmentation(z2[0], data.norm_w, rng)
-    # likewise H_3 = H_1 on I^w: the kernel of 1 - s a modulo the image of N^w
-    h1 = h3 = subquotient(data.kernel, data.image)
+    # likewise H_3 = H_1 on I^w, in closed form
+    h1 = h3 = _IDEAL_HOMOLOGY[w]
     return ShiftResult(
         n=n,
         w=w,
         input_multiple=c,
-        groups=(h4.group, h3.group, h2.group, h1.group),
-        classes=(h4.class_of(z4), h3.class_of(z3), h2.class_of(z2), h1.class_of(z1)),
+        groups=(h4.group, h3, h2.group, h1),
+        classes=(h4.class_of(z4), _ideal_class(z3, data), h2.class_of(z2), _ideal_class(z1, data)),
         cycles=(z4, z3, z2, z1),
     )

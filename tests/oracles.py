@@ -5,8 +5,6 @@ are expanded combinatorially, determinants use Bareiss elimination, ranks
 come from sympy, group-theoretic answers are derived from classical
 formulas rather than from the package's own Smith-form pipeline, and Hasse
 diagrams are assembled from a dict on pairs rather than from bitsets.
-`WholeSmithReference` is the one exception: it keeps the whole-matrix
-Smith-form solve that the unit elimination of `Factorization` replaced.
 `euclid_invariant_factors` keeps the elimination that `smith_normal_form`
 ran before its Hermite pass.  `regular_representation` is the dense n x n
 matrix of a group-ring element, which the package no longer builds:
@@ -72,44 +70,32 @@ def oracle_homology_group(a_rows: list[list[int]], b_rows: list[list[int]]) -> t
     return free, torsion
 
 
-class WholeSmithReference:
-    """The whole-matrix reference for `intalg.Factorization`.
+def sympy_invariant_factors(a) -> tuple[int, ...]:
+    """The nonzero invariant factors of the IntMatrix a, by sympy's Smith
+    normal form."""
+    from sympy.matrices.normalforms import invariant_factors
 
-    It keeps the path that `Factorization` replaced: one
-    `smith_normal_form(a, track=("U", "V"))` of all of a, with no unit
-    elimination in front.  With U a V = D, the columns of V past the rank
-    are a kernel basis, and a @ x = b is solvable exactly when D y = U b
-    is, with x = V y.  Unlike the other oracles here it runs the
-    package's Smith form, which has tests of its own.
-    """
+    if not (a.rows and a.cols):
+        return ()
+    return tuple(abs(int(d)) for d in invariant_factors(sympy.Matrix(a.to_rows()), domain=sympy.ZZ) if d)
 
-    def __init__(self, a):
-        from immorder.intalg import smith_normal_form
 
-        self.a = a
-        self.snf = smith_normal_form(a, track=("U", "V"))
-
-    def kernel(self):
-        """The columns of V past the rank."""
-        from immorder.intalg import IntMatrix
-
-        v, r = self.snf.V, self.snf.rank
-        return IntMatrix(v.rows, v.cols - r, tuple(x for i in range(v.rows) for x in v.row_list(i)[r:]))
-
-    def solve(self, b) -> tuple[int, ...] | None:
-        s = self.snf
-        c = s.U.apply_vec(list(b))
-        if any(c[s.rank :]) or any(x % d for x, d in zip(c, s.d)):
-            return None
-        y = [x // d for x, d in zip(c, s.d)] + [0] * (self.a.cols - s.rank)
-        return tuple(s.V.apply_vec(y))
+def in_column_lattice(a, col) -> bool:
+    """Does `col` lie in the lattice L(a) spanned by the columns of the
+    IntMatrix a?  Exactly when [a | col] has the invariant factors of a,
+    by minors: L(a) has finite index in L([a | col]) when the ranks agree,
+    and that index is the ratio of the products of the invariant
+    factors."""
+    if a.cols == 0:
+        return not any(col)
+    aug = [row + [x] for row, x in zip(a.to_rows(), col)]
+    return invariant_factors_by_minors(a.to_rows()) == invariant_factors_by_minors(aug)
 
 
 def solves_into(basis, vectors) -> bool:
     """Does every column of `vectors` lie in the column span of `basis`
-    (by `WholeSmithReference`)?"""
-    ref = WholeSmithReference(basis)
-    return all(ref.solve(vectors.col_list(j)) is not None for j in range(vectors.cols))
+    (by `in_column_lattice`)?"""
+    return all(in_column_lattice(basis, vectors.col_list(j)) for j in range(vectors.cols))
 
 
 def euclid_invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
@@ -466,11 +452,11 @@ def pullback_multiplier_oracle(l1: int, l2: int, m: int, degree: int) -> int:
 def reference_ideal_blocks(n: int):
     """The augmentation ideal I of Z[Z/n] by the general solver.
 
-    The reference for `postnikov.shift_data`, which writes the kernel and
-    image it needs on I in closed form, by coordinates: returns (inclusion, action, projection), where the
-    inclusion is `kernel_basis` of the augmentation row, and the action of
-    a on I and the projection x -> (1 - a) x are solved against one
-    Smith-form factorization of the inclusion.
+    The reference for `postnikov.shift`, which reads I by coordinates and
+    its H_1 = H_3 in closed form: returns (inclusion, action,
+    projection), where the inclusion is `kernel_basis` of the augmentation
+    row, and the action of a on I and the projection x -> (1 - a) x are
+    solved against one Smith-form factorization of the inclusion.
     """
     from immorder.groupring import GroupRingElement
     from immorder.intalg import Factorization, IntMatrix, kernel_basis
@@ -633,7 +619,7 @@ def hasse_by_pairs(types, leq):
 
 def reference_shift_data(n: int, w: int):
     """The dense presentation that `postnikov.shift` solved against before
-    it worked in the group ring, the reference for `postnikov.shift_data`.
+    it worked in the group ring, the reference for `postnikov.shift`.
 
     Returns (proj_i, ring, ideal): the projection x -> (1 - a) x onto the
     augmentation ideal I, in the basis [-1 ... -1; I] of I, and the two

@@ -9,7 +9,6 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,15 +36,15 @@ from immorder.intalg import (
 )
 
 from oracles import (
-    WholeSmithReference,
     det_int,
     elementary_reachable,
     euclid_invariant_factors,
+    in_column_lattice,
     invariant_factors_by_minors,
     oracle_homology_group,
     reference_shift_data,
     regular_representation,
-    solves_into,
+    sympy_invariant_factors,
 )
 
 
@@ -345,15 +344,12 @@ def test_small_matrices_take_no_hermite_pass(monkeypatch):
 
 
 def test_factorization_rejects_a_form_without_u_and_v():
-    # no entry is +-1, so the core is the whole matrix: no unit steps, every
-    # row and column in the core
     a = IntMatrix.from_rows([[2, 4], [6, 3]])
-    assert Factorization.of(a).units == ()
     for track in (("U",), ("uinv", "vinv"), ()):
         with pytest.raises(ValueError, match="tracks V"):
-            Factorization(a, (), (0, 1), (0, 1), smith_normal_form(a, track=track))
+            Factorization(a, smith_normal_form(a, track=track))
     # the kernel needs V alone; solving needs U as well
-    f = Factorization(a, (), (0, 1), (0, 1), smith_normal_form(a, track=("V",)))
+    f = Factorization(a, smith_normal_form(a, track=("V",)))
     assert f.kernel().cols == 0
     with pytest.raises(ValueError, match="tracks U"):
         f.solve(a)
@@ -377,30 +373,26 @@ def test_each_caller_tracks_only_what_it_reads(monkeypatch):
 
     assert calls(cokernel, a) == [frozenset()]
     assert calls(fibering.abelianization, fibering.Presentation.parse("<a,b|aab,bbAB>")) == [frozenset()]
-    # a factorization takes the Smith form of its core only: with no +-1
-    # entry that is all of a, with one it is what the unit step leaves
-    assert calls(Factorization.of, a) == [frozenset({"U", "V"})]
-    assert calls(kernel_basis, a) == [frozenset({"V"})]
-    assert calls(solve_linear, a, [2, 6]) == [frozenset({"U", "V"})]
+    # a factorization is one Smith form of the whole matrix, with or
+    # without +-1 entries
     unit = IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert calls(Factorization.of, unit) == [frozenset({"U", "V"})]
-    assert calls(kernel_basis, unit) == [frozenset({"V"})]
-    f = Factorization.of(unit)
-    assert len(f.units) == 1 and (f.core.rows, f.core.cols, f.core.d) == (1, 1, (2,))
-    # subquotient factors its sublattice basis to solve (one unit step
-    # leaves the core [2]), then reads the relation form with U (classes)
-    # and U^-1 (generators)
-    basis = IntMatrix.from_rows([[2, 0], [0, 1], [0, 0]])
+    for m in (a, unit):
+        assert calls(Factorization.of, m) == [frozenset({"U", "V"})]
+        assert calls(kernel_basis, m) == [frozenset({"V"})]
+    assert calls(solve_linear, a, [2, 6]) == [frozenset({"U", "V"})]
+    assert Factorization.of(unit).snf.d == (1, 2)
+    # subquotient factors its sublattice basis to solve, then reads the
+    # relation form with U (classes) and U^-1 (generators); an identity
+    # basis takes its Smith form too
     rel = IntMatrix.from_rows([[2], [4], [0]])
-    assert calls(subquotient, basis, rel) == [frozenset({"U", "V"}), frozenset({"U", "uinv"})]
-    # when the unit steps use up the whole basis, no Smith form is taken of
-    # its empty core, and the relation form is the only one
-    identity_basis = IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
-    assert calls(subquotient, identity_basis, rel) == [frozenset({"U", "uinv"})]
-    # the mod-2 cycle lattice comes from the F2 elimination, and its basis
-    # (2 on the pivot, 0/1 lifts) is all unit steps here, so the only Smith
-    # form is the relation form
-    assert calls(homology_data_mod2, IntMatrix.from_rows([[1], [1], [0]]), a) == [frozenset({"U", "uinv"})]
+    for basis in (IntMatrix.from_rows([[2, 0], [0, 1], [0, 0]]), IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]])):
+        assert calls(subquotient, basis, rel) == [frozenset({"U", "V"}), frozenset({"U", "uinv"})]
+    # the mod-2 cycle lattice comes from the F2 elimination (2 on the
+    # pivot, 0/1 lifts), and is factored like any basis
+    assert calls(homology_data_mod2, IntMatrix.from_rows([[1], [1], [0]]), a) == [
+        frozenset({"U", "V"}),
+        frozenset({"U", "uinv"}),
+    ]
     assert calls(f2_solvable, a, [1, 0]) == []
 
 
@@ -482,16 +474,6 @@ def systems(draw):
     return a, b
 
 
-def _in_column_lattice(a: IntMatrix, col: list[int]) -> bool:
-    """b lies in the lattice L(a) exactly when [a | b] has the invariant
-    factors of a: L(a) has finite index in L([a | b]) when the ranks agree,
-    and that index is the ratio of the products of the invariant factors."""
-    if a.cols == 0:
-        return not any(col)
-    aug = [row + [x] for row, x in zip(a.to_rows(), col)]
-    return invariant_factors_by_minors(a.to_rows()) == invariant_factors_by_minors(aug)
-
-
 @settings(max_examples=120, deadline=None)
 @given(systems())
 def test_block_solve_matches_single_solves(system):
@@ -502,7 +484,7 @@ def test_block_solve_matches_single_solves(system):
         col = b.col_list(j)
         assert x == solve_linear(a, col)
         if x is None:
-            assert not _in_column_lattice(a, col)
+            assert not in_column_lattice(a, col)
         else:
             assert len(x) == a.cols
             assert a.apply_vec(list(x)) == col
@@ -533,11 +515,10 @@ def test_square_consistency_agrees_with_cramer(rows_and_rhs):
 
 
 @st.composite
-def unit_path_matrices(draw):
-    """Inputs for the unit elimination: the dense shift blocks of
-    `oracles.reference_shift_data`, circulants of group-ring elements,
-    sparse matrices, empty shapes, a matrix with no +-1 entry (its core is
-    all of it) and the rank-one all-ones matrix."""
+def structured_matrices(draw):
+    """The dense shift blocks of `oracles.reference_shift_data`, circulants
+    of group-ring elements, sparse matrices, empty shapes, a matrix with no
+    +-1 entry and the rank-one all-ones matrix."""
     kind = draw(st.sampled_from(["shift", "circulant", "sparse", "empty", "no_unit", "ones"]))
     if kind == "shift":
         w = draw(st.sampled_from((0, 1)))
@@ -559,23 +540,21 @@ def unit_path_matrices(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(unit_path_matrices(), st.data())
-def test_unit_elimination_matches_the_whole_smith_form(a, data):
-    """The unit steps and the core's Smith form give the invariant factors,
-    the kernel lattice and the solve verdicts of one Smith form of the
-    whole matrix."""
-    f, ref = Factorization.of(a), WholeSmithReference(a)
-    # each unit step is an invariant factor 1, ahead of the core's
-    d = (1,) * len(f.units) + f.core.d
-    assert d == ref.snf.d
+@given(structured_matrices(), st.data())
+def test_factorization_matches_independent_oracles(a, data):
+    """The Smith form of a factorization has sympy's invariant factors, and
+    those by minors on small matrices; its kernel is a basis of the kernel
+    lattice: it vanishes under a, its rank is the nullity of a and its own
+    invariant factors are all 1, by sympy; and a right-hand side has no
+    solution exactly when [a | b] has other invariant factors than a."""
+    f = Factorization.of(a)
+    assert f.snf.d == sympy_invariant_factors(a)
     if max(a.rows, a.cols) <= 4:
-        assert list(d) == invariant_factors_by_minors(a.to_rows())
-    # the kernels span one lattice, and the new one is a basis of it
-    k, k_ref = f.kernel(), ref.kernel()
+        assert list(f.snf.d) == invariant_factors_by_minors(a.to_rows())
+    k = f.kernel()
     assert k == kernel_basis(a)
-    assert (a @ k).is_zero() and k.cols == k_ref.cols
-    assert len(WholeSmithReference(k).snf.d) == k.cols
-    assert solves_into(k, k_ref) and solves_into(k_ref, k)
+    assert (a @ k).is_zero() and k.cols == a.cols - len(f.snf.d)
+    assert sympy_invariant_factors(k) == (1,) * k.cols
     # solve verdicts, on planted and random right-hand sides
     cols = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -584,87 +563,24 @@ def test_unit_elimination_matches_the_whole_smith_form(a, data):
         cols.append(data.draw(st.lists(st.integers(-4, 4), min_size=a.rows, max_size=a.rows)))
     b = IntMatrix(a.rows, len(cols), tuple(col[i] for i in range(a.rows) for col in cols))
     for x, col in zip(f.solve(b), cols):
-        assert (x is None) == (ref.solve(col) is None)
-        if x is not None:
+        if x is None:
+            assert sympy_invariant_factors(a.hstack(IntMatrix.column(col))) != f.snf.d
+        else:
             assert a.apply_vec(list(x)) == col
 
 
-def _has_unit(rows, active) -> bool:
-    return any(x in (1, -1) for k in active for x in rows[k].values())
-
-
-@settings(max_examples=80, deadline=None)
-@given(unit_path_matrices())
-# row 0 costs 2, above the bound 1 of row 1, whose pivot costs 1
-@example(IntMatrix.from_rows([[1, 0, 2, 0], [0, 1, 0, 2], [2, 2, 2, 2], [2, 0, 0, 2]]))
-def test_unit_pivots_follow_the_markowitz_rule(a):
-    """Replaying `Factorization.units` step by step: each pivot is the +-1
-    of least (Markowitz cost, row count, row index, position in its row)
-    among the active rows, the nonzero rows not yet pivots, with cost
-    (r - 1)(c - 1) counted in those rows; each step clears its column from
-    exactly the active rows that hold it, fill-in going to the end of a
-    row; and the unit phase stops exactly when no +-1 is left, or after a
-    step that touches at least as many entries as the other active rows
-    hold and empties none of them.  A nonzero matrix with no +-1 is all
-    core."""
-    f = Factorization.of(a)
-    if any(a.entries) and 1 not in a.entries and -1 not in a.entries:
-        assert f.units == () and f.core_rows == tuple(range(a.rows)) and f.core_cols == tuple(range(a.cols))
-        return
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a.to_rows()]
-    active = [i for i, row in enumerate(rows) if row]
-    assert f.units or not _has_unit(rows, active)
-    for t, (i, j, prow, ops) in enumerate(f.units):
-        counts = Counter(c for k in active for c in rows[k])
-        _, _, row, _, col = min(
-            ((len(rows[k]) - 1) * (counts[c] - 1), len(rows[k]), k, pos, c)
-            for k in active
-            for pos, (c, x) in enumerate(rows[k].items())
-            if x in (1, -1)
-        )
-        assert (i, j) == (row, col)
-        assert list(prow.items()) == list(rows[i].items())
-        active.remove(i)
-        nnz = sum(len(rows[k]) for k in active)
-        assert [k for k, _ in ops] == [k for k in active if j in rows[k]]
-        for k, factor in ops:
-            assert factor == rows[k][j] * prow[j]
-            new = dict(rows[k])
-            for c, v in prow.items():
-                x = new.get(c, 0) - factor * v
-                if x:
-                    new[c] = x
-                else:
-                    del new[c]
-            rows[k] = new
-        last = t == len(f.units) - 1
-        if len(ops) * len(prow) >= nnz and all(rows[k] for k, _ in ops):
-            assert last
-        else:
-            active = [k for k in active if rows[k]]
-            assert last != _has_unit(rows, active)
-    assert f.core_rows == tuple(active)
-    assert f.core_cols == tuple(sorted({c for k in active for c in rows[k]}))
-
-
 @pytest.mark.parametrize("k", [0, 1, 5])
-def test_zero_matrices_take_no_smith_form(monkeypatch, k):
-    """A zero matrix has no unit step and no core, so `Factorization.of`
-    takes no Smith form of it (the whole matrix's would build a k x k U),
-    and its kernel and solve verdicts agree with the whole-matrix
-    reference."""
-    mats = (IntMatrix.zeros(k, 0), IntMatrix.zeros(k, k))
-    refs = [WholeSmithReference(a) for a in mats]
-    calls = []
-    snf = intalg.smith_normal_form
-    monkeypatch.setattr(intalg, "smith_normal_form", lambda a, **kw: calls.append(a) or snf(a, **kw))
-    for a, ref in zip(mats, refs):
+def test_zero_matrices_take_no_smith_form(k):
+    """Zero matrices, which once skipped the Smith form, factor like any
+    other: the kernel of a k x m zero matrix is a basis of Z^m (an
+    identity V), and only the zero right-hand side has a solution, 0."""
+    for a in (IntMatrix.zeros(k, 0), IntMatrix.zeros(k, k)):
         f = Factorization.of(a)
-        assert f.kernel() == ref.kernel()
+        assert f.kernel() == kernel_basis(a) and f.kernel().cols == a.cols
+        assert abs(det_int(f.kernel().to_rows())) == 1
         cols = [[0] * k] + [[int(i == j) for i in range(k)] for j in range(k)]
         b = IntMatrix(k, len(cols), tuple(col[i] for i in range(k) for col in cols))
-        assert f.solve(b) == [ref.solve(col) for col in cols]
-    assert calls == []
+        assert f.solve(b) == [(0,) * a.cols] + [None] * k
 
 
 def test_factorization_kernel_is_the_kernel_basis():
@@ -675,15 +591,14 @@ def test_factorization_kernel_is_the_kernel_basis():
 
 
 def test_factorization_rejects_a_foreign_smith_form():
-    # the identity is all unit steps, so its core is empty
     f = Factorization.of(IntMatrix.identity(2))
-    assert (f.core.rows, f.core.cols) == (0, 0)
+    assert (f.snf.rows, f.snf.cols, f.snf.d) == (2, 2, (1, 1))
     with pytest.raises(DimensionMismatch):
-        replace(f, core=smith_normal_form(IntMatrix.identity(3)))
+        replace(f, snf=smith_normal_form(IntMatrix.identity(3)))
     with pytest.raises(DimensionMismatch):
-        replace(f, core_rows=(0,))
+        replace(f, a=IntMatrix.identity(3))
     with pytest.raises(DimensionMismatch):
-        Factorization.of(IntMatrix.identity(2)).solve(IntMatrix.zeros(3, 1))
+        f.solve(IntMatrix.zeros(3, 1))
 
 
 # a script for a fresh interpreter under python -O, which imports what it uses
@@ -692,7 +607,7 @@ from dataclasses import replace
 from immorder.intalg import Factorization, IntMatrix
 a = IntMatrix.from_rows([[2, 1], [0, 3]])
 good = Factorization.of(a)
-bad = replace(good, core=replace(good.core, V=good.core.V.scale(2)))
+bad = replace(good, snf=replace(good.snf, V=good.snf.V.scale(2)))
 try:
     bad.solve(a)
 except AssertionError as e:
@@ -701,19 +616,15 @@ except AssertionError as e:
 
 
 def test_tampered_factorization_fails_its_certificate():
-    # one unit step on the entry 1 leaves the 1 x 1 core [-6]
     a = IntMatrix.from_rows([[2, 1], [0, 3]])
     good = Factorization.of(a)
-    assert len(good.units) == 1 and good.core.d == (6,)
+    assert good.snf.d == (1, 6)
     assert good.solve(a) == [(1, 0), (0, 1)]
-    bad = replace(good, core=replace(good.core, V=good.core.V.scale(2)))
-    with pytest.raises(AssertionError, match="certificate"):
-        bad.solve(a)
-    # a tampered pivot row fails the same certificate
-    i, j, row, ops = good.units[0]
-    bad = replace(good, units=((i, j, {**row, 0: row[0] + 1}, ops),))
-    with pytest.raises(AssertionError, match="certificate"):
-        bad.solve(a)
+    # a doubled V or U doubles every solution, which the certificate refuses
+    for name in ("V", "U"):
+        bad = replace(good, snf=replace(good.snf, **{name: getattr(good.snf, name).scale(2)}))
+        with pytest.raises(AssertionError, match="certificate"):
+            bad.solve(a)
 
 
 def test_tampered_factorization_fails_under_python_O():

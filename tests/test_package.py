@@ -87,3 +87,18 @@ def test_no_source_reads_a_regular_representation():
 def test_only_lift_exists_takes_a_kernel_basis_in_postnikov():
     # the kernel of 1 - s a on I^w in `shift` is the closed-form line of N^w
     assert [s for s in _scopes_calling("kernel_basis") if s.startswith("postnikov.")] == ["postnikov.lift_exists"]
+
+
+def test_shift_takes_no_subquotient_and_only_intalg_names_factor():
+    # `shift` reads H_1 = H_3 on I^w in closed form, and `_factor` stays
+    # behind `Factorization` and `kernel_basis`
+    tree = ast.parse((SRC / "postnikov.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"subquotient", "Factorization"}
+    naming = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "intalg":
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+                naming += [f"{path.name}:{node.lineno}" for name in names if name == "_factor"]
+    assert sorted(SRC.glob("*.py")) and naming == []

@@ -47,6 +47,7 @@ from immorder.intalg import FgAbelianGroup, IntComplex, IntMatrix, kernel_basis,
 from immorder.postnikov import (
     InvalidClass,
     UnsupportedCoefficient,
+    _ideal_class,
     _ideal_coordinates,
     _norm_line_coordinates,
     _through_augmentation,
@@ -547,13 +548,13 @@ def test_shift_classes_match_the_closed_form():
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_shift_coordinate_maps_match_solved_reference(data):
-    """The kernel and image columns that `shift_data` writes down in closed
-    form, and the pull-backs through both inclusions, equal what a
-    Smith-form factorization of each inclusion solves for: the kernel of
-    the block of 1 - s a on I, built from the solver's action of a, and
-    the images of 1 and of 1 - a under the dense N^w, pulled back into I.
-    Vectors outside the submodule are refused where the solver finds no
-    preimage."""
+    """The cycles and boundaries that `_ideal_class` reads in closed form,
+    and the pull-backs through both inclusions, equal what a Smith-form
+    factorization of each inclusion solves for: the kernel of the block of
+    1 - s a on I, built from the solver's action of a, is the line of N^w
+    cut with I, and the images of 1 and of 1 - a under the dense N^w,
+    pulled back into I, are N^w and 2 N^w.  Vectors outside the submodule
+    are refused where the solver finds no preimage."""
     w = data.draw(st.sampled_from((0, 1)))
     n = 2 * data.draw(st.integers(1, 48)) if w else data.draw(st.integers(2, 96))
     sd = shift_data(n, w)
@@ -564,11 +565,11 @@ def test_shift_coordinate_maps_match_solved_reference(data):
     assert _norm_line_coordinates(inclusion_n, "outside (N)") == IntMatrix.identity(1)
     # a rank-one lattice has one basis up to sign, and none when it is zero
     block = IntMatrix.identity(n - 1) - action.scale(-1 if w else 1)
-    assert kernel_basis(block) in (sd.kernel, sd.kernel.scale(-1))
-    assert sd.kernel.cols == sd.image.cols == w
+    line = _norm_w_line(sd)
+    assert kernel_basis(block) in (line, line.scale(-1))
     if w:
         norm_block = reference_shift_data(n, w)[1][0]
-        for got, x in ((sd.kernel, [1] + [0] * (n - 1)), (sd.image, [1, -1] + [0] * (n - 2))):
+        for got, x in ((line, [1] + [0] * (n - 1)), (line.scale(2), [1, -1] + [0] * (n - 2))):
             assert got.col_list(0) == list(reference_pull_back(inclusion, norm_block.apply_vec(x)))
 
     entries = st.integers(-(2**70), 2**70)
@@ -601,10 +602,9 @@ def test_shift_ring_and_ideal_complexes_match_power_sum_reference(data):
     period (block k % 2 in degree k), equal the resolution expanded degree
     by degree to degree 5, each boundary a power sum of the twisted action:
     a acts on R by the cyclic permutation and on I by the action that the
-    general solver finds, each times (-1)^w.  The `kernel` column of
-    `shift_data` spans the kernel of the odd boundary on I, its `image`
-    column spans the image of the even one, and the two give H_1 = H_3 of
-    the expanded complex."""
+    general solver finds, each times (-1)^w.  The line of N^w cut with I
+    spans the kernel of the odd boundary on I, and the group and classes
+    of `_ideal_class` are H_1 = H_3 of the expanded complex."""
     w = data.draw(st.sampled_from((0, 1)))
     n = 2 * data.draw(st.integers(1, 12)) if w else data.draw(st.integers(2, 24))
     sd = shift_data(n, w)
@@ -620,29 +620,60 @@ def test_shift_ring_and_ideal_complexes_match_power_sum_reference(data):
     expanded = IntComplex((n - 1,) * 6, tuple(IntMatrix.from_rows(m) for m in reference_resolution_boundaries(n, 5, ideal)))
     assert expanded.down[0] == expanded.down[2]
     odd_kernel = kernel_basis(expanded.down[0])
-    assert solves_into(sd.kernel, odd_kernel) and solves_into(odd_kernel, sd.kernel)
-    norm_block = expanded.down[1]
-    assert sd.image.cols == w
-    assert all(solve_linear(sd.image, norm_block.col_list(j)) is not None for j in range(n - 1))
-    assert all(solve_linear(norm_block, sd.image.col_list(j)) is not None for j in range(sd.image.cols))
-    h = subquotient(sd.kernel, sd.image)
+    line = _norm_w_line(sd)
+    assert solves_into(line, odd_kernel) and solves_into(odd_kernel, line)
+    t = data.draw(st.integers(-9, 9))
     for k in (1, 3):
         ref = expanded.homology_data(k)
-        assert h.group == ref.group
-        assert [h.class_of(ref.generator(i)) for i in range(len(ref.group.torsion))] == [
-            ref.class_of(ref.generator(i)) for i in range(len(ref.group.torsion))
-        ]
+        assert postnikov._IDEAL_HOMOLOGY[w] == ref.group
+        cycles = [ref.generator(i) for i in range(len(ref.group.torsion))] + [(0,) * (n - 1)]
+        cycles += [tuple(t * x for x in line.col_list(j)) for j in range(line.cols)]
+        assert [_ideal_class(z, sd) for z in cycles] == [ref.class_of(z) for z in cycles]
+
+
+def _norm_w_line(sd) -> IntMatrix:
+    """The line Z N^w cut with I, in the I-coordinates of `shift`: N^w when
+    w = 1, and zero when w = 0, where eps(N) = n."""
+    if sd.w:
+        return _ideal_coordinates(IntMatrix.column(sd.norm_w), "N^w escaped the augmentation ideal")
+    return IntMatrix(sd.n - 1, 0, ())
 
 
 def test_shift_kernel_column_spans_the_reference_block_kernel():
-    """The closed-form `kernel` of `shift_data` and the kernel basis of the
-    dense block of 1 - s a on I that the reference solves against span one
-    lattice, at every order the shift command accepts and both twists."""
+    """The line of N^w cut with I, whose multiples `_ideal_class` accepts
+    as cycles, is the kernel of the dense block of 1 - s a on I that the
+    reference solves against, at every order the shift command accepts and
+    both twists: a rank-one lattice has one basis up to sign, and none
+    when it is zero."""
     for n in range(2, MAX_SHIFT_ORDER + 1):
         for w in (0, 1) if n % 2 == 0 else (0,):
-            got, ref = shift_data(n, w).kernel, kernel_basis(reference_shift_data(n, w)[2][1])
-            assert got.cols == ref.cols == w, (n, w)
-            assert solves_into(got, ref) and solves_into(ref, got), (n, w)
+            line = _norm_w_line(shift_data(n, w))
+            assert kernel_basis(reference_shift_data(n, w)[2][1]) in (line, line.scale(-1)), (n, w)
+
+
+def test_shift_ideal_class_matches_the_reference_subquotient():
+    """For every order below 80 and both twists, the group and the class
+    that `_ideal_class` reads in closed form equal those of the
+    subquotient of the kernel of the odd ideal block of the reference by
+    the image of the even one, on multiples of a kernel generator; on the
+    non-cycle e_1 both raise ValueError with one message."""
+    for n in range(2, 80):
+        for w in (0, 1) if n % 2 == 0 else (0,):
+            sd = shift_data(n, w)
+            _, _, ideal = reference_shift_data(n, w)
+            ref = subquotient(kernel_basis(ideal[1]), ideal[0])
+            assert postnikov._IDEAL_HOMOLOGY[w] == ref.group, (n, w)
+            for j in range(ref.sub_basis.cols):
+                for t in (-3, 0, 1, 2, 7):
+                    z = tuple(t * x for x in ref.sub_basis.col_list(j))
+                    assert _ideal_class(z, sd) == ref.class_of(z), (n, w, t)
+            e1 = tuple(int(i == 0) for i in range(n - 1))
+            if (n, w) != (2, 1):  # there e_1 = a - 1 is -N^w, a cycle
+                message = r"^vector does not lie in the sublattice \(not a cycle\)$"
+                with pytest.raises(ValueError, match=message):
+                    _ideal_class(e1, sd)
+                with pytest.raises(ValueError, match=message):
+                    ref.class_of(e1)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
@@ -686,47 +717,33 @@ def test_shift_h4_is_degree_four_of_the_full_trivial_complex():
 
 @pytest.mark.parametrize(("n", "w"), [(40, 1), (27, 0)])
 def test_shift_factors_each_basis_once(monkeypatch, n, w):
-    """Solving one column at a time costs shift(40, 1, 3) 181 Smith forms
-    and shift(27, 0, 3) 129; factoring each basis once for all its
-    right-hand sides brought both to 15, and reading the augmentation
-    ideal and the norm line by coordinates to 12: neither inclusion
-    (n x (n - 1) and n x 1) is factored.  Factoring the one augmentation
-    row (proj_z is proj_n) once, and reading H_2 off the H_4 subquotient
-    of the same complex, brought both to 8: exactly one factorization is
-    of the 1 x n augmentation.  Reading H_4 = H_2 from the cached
-    `cyclic_homology` keeps 8 on a cold cache and brings a repeated (n, w)
-    to 5: its three 1 x 1 Smith forms are not taken again.  Eliminating
-    the +-1 pivots first leaves no core at all in most factorizations, and
-    no Smith form is taken of an empty core: shift(40, 1, 3) takes 3 cold
-    and 1 warm, shift(27, 0, 3) 6 and 3, each of a core or a relation
-    form with at most one row or at most one column.  Solving in the group
-    ring keeps those counts and factors no augmentation row.  Writing the
-    kernel of 1 - s a on I^w in closed form, and taking no Smith form of a
-    zero matrix, bring them to 2 and 1, and 3 and 1: a warm call factors
-    only the (n - 1) x w kernel column, for H_1 = H_3 on I^w, and takes
-    the one Smith form of its relation."""
-    cold, warm = {(40, 1): (2, 1), (27, 0): (3, 1)}[n, w]
-    cyclic_homology.cache_clear()
+    """`shift` reads H_4 = H_2 from the cached `cyclic_homology` and H_1 =
+    H_3 on I^w in closed form, so a cold call takes the Smith forms of
+    `cyclic_homology` and no other, and a warm call, with any seed, takes
+    none and factors nothing."""
     calls, factored = [], []
     snf, factor = intalg.smith_normal_form, intalg._factor
 
     def counted(a, **kw):
-        calls.append(a)
+        calls.append((a.rows, a.cols))
         return snf(a, **kw)
 
     def counted_factor(a, track):
-        factored.append(a)
+        factored.append((a.rows, a.cols))
         return factor(a, track)
 
     monkeypatch.setattr(intalg, "smith_normal_form", counted)
     monkeypatch.setattr(intalg, "_factor", counted_factor)
+    cyclic_homology.cache_clear()
+    cyclic_homology(n, "Zw" if w else "Z", 4)
+    homology_calls, homology_factored = list(calls), list(factored)
+    assert homology_calls
+    calls.clear()
+    factored.clear()
+    cyclic_homology.cache_clear()
     shift(n, w, 3)
-    assert len(calls) == cold
-    assert not any((a.rows, a.cols) in ((1, n), (n, n - 1), (n, 1)) for a in factored)
-    assert all(min(a.rows, a.cols) <= 1 for a in calls)
+    assert (calls, factored) == (homology_calls, homology_factored)
     calls.clear()
     factored.clear()
     shift(n, w, 3, seed=1)
-    assert len(calls) == warm
-    assert [(a.rows, a.cols) for a in factored] == [(n - 1, w)]
-    assert all(min(a.rows, a.cols) <= 1 for a in calls)
+    assert (calls, factored) == ([], [])
