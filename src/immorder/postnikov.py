@@ -330,7 +330,7 @@ def _through_augmentation(z: int, norm_w: tuple[int, ...], rng: random.Random) -
     basis a^j - 1 of ker eps (so tests can certify independence of the
     choice), apply N^w as x -> eps_w(x) N^w, and read the result in I,
     whose membership check certifies the preimage."""
-    t = [rng.randint(-4, 4) for _ in range(len(norm_w) - 1)]
+    t = rng.choices(range(-4, 5), k=len(norm_w) - 1)
     lift = [z - sum(t), *t]
     e = sum(v * x for v, x in zip(norm_w, lift))
     boundary = IntMatrix.column([e * v for v in norm_w])

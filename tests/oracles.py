@@ -617,6 +617,11 @@ def hasse_by_pairs(types, leq):
     return OrderGraph(nodes=tuple(reps), edges=edges)
 
 
+# The largest order at which the tests check `postnikov.shift` against the
+# dense reference: its (n - 1)^2 blocks and their Smith forms grow fast.
+DENSE_REFERENCE_ORDER = 96
+
+
 def reference_shift_data(n: int, w: int):
     """The dense presentation that `postnikov.shift` solved against before
     it worked in the group ring, the reference for `postnikov.shift`.

@@ -9,6 +9,7 @@ exercised.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -86,6 +87,22 @@ def test_homology_twisted_order_100000():
     assert out == '{"coeff":"Z","degree":4,"group":"Z/100000","result":"Z/2","twist":"w"}\n'
 
 
+def test_shift_at_the_order_budget():
+    """The largest orders inside the budget answer like every order: with
+    the twist each stage is Z/2 and holds c mod 2; untwisted, all vanish."""
+    payload, _ = run_json("shift", "--group", "Z/100000", "--w", "w", "--c", "3", schema="shift")
+    assert payload["groups"] == ["Z/2"] * 4 and payload["classes"] == [[1]] * 4
+    payload, _ = run_json("shift", "--group", "Z/99999", "--w", "0", schema="shift")
+    assert payload["groups"] == ["0"] * 4 and payload["classes"] == [[]] * 4
+
+
+def test_chain_verify_at_the_order_budget():
+    """The largest source, on Z/100000, with itself as the target: the
+    identity diagram of index 1."""
+    payload, _ = run_json("chain-verify", "--source", "50000", "--target", "50000", schema="chain_verify")
+    assert payload["exists"] is True and payload["index"] == 1 and payload["augmentation"] == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -93,12 +110,12 @@ def test_homology_twisted_order_100000():
         ("homology", "--degree", str(10**18 + 1), "--group", "Z/2"),
         ("realizable", "--group", "Z/1000000000", "--w1", "1", "--w2", "1"),
         ("sq2w", "--group", "Z/100002", "--w1", "t"),
-        ("shift", "--group", "Z/97"),
+        ("shift", "--group", "Z/100001"),
         ("model-cohomology", "--k", "17", "--coeff", "Z"),
         ("model-cohomology", "--k", "100000000", "--coeff", "ZZ2w"),
         ("order-graph", "--max-exp", "17", "--combined"),
         ("chain-verify", "--source", "50001", "--target", "1"),
-        ("chain-verify", "--source", "1503", "--target", "501"),
+        ("chain-verify", "--target", "50001", "--source", "50001"),
     ],
     ids=lambda a: " ".join(a[:3]),
 )
@@ -110,14 +127,42 @@ def test_orders_past_the_budget_exit_2(argv):
 def test_help_states_the_budgets():
     homology_help = run_cli("homology", "--help")[1]
     assert "n <= 100000" in homology_help and "degree <= 1000000000000000000" in homology_help
-    assert "n <= 96" in run_cli("shift", "--help")[1]
+    assert "n <= 100000" in run_cli("shift", "--help")[1]
     assert "2^k <= 100000" in run_cli("model-cohomology", "--help")[1]
     order_graph_help = run_cli("order-graph", "--help")[1]
     assert "2^max-exp <= 100000" in order_graph_help and "max-exp >= 1" in order_graph_help
-    chain_help = run_cli("chain-verify", "--help")[1]
-    assert "k >= 1 and 2k <= 100000" in chain_help and "1 <= k <= 500" in chain_help
+    chain_help = " ".join(run_cli("chain-verify", "--help")[1].split())
+    assert "k >= 1 and 2k <= 100000" in chain_help and "odd multiple of k" in chain_help
     for command in ("fibered", "abelianization", "integral-lift"):
         assert "at most 1000000 characters" in run_cli(command, "--help")[1]
+
+
+def readme_budget_table() -> dict[str, str]:
+    """The rows of the README's "Budgets and cost" table, input -> budget."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.split("### Budgets and cost\n", 1)[1].splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[first + 2 :])
+    return dict(tuple(cell.strip() for cell in row.strip("|").split(" | ")) for row in rows)
+
+
+def test_readme_budget_table_matches_the_cli_constants():
+    n = cli.MAX_CYCLIC_ORDER
+    top_exp = n.bit_length() - 1  # the largest k with 2^k <= n
+    degree_exp = len(str(cli.MAX_DEGREE)) - 1
+    assert cli.MAX_DEGREE == 10**degree_exp
+    assert readme_budget_table() == {
+        "`--group Z/n` (`homology`, `sq2w`, `realizable`, `shift`)": f"`n <= {n}`",
+        "`homology --degree`": f"`degree <= 10^{degree_exp}`",
+        "`model-cohomology --k` (the group `Z/2^k`)": f"`2^k <= {n}`, so `k <= {top_exp}`",
+        "`order-graph --max-exp` (orders up to `2^max-exp`)":
+            f"`max-exp >= 1` and `2^max-exp <= {n}`, so `1 <= max-exp <= {top_exp}`",
+        "`chain-verify --source`, `--target` (the group `Z/2k`)":
+            f"`k >= 1` and `2k <= {n}`, so `1 <= k <= {n // 2}`; the source is an odd multiple of the target",
+        "`fibered --relator`, `abelianization --presentation`, `integral-lift --presentation`":
+            f"at most {cli.MAX_WORD_TEXT} characters of text",
+        "`leq` payload `n` (the group `Z/n`)": f"`n <= {n}`",
+    }
 
 
 OVER_BUDGET_WORD = "ab" * 250_000 + "AB" * 250_000 + "aA"

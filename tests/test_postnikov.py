@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    DENSE_REFERENCE_ORDER,
     box_chain_witnesses,
     exhaustive_connecting_classes,
     oracle_homology_group,
@@ -42,7 +43,6 @@ from immorder.groupring import (
     twisted_norm,
 )
 from immorder import intalg, postnikov
-from immorder.cli import MAX_SHIFT_ORDER
 from immorder.intalg import FgAbelianGroup, IntComplex, IntMatrix, kernel_basis, solve_linear, subquotient
 from immorder.postnikov import (
     InvalidClass,
@@ -521,10 +521,10 @@ def test_shift_connecting_matches_exhaustive_oracle():
 @given(st.data())
 def test_shift_matches_the_dense_reference(data):
     """Solving in the group ring gives the groups and classes of the dense
-    path it replaced, kept in `oracles.reference_shift`, at every order the
-    shift command accepts, both twists, any multiple and any seed."""
+    path it replaced, kept in `oracles.reference_shift`, at every order in
+    the reach of that reference, both twists, any multiple and any seed."""
     w = data.draw(st.sampled_from((0, 1)))
-    n = 2 * data.draw(st.integers(1, MAX_SHIFT_ORDER // 2)) if w else data.draw(st.integers(2, MAX_SHIFT_ORDER))
+    n = 2 * data.draw(st.integers(1, DENSE_REFERENCE_ORDER // 2)) if w else data.draw(st.integers(2, DENSE_REFERENCE_ORDER))
     c = data.draw(st.integers(-(2**40), 2**40))
     seed = data.draw(st.integers(0, 2**32))
     r = shift(n, w, c, seed=seed)
@@ -535,7 +535,7 @@ def test_shift_matches_the_dense_reference(data):
 def test_shift_classes_match_the_closed_form():
     """With the twist every stage is Z/2 and the class of c times the
     generator is c mod 2 at every stage; untwisted, every group is zero."""
-    for n in range(2, MAX_SHIFT_ORDER + 1):
+    for n in range(2, DENSE_REFERENCE_ORDER + 1):
         for c in (-3, 0, 1, 2, 7):
             r = shift(n, 0, c, seed=n)
             assert r.groups == (ZERO,) * 4 and r.classes == ((),) * 4
@@ -642,10 +642,10 @@ def _norm_w_line(sd) -> IntMatrix:
 def test_shift_kernel_column_spans_the_reference_block_kernel():
     """The line of N^w cut with I, whose multiples `_ideal_class` accepts
     as cycles, is the kernel of the dense block of 1 - s a on I that the
-    reference solves against, at every order the shift command accepts and
-    both twists: a rank-one lattice has one basis up to sign, and none
+    reference solves against, at every order in the reach of that reference
+    and both twists: a rank-one lattice has one basis up to sign, and none
     when it is zero."""
-    for n in range(2, MAX_SHIFT_ORDER + 1):
+    for n in range(2, DENSE_REFERENCE_ORDER + 1):
         for w in (0, 1) if n % 2 == 0 else (0,):
             line = _norm_w_line(shift_data(n, w))
             assert kernel_basis(reference_shift_data(n, w)[2][1]) in (line, line.scale(-1)), (n, w)
@@ -707,8 +707,8 @@ def test_shift_h4_is_degree_four_of_the_full_trivial_complex():
     """The H_4 = H_2 that `shift` reads from `cyclic_homology` is the
     degree-4 subquotient, generators included, of the trivial module
     Z^w tensored over the resolution written out to degree 5, at every
-    order the shift command accepts."""
-    for n in range(2, MAX_SHIFT_ORDER + 1):
+    order in the reach of the dense shift reference."""
+    for n in range(2, DENSE_REFERENCE_ORDER + 1):
         for w in (0, 1) if n % 2 == 0 else (0,):
             bounds = reference_resolution_boundaries(n, 5, [[-1 if w else 1]])
             full = IntComplex((1,) * 6, tuple(IntMatrix.from_rows(m) for m in bounds))
