@@ -261,7 +261,7 @@ def standard_resolution(n: int, top_degree: int) -> GroupRingComplex:
         raise ValueError("group order must be >= 1")
     if top_degree < 0:
         raise ValueError("top degree must be >= 0")
-    one_minus_a = GroupRingElement.one(n) - GroupRingElement.gen(n)
+    one_minus_a = GroupRingElement(n, (1, -1) + (0,) * (n - 2) if n > 1 else (0,))
     nm = norm(n)
     return GroupRingComplex(n, tuple(one_minus_a if k % 2 else nm for k in range(1, top_degree + 1)))
 

@@ -22,7 +22,7 @@ of the elimination, the blow-up that Havas and Majewski (J. Symb. Comput.
 24, 1997) describe: on dense 18x18 matrices with entries in -9..9, whose
 invariant factors need at most 74 bits, the transforms reached 27,481
 bits, and they now stay under 200.  With CPython 3.11 on x86-64 a dense
-40x40 matrix takes about 0.04 s with all four transforms, where the loop
+40x40 matrix takes about 0.03 s with all four transforms, where the loop
 alone had not finished after 270 s.
 
 Every solve and kernel goes through one path, `Factorization`: one
@@ -202,11 +202,11 @@ TRANSFORMS = ("U", "V", "uinv", "vinv")
 # matrix are at least this long.  Below it the Euclid loop alone keeps its
 # transforms within a few times the entry size (at most 305 bits on 3 x 3
 # matrices with 31-bit entries, 44 bits on 4 x 40 with entries in -9..9),
-# and the passes would cost 1.4 to 3 times the time of the loop alone on
-# 2 x 2 to 6 x 4 matrices.  From 5 x 5 to 8 x 8 they cost up to 1.5 times
-# the loop and cut its transforms to about a third of their bits (157 to
-# 48 on a dense 8 x 8); from about 10 x 10 on they save time as well.
-# Measured with CPython 3.11 on x86-64, entries in -9..9 unless stated.
+# and the passes would cost 1.3 to 1.5 times the time of the loop alone on
+# 2 x 2 to 6 x 4 matrices.  On 5 x 5 and 6 x 6 they cost about 1.1 times
+# the loop and cut its largest transform entry from 56 to 39 bits; from
+# 8 x 8 on they save time too (152 to 68 bits on 8 x 8).  Measured with
+# all four transforms, CPython 3.11, x86-64, entries -9..9 unless stated.
 _HERMITE_MIN_SIDE = 5
 
 # what `smith_normal_form` returns for a transform it does not track
@@ -281,16 +281,17 @@ def _column_hermite(
     its entries are bounded by minors of A, not by the length of the
     elimination.
 
-    The columns that clear to zero are a basis of the kernel in V.  At the
-    end they are brought to Hermite form by the same pass, and every pivot
-    column of V is reduced against them, which leaves A V unchanged and
-    bounds V as well.  That step reads V, so V is tracked when V^-1 is.
+    While V is tracked, each column carries its row of V^T as a tail after
+    its n entries of A, so a column operation is one list operation from
+    the row where it starts; on the row pass the tails are U.  The tails
+    and the rows of V^-1 grow by one entry per column brought in, since
+    later columns are untouched, and the tails are split off at the end.
 
-    Columns j and later are untouched while column j comes in, so the rows
-    of V^T and V^-1 grow by one entry per column and every update of a
-    transform stops at the columns brought in so far.
+    The columns that clear to zero are a basis of the kernel in V.  The
+    same pass, without tails, brings them to Hermite form, and every pivot
+    column of V is reduced against them: A V is unchanged and V bounded.
+    That step reads V, so V is tracked when V^-1 is.
     """
-    vt: list[list[int]] | None = [] if track_v else None
     vi: list[list[int]] | None = [] if track_vinv else None
     piv: dict[int, int] = {}  # pivot row -> its column
     order: list[int] = []  # the pivot rows, in increasing order
@@ -299,19 +300,17 @@ def _column_hermite(
         # col_q += f * col_p, col_p zero above row r ; on V^-1 row_p -= f * row_q
         cq = cols[q]
         cq[r:] = [x + f * y for x, y in zip(cq[r:], cols[p][r:])]
-        if vt is not None:
-            vt[q] = [x + f * y for x, y in zip(vt[q], vt[p])]
         if vi is not None:
             vi[p] = [x - f * y for x, y in zip(vi[p], vi[q])]
 
-    def combine(p, j, s, t, x, y):
-        # (col_p, col_j) <- (s col_p + t col_j, x col_p + y col_j), with
-        # s y - t x = 1 ; on V^-1 (row_p, row_j) <- (y row_p - x row_j, s row_j - t row_p)
-        for rows in (cols, vt):
-            if rows is not None:
-                rp, rj = rows[p], rows[j]
-                rows[p] = [s * c + t * e for c, e in zip(rp, rj)]
-                rows[j] = [x * c + y * e for c, e in zip(rp, rj)]
+    def combine(p, j, r, s, t, x, y):
+        # (col_p, col_j) <- (s col_p + t col_j, x col_p + y col_j), both zero
+        # above row r, with s y - t x = 1 ; on V^-1
+        # (row_p, row_j) <- (y row_p - x row_j, s row_j - t row_p)
+        cp, cj = cols[p], cols[j]
+        rp, rj = cp[r:], cj[r:]
+        cp[r:] = [s * c + t * e for c, e in zip(rp, rj)]
+        cj[r:] = [x * c + y * e for c, e in zip(rp, rj)]
         if vi is not None:
             rp, rj = vi[p], vi[j]
             vi[p] = [y * c - x * e for c, e in zip(rp, rj)]
@@ -332,15 +331,17 @@ def _column_hermite(
             k += 1
 
     late = None  # the row of the newest pivot, reduced one column late
-    for j in range(len(cols)):
-        for rows in (vt, vi):
-            if rows is not None:
-                for row in rows:
-                    row.append(0)
-                rows.append([0] * j + [1])
+    for j, cj in enumerate(cols):
+        if track_v:
+            for c in cols[:j]:
+                c.append(0)
+            cj += [0] * j + [1]
+        if vi is not None:
+            for row in vi:
+                row.append(0)
+            vi.append([0] * j + [1])
         changed = None  # the first row whose pivot changed
         new = None  # the row of column j's pivot
-        cj = cols[j]
         for i in range(n):
             x = cj[i]
             if not x:
@@ -348,10 +349,9 @@ def _column_hermite(
             p = piv.get(i)
             if p is None:
                 if x < 0:
-                    cols[j] = [-c for c in cj]
-                    for rows in (vt, vi):
-                        if rows is not None:
-                            rows[j] = [-c for c in rows[j]]
+                    cj[i:] = [-c for c in cj[i:]]
+                    if vi is not None:
+                        vi[j] = [-c for c in vi[j]]
                 piv[i] = j
                 insort(order, i)
                 new = i
@@ -359,37 +359,35 @@ def _column_hermite(
             d = cols[p][i]
             if x % d:
                 g, s, t = _xgcd(d, x)
-                combine(p, j, s, t, -x // g, d // g)
+                combine(p, j, i, s, t, -x // g, d // g)
                 changed = i if changed is None else changed
             elif changed is None:
                 # addmul(j, p, f, i), where row j of V^-1 is still e_j, so
                 # row_p -= f * row_j changes one entry
                 f = -x // d
                 cj[i:] = [c + f * e for c, e in zip(cj[i:], cols[p][i:])]
-                if vt is not None:
-                    vt[j] = [c + f * e for c, e in zip(vt[j], vt[p])]
                 if vi is not None:
                     vi[p][j] -= f
             else:
                 addmul(j, p, -x // d, i)
-            cj = cols[j]
         starts = [r for r in (changed, new, late) if r is not None]
         if starts:
             reduce(min(starts), new)
         late = new
     if late is not None:
         reduce(late, None)
+    vt = [c[n:] for c in cols] if track_v else None
+    for c in cols:
+        del c[n:]
     zero = sorted(set(range(len(cols))) - set(piv.values()))
     if zero and vt is not None:
-        kern = [vt[z] for z in zero]
+        kern = [vt[z] for z in zero]  # the pass below reduces them in place
         _, ti = _column_hermite(kern, len(cols), False, vi is not None)
         if vi is not None:
             # V_Z <- V_Z T, so the rows Z of V^-1 become T^-1 times themselves
             old = [vi[z] for z in zero]
             for z, row in zip(zero, ti):
                 vi[z] = list(_sum_vectors((map(mul, repeat(c), r) for c, r in zip(row, old) if c), len(cols)))
-        for z, vec in zip(zero, kern):
-            vt[z] = vec
         lead = sorted((next(i for i, x in enumerate(vec) if x), z, vec) for z, vec in zip(zero, kern))
         for p in piv.values():
             for r, z, vec in lead:
@@ -414,10 +412,14 @@ def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> S
 
     When both sides of A are at least `_HERMITE_MIN_SIDE`, the Hermite
     pass (`_column_hermite`) runs first along the longer side, then along
-    the other on its result, and the Euclid loop finishes the diagonal and
-    its divisibility chain.  With k the shorter side and b the bit length
-    of the largest entry, the tests check that no transform entry passes
-    8 k (b + ceil(log2 k) + 1) bits.
+    the other on its result; the column pass carries V^T, and the row pass
+    U, as tails of the columns and rows it eliminates.  The Euclid loop
+    finishes the diagonal and its divisibility chain.  Its pivot is the
+    first entry of least absolute value in row-major order, so the search
+    ends at an entry +-1, and a pivot of 1 divides the block unchecked.
+    With k the shorter side and b the bit length of the largest entry, the
+    tests check that no transform entry passes 8 k (b + ceil(log2 k) + 1)
+    bits.
     """
     unknown = set(track) - set(TRANSFORMS)
     if unknown:
@@ -437,8 +439,8 @@ def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> S
         # The Hermite pass runs along the longer side, so that what it
         # leaves over is zero vectors, then along the other side on its
         # result; a generic matrix comes out diagonal.  On the rows, the
-        # pass is the one on the columns of the transpose: its V^T is U, and
-        # its V^-1 is U^-1 transposed.
+        # pass is the one on the columns of the transpose: its V^T, carried
+        # as tails of the rows, is U, and its V^-1 is U^-1 transposed.
         def by_rows():
             return _column_hermite(w, m, "U" in track or "uinv" in track, "uinv" in track)
 
@@ -505,16 +507,16 @@ def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> S
 
     lim = min(n, m)
     while t < lim:
-        # find a pivot of minimal absolute value in the trailing submatrix
-        piv = None
-        best = None
+        # find the first pivot of minimal absolute value in the trailing
+        # submatrix, in row-major order; none is smaller than 1
+        piv, best = None, 0
         for i in range(t, n):
-            wi = w[i]
-            for j in range(t, m):
-                x = wi[j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
+            row = w[i][t:]
+            low = min(map(abs, filter(None, row)), default=0)
+            if low and (not best or low < best):
+                best, piv = low, (i, t + next(j for j, x in enumerate(row) if abs(x) == low))
+                if low == 1:
+                    break
         if piv is None:
             break
         row_swap(t, piv[0])
@@ -523,47 +525,35 @@ def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> S
             if w[t][t] < 0:
                 row_negate(t)
             p = w[t][t]
-            restarted = False
+            # clear column t, then row t; a remainder strictly smaller than
+            # the pivot is promoted to the pivot, and the clearing restarts
             for i in range(t + 1, n):
                 if w[i][t] != 0:
                     q = w[i][t] // p
                     if q:
                         row_addmul(i, t, -q)
                     if w[i][t] != 0:
-                        # remainder strictly smaller than pivot: promote it
                         row_swap(t, i)
-                        restarted = True
                         break
-            if restarted:
-                continue
-            for j in range(t + 1, m):
-                if w[t][j] != 0:
-                    q = w[t][j] // p
-                    if q:
-                        col_addmul(j, t, -q)
-                    if w[t][j] != 0:
-                        col_swap(t, j)
-                        restarted = True
-                        break
-            if restarted:
-                continue
-            # cross is clear; enforce divisibility of the remaining block
-            offender = None
-            for i in range(t + 1, n):
-                wi = w[i]
+            else:
                 for j in range(t + 1, m):
-                    if wi[j] % p != 0:
-                        offender = i
+                    if w[t][j] != 0:
+                        q = w[t][j] // p
+                        if q:
+                            col_addmul(j, t, -q)
+                        if w[t][j] != 0:
+                            col_swap(t, j)
+                            break
+                else:
+                    # cross is clear; enforce divisibility of the remaining
+                    # block, which 1 divides
+                    offender = None if p == 1 else next((i for i in range(t + 1, n) if any(x % p for x in w[i][t + 1 :])), None)
+                    if offender is None:
                         break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_addmul(t, offender, 1)
+                    row_addmul(t, offender, 1)
         t += 1
 
-    diag = [w[i][i] for i in range(lim)]
-    d = tuple(x for x in diag if x != 0)
+    d = tuple(filter(None, (w[i][i] for i in range(lim))))
 
     def out(name, rows, k, transposed=False):
         if name not in track:

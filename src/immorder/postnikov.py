@@ -39,6 +39,7 @@ from .groupring import (
 from .intalg import (
     FgAbelianGroup,
     IntMatrix,
+    _sum_vectors,
     f2_solvable,
     kernel_basis,
 )
@@ -124,11 +125,19 @@ def push_forward(phi: CyclicHom, x: GroupRingElement) -> GroupRingElement:
     """The ring map Z[Z/l1] -> Z[Z/l2] induced by a -> a^m."""
     if x.n != phi.l1:
         raise RingMismatch("element lives over the wrong group ring for this homomorphism")
-    # a^i goes to a^(m i mod l2), which depends on i mod l2 alone
-    out = [0] * phi.l2
-    for r in range(min(phi.l1, phi.l2)):
-        out[(phi.m * r) % phi.l2] += sum(x.coeffs[r :: phi.l2])
-    return GroupRingElement(phi.l2, tuple(out))
+    # a^i goes to a^(m i mod l2), which depends on i mod l2 alone: fold x
+    # over its blocks of length l2, the last one padded with zeros, or past
+    # 8 blocks by one C `sum` per residue, which is then cheaper
+    l2, m = phi.l2, phi.m
+    c = x.coeffs + (0,) * (-phi.l1 % l2)
+    blocks = (c[k : k + l2] for k in range(0, len(c), l2))
+    folded = [sum(c[r::l2]) for r in range(l2)] if len(c) > 8 * l2 else _sum_vectors(blocks, l2)
+    if m == 1:
+        return GroupRingElement(l2, tuple(folded))
+    out = [0] * l2
+    for r, y in enumerate(folded):
+        out[m * r % l2] += y
+    return GroupRingElement(l2, tuple(out))
 
 
 def chain_map_exists(

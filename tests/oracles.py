@@ -17,6 +17,7 @@ group ring.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import gcd
 
@@ -622,9 +623,12 @@ def hasse_by_pairs(types, leq):
 DENSE_REFERENCE_ORDER = 96
 
 
+@functools.cache
 def reference_shift_data(n: int, w: int):
     """The dense presentation that `postnikov.shift` solved against before
     it worked in the group ring, the reference for `postnikov.shift`.
+    Built once per (n, w): the blocks are frozen `IntMatrix`, so every
+    caller may share them.
 
     Returns (proj_i, ring, ideal): the projection x -> (1 - a) x onto the
     augmentation ideal I, in the basis [-1 ... -1; I] of I, and the two

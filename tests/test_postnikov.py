@@ -10,6 +10,7 @@ exhaustive enumeration of snake-lemma preimage choices.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -222,6 +223,30 @@ def test_push_forward_is_a_ring_map(data):
     assert push_forward(phi, x + y) == push_forward(phi, x) + push_forward(phi, y)
     assert push_forward(phi, one(l1)) == one(l2)
     assert push_forward(phi, x).augmentation() == x.augmentation()
+
+
+@st.composite
+def cyclic_homs(draw):
+    """The homomorphisms of `VALID_HOMS` and random ones with l1 up to 400
+    and l2 up to 60: l2 dividing l1 or not, l1 below l2, more than 8 blocks
+    of length l2 in Z/l1, and every admissible power m, 0 and 1 among them."""
+    if draw(st.booleans()):
+        return CyclicHom(*draw(st.sampled_from(VALID_HOMS)))
+    l1, l2 = draw(st.integers(2, 400)), draw(st.integers(2, 60))
+    step = l2 // math.gcd(l1, l2)
+    return CyclicHom(l1, l2, step * draw(st.integers(0, l2 // step - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclic_homs(), st.integers(0, 2**32 - 1))
+def test_push_forward_matches_the_per_term_definition(phi, seed):
+    # x comes from a seed, so that a failure shrinks phi and not 400 entries
+    rng = random.Random(seed)
+    x = [rng.randint(-5, 5) for _ in range(phi.l1)]
+    out = [0] * phi.l2
+    for i, xi in enumerate(x):
+        out[phi.m * i % phi.l2] += xi
+    assert push_forward(phi, GroupRingElement(phi.l1, tuple(x))).coeffs == tuple(out)
 
 
 def test_push_forward_wrong_ring():
