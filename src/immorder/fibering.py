@@ -7,13 +7,21 @@ presentations, decides Brown's fibering criterion for a character on a
 one-relator kernel (unique minimum and maximum of the prefix sums), lists
 the primitive characters onto the integers, and decides whether a mod-2
 character admits an integral lift.
+
+Every presentation question reads one 2-row exponent matrix E, whose
+columns are the relators' distinct nonzero exponent sums: the
+abelianization is its cokernel, and the characters onto Z are the rows of
+U past the rank in one Smith form U E V = D that tracks U alone (Lyndon
+and Schupp, Combinatorial Group Theory, 1977, ch. II).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
-from .intalg import FgAbelianGroup, IntMatrix, cokernel, f2_solvable, kernel_basis
+from .intalg import FgAbelianGroup, IntMatrix, cokernel, f2_solvable, smith_normal_form
 
 # letters are encoded as +-1 (a, a^-1) and +-2 (b, b^-1)
 _CHAR_TO_LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
@@ -57,9 +65,13 @@ class FreeWord:
 
     def exponents(self) -> tuple[int, int]:
         """Exponent sums (on a, on b)."""
-        ea = sum(1 if x == 1 else -1 if x == -1 else 0 for x in self.letters)
-        eb = sum(1 if x == 2 else -1 if x == -2 else 0 for x in self.letters)
-        return ea, eb
+        count = self.letters.count
+        return count(1) - count(-1), count(2) - count(-2)
+
+    def is_freely_reduced(self) -> bool:
+        """No letter stands next to its inverse: with codes +-1 and +-2,
+        exactly such a pair sums to 0."""
+        return 0 not in map(add, self.letters, self.letters[1:])
 
 
 def free_reduce(letters) -> tuple[int, ...]:
@@ -101,7 +113,7 @@ class Presentation:
 
     def __post_init__(self) -> None:
         for r in self.relators:
-            if free_reduce(r.letters) != r.letters:
+            if not r.is_freely_reduced():
                 raise ValueError("relators must be freely reduced")
             if not r.letters:
                 raise ValueError("relators must be nonempty after free reduction")
@@ -132,8 +144,9 @@ class Presentation:
         return "<a,b|" + ",".join(str(r) for r in self.relators) + ">"
 
     def exponent_matrix(self) -> IntMatrix:
-        """2 x r matrix whose columns are the relators' exponent sums."""
-        cols = [r.exponents() for r in self.relators]
+        """2-row matrix whose columns are the relators' distinct nonzero
+        exponent sums, sorted: they span the lattice of all r columns."""
+        cols = sorted({r.exponents() for r in self.relators} - {(0, 0)})
         return IntMatrix.from_rows([[c[0] for c in cols], [c[1] for c in cols]])
 
 
@@ -145,13 +158,8 @@ class ZMap:
     b: int
 
     def on_letter(self, x: int) -> int:
-        if x == 1:
-            return self.a
-        if x == -1:
-            return -self.a
-        if x == 2:
-            return self.b
-        return -self.b
+        v = self.a if x in (1, -1) else self.b
+        return v if x > 0 else -v
 
     def on_word(self, w: FreeWord) -> int:
         ea, eb = w.exponents()
@@ -191,31 +199,21 @@ def brown_fibered(relator: FreeWord, phi: ZMap) -> BrownVerdict:
     """
     if relator.is_empty():
         raise PreconditionViolated("the relator must be nontrivial")
-    if cyclically_reduce(relator).letters != relator.letters:
+    if not relator.is_freely_reduced() or relator.letters[0] == -relator.letters[-1]:
         raise PreconditionViolated("the relator must be cyclically reduced")
     if phi.a == 0 or phi.b == 0:
         raise PreconditionViolated("the character must be nonzero on both generators")
     if phi.on_word(relator) != 0:
         raise PreconditionViolated("the character must kill the relator")
-    values = []
-    total = 0
-    for x in relator.letters:
-        total += phi.on_letter(x)
-        values.append(total)
+    values = list(accumulate(map(phi.on_letter, relator.letters)))
     lo, hi = min(values), max(values)
-    min_index = values.index(lo) + 1
-    max_index = values.index(hi) + 1
-    reasons = []
-    if values.count(lo) != 1:
-        reasons.append("minimum attained more than once")
-    if values.count(hi) != 1:
-        reasons.append("maximum attained more than once")
+    reasons = [f"{name} attained more than once" for name, v in (("minimum", lo), ("maximum", hi)) if values.count(v) != 1]
     return BrownVerdict(
         fibered=not reasons,
         values=tuple(values),
-        min_index=min_index,
+        min_index=values.index(lo) + 1,
         min_value=lo,
-        max_index=max_index,
+        max_index=values.index(hi) + 1,
         max_value=hi,
         reason="; ".join(reasons) if reasons else None,
     )
@@ -234,10 +232,11 @@ class Epimorphisms:
     multiple_exist: bool
 
 
-def _character_lattice(p: Presentation) -> IntMatrix:
-    """Basis (as columns) of the integer characters vanishing on all
-    relators: the kernel of the transposed exponent matrix."""
-    return kernel_basis(p.exponent_matrix().transpose())
+def _character_lattice(e: IntMatrix) -> IntMatrix:
+    """Basis (as columns) of the characters u with u E = 0 for the exponent
+    matrix E: the rows of U past the rank, a basis since U is unimodular."""
+    s = smith_normal_form(e, track=("U",))
+    return IntMatrix(2 - s.rank, 2, s.U.entries[2 * s.rank :]).transpose()
 
 
 def _normalized_sign(v: tuple[int, int]) -> tuple[int, int]:
@@ -248,7 +247,7 @@ def _normalized_sign(v: tuple[int, int]) -> tuple[int, int]:
 
 def epimorphisms_to_Z(p: Presentation) -> Epimorphisms:
     """All primitive characters of the presented group onto Z, up to sign."""
-    lattice = _character_lattice(p)
+    lattice = _character_lattice(p.exponent_matrix())
     if lattice.cols == 0:
         return Epimorphisms((), False)
     if lattice.cols == 1:
@@ -265,9 +264,7 @@ def integral_lift_exists(p: Presentation, w1a: int, w1b: int) -> bool:
     span of the character lattice.
     """
     w = (w1a % 2, w1b % 2)
-    for r in p.relators:
-        ea, eb = r.exponents()
-        if (ea * w[0] + eb * w[1]) % 2 != 0:
-            raise NotACharacter("the assignment does not vanish on all relators mod 2")
-    lattice = _character_lattice(p)
-    return f2_solvable(lattice, [w[0], w[1]])
+    e = p.exponent_matrix()
+    if any((ea * w[0] + eb * w[1]) % 2 for ea, eb in zip(*e.to_rows())):
+        raise NotACharacter("the assignment does not vanish on all relators mod 2")
+    return f2_solvable(_character_lattice(e), list(w))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import add, mul, neg, sub
 
-from .intalg import IntComplex, IntMatrix, _sum_vectors
+from .intalg import IntComplex, IntMatrix
 
 
 class RingMismatch(ValueError):
@@ -102,9 +102,7 @@ class GroupRingElement:
             for x, y in ((a, b), (b, a)):
                 if y.count(1) == n:
                     return GroupRingElement(n, (sum(x),) * n)
-        # a^i b is b rotated by i, read as a view of b b: a^i a^j = a^(i+j mod n)
-        rotations = (map(mul, repeat(a[i]), islice(chain(b, b), n - i, 2 * n - i)) for i in compress(range(n), a))
-        return GroupRingElement(n, _sum_vectors(rotations, n))
+        return GroupRingElement(n, _shift_and_add(a, b))
 
     def scale(self, c: int) -> "GroupRingElement":
         return GroupRingElement(self.n, tuple(map(mul, repeat(c), self.coeffs)))
@@ -123,6 +121,18 @@ class GroupRingElement:
                 unit = "1" if i == 0 else ("a" if i == 1 else f"a^{i}")
                 terms.append(f"{c}*{unit}")
         return " + ".join(terms) if terms else "0"
+
+
+def _shift_and_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of coefficient vectors a and b in Z[Z/n]: the sum over
+    the nonzero a_i of a_i times b rotated by i."""
+    n = len(b)
+    # a^i b is b rotated by i, read as a view of b b: a^i a^j = a^(i+j mod n)
+    rotations = (map(mul, repeat(a[i]), islice(chain(b, b), n - i, 2 * n - i)) for i in compress(range(n), a))
+    acc = next(rotations, (0,) * n)
+    for vec in rotations:
+        acc = tuple(map(add, acc, vec))
+    return tuple(acc)
 
 
 def norm(n: int) -> GroupRingElement:

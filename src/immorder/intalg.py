@@ -44,7 +44,7 @@ are read off its reduced echelon form.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Collection, Iterable
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from math import gcd
@@ -61,24 +61,6 @@ class NotAComplex(ValueError):
 
 # ---------------------------------------------------------------------------
 # matrices
-
-# how many lazy `map(add, ...)` passes `_sum_vectors` stacks before it makes
-# the sum a tuple: next() on a stack of maps recurses in C, one level each
-_LAZY_SUM_DEPTH = 8
-
-
-def _sum_vectors(vectors: Iterable[Iterable[int]], length: int) -> tuple[int, ...]:
-    """The entrywise sum of `vectors`, each of `length` entries (zeros if
-    there are none).  The sum composes lazily as map(add, ...), so the
-    loops run in C and no partial sum is stored between vectors, except
-    every `_LAZY_SUM_DEPTH` vectors, where it becomes a tuple."""
-    acc = None
-    for k, vec in enumerate(vectors, 1):
-        acc = vec if acc is None else map(add, acc, vec)
-        if k % _LAZY_SUM_DEPTH == 0:
-            acc = tuple(acc)
-    return (0,) * length if acc is None else tuple(acc)
-
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -157,12 +139,15 @@ class IntMatrix:
         a, b = self.entries, other.entries
         n, m, p = self.rows, self.cols, other.cols
         brows = [b[k * p : (k + 1) * p] for k in range(m)]
-        # row i of the product sums a_ik times row k of other over the nonzero a_ik
-        rows = (
-            _sum_vectors((map(mul, repeat(arow[k]), brows[k]) for k in compress(range(m), arow)), p)
-            for arow in (a[i * m : (i + 1) * m] for i in range(n))
-        )
-        return IntMatrix(n, p, tuple(chain.from_iterable(rows)))
+        out: list[int] = []
+        for arow in (a[i * m : (i + 1) * m] for i in range(n)):
+            # row i of the product sums a_ik times row k of other over the nonzero a_ik
+            terms = (map(mul, repeat(arow[k]), brows[k]) for k in compress(range(m), arow))
+            acc = next(terms, (0,) * p)
+            for vec in terms:
+                acc = tuple(map(add, acc, vec))
+            out.extend(acc)
+        return IntMatrix(n, p, tuple(out))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -230,11 +215,12 @@ class SmithForm:
     empty 0x0 matrix, so every field stays an IntMatrix and a transform
     is tracked exactly when its side matches A (for a side of 0 the two
     agree).  The callers in this package track what they read:
-    `cokernel` and the abelianization in `fibering` read only `d` and
-    track nothing; a `Factorization` tracks V for `kernel_basis` and U and
-    V to solve; the relation form of `subquotient` names classes with U
-    and generators with U^-1.  The default tracks all four, for callers
-    that read them all.
+    `cokernel`, which the abelianization in `fibering` calls, reads only
+    `d` and tracks nothing; the character lattice in `fibering` tracks U
+    alone and reads its rows past the rank; a `Factorization` tracks V for
+    `kernel_basis` and U and V to solve; the relation form of
+    `subquotient` names classes with U and generators with U^-1.  The
+    default tracks all four, for callers that read them all.
     """
 
     d: tuple[int, ...]
@@ -387,7 +373,11 @@ def _column_hermite(
             # V_Z <- V_Z T, so the rows Z of V^-1 become T^-1 times themselves
             old = [vi[z] for z in zero]
             for z, row in zip(zero, ti):
-                vi[z] = list(_sum_vectors((map(mul, repeat(c), r) for c, r in zip(row, old) if c), len(cols)))
+                terms = (map(mul, repeat(c), r) for c, r in zip(row, old) if c)
+                acc = next(terms, (0,) * len(cols))
+                for vec in terms:
+                    acc = tuple(map(add, acc, vec))
+                vi[z] = list(acc)
         lead = sorted((next(i for i, x in enumerate(vec) if x), z, vec) for z, vec in zip(zero, kern))
         for p in piv.values():
             for r, z, vec in lead:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import add
 
 from .cohomology import CyclicHom, IllFormedHom, cyclic_homology
 from .groupring import (
@@ -36,13 +37,7 @@ from .groupring import (
     norm,
     twisted_norm,
 )
-from .intalg import (
-    FgAbelianGroup,
-    IntMatrix,
-    _sum_vectors,
-    f2_solvable,
-    kernel_basis,
-)
+from .intalg import FgAbelianGroup, IntMatrix, f2_solvable, kernel_basis
 
 
 class UnsupportedCoefficient(ValueError):
@@ -130,8 +125,12 @@ def push_forward(phi: CyclicHom, x: GroupRingElement) -> GroupRingElement:
     # 8 blocks by one C `sum` per residue, which is then cheaper
     l2, m = phi.l2, phi.m
     c = x.coeffs + (0,) * (-phi.l1 % l2)
-    blocks = (c[k : k + l2] for k in range(0, len(c), l2))
-    folded = [sum(c[r::l2]) for r in range(l2)] if len(c) > 8 * l2 else _sum_vectors(blocks, l2)
+    if len(c) > 8 * l2:
+        folded = [sum(c[r::l2]) for r in range(l2)]
+    else:
+        folded = c[:l2]
+        for k in range(l2, len(c), l2):
+            folded = tuple(map(add, folded, c[k : k + l2]))
     if m == 1:
         return GroupRingElement(l2, tuple(folded))
     out = [0] * l2

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import gcd
+from operator import add, mul
 
 import sympy
 
@@ -178,16 +179,17 @@ def action_power_sum(action_rows: list[list[int]], coeffs) -> list[list[int]]:
     """sum_i coeffs[i] A^i for the square matrix A, from len(coeffs) products.
 
     The reference for `CoefficientModule.rho`: it walks through every power
-    A^0, ..., A^(n-1) with no use of the order of A.
+    A^0, ..., A^(n-1) with no use of the order of A.  Each next power A P
+    takes one dot product in C per entry, a row of A against a column of P.
     """
     r = len(action_rows)
     out = [[0] * r for _ in range(r)]
     power = [[int(i == j) for j in range(r)] for i in range(r)]
     for c in coeffs:
-        for i in range(r):
-            for j in range(r):
-                out[i][j] += c * power[i][j]
-        power = [[sum(action_rows[i][k] * power[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
+        if c:
+            out = [list(map(add, orow, map(mul, itertools.repeat(c), prow))) for orow, prow in zip(out, power)]
+        cols = list(zip(*power))
+        power = [[sum(map(mul, row, col)) for col in cols] for row in action_rows]
     return out
 
 

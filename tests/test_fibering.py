@@ -9,8 +9,9 @@ on the first relator; those published values are pinned exactly.
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from immorder import fibering
 from immorder.fibering import (
     BadCharacter,
     FreeWord,
@@ -26,7 +27,7 @@ from immorder.fibering import (
     integral_lift_exists,
     parse_word,
 )
-from immorder.intalg import FgAbelianGroup
+from immorder.intalg import FgAbelianGroup, IntMatrix, kernel_basis, solve_linear
 
 R1 = "aaaBAAAbbaaababb"
 R2 = "aaabAAbbaaaBABAAAB"
@@ -108,6 +109,30 @@ def test_presentation_parse_and_errors():
         Presentation.parse("<a,b|aA>")  # relator trivial after free reduction
 
 
+def test_presentation_rejects_unreduced_and_empty_relators_built_directly():
+    with pytest.raises(ValueError, match="relators must be freely reduced"):
+        Presentation((FreeWord((1, -1, 2)),))
+    with pytest.raises(ValueError, match="relators must be freely reduced"):
+        Presentation((parse_word("ab"), FreeWord((2, 1, -1))))
+    with pytest.raises(ValueError, match="nonempty"):
+        Presentation((FreeWord(()),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(letters=letters_st)
+def test_reducedness_checks_agree_with_reduction(letters):
+    """The scans of Presentation and brown_fibered reject exactly the words
+    that free or cyclic reduction would change."""
+    w = FreeWord(tuple(letters))
+    assert w.is_freely_reduced() == (free_reduce(w.letters) == w.letters)
+    if not w.is_freely_reduced():
+        with pytest.raises(ValueError, match="freely reduced"):
+            Presentation((w,))
+    if w.letters and cyclically_reduce(w) != w:
+        with pytest.raises(PreconditionViolated, match="cyclically reduced"):
+            brown_fibered(w, ZMap(1, 1))
+
+
 def test_abelianization_pinned():
     assert abelianization(Presentation.parse(M313)) == FgAbelianGroup(1, (4,))
     assert abelianization(Presentation.parse(f"<a,b|{R1}>")) == FgAbelianGroup(1, (4,))
@@ -169,6 +194,10 @@ def test_fibering_preconditions():
         brown_fibered(FreeWord(tuple()), ZMap(1, 1))
     with pytest.raises(PreconditionViolated):
         brown_fibered(FreeWord((2, 1, 1, -2)), ZMap(-1, 1))  # baaB not cyclically reduced
+    with pytest.raises(PreconditionViolated, match="cyclically reduced"):
+        brown_fibered(FreeWord((1, 2, -2, -1, 2, 1)), ZMap(1, -1))  # abBAba not freely reduced
+    with pytest.raises(PreconditionViolated, match="cyclically reduced"):
+        brown_fibered(FreeWord((1, 2, -1)), ZMap(1, -1))  # abA: first letter inverse to last
 
 
 def balanced_word(letters, phi: ZMap) -> FreeWord:
@@ -279,3 +308,72 @@ def test_zero_character_always_lifts(letters1, letters2):
     assume(not w1.is_empty() and not w2.is_empty())
     p = Presentation((w1, w2))
     assert integral_lift_exists(p, 0, 0) is True
+
+
+# ---------------------------------------------------------------------------
+# one exponent matrix for every question
+
+
+def exponent_sums(letters) -> tuple[int, int]:
+    """Exponent sums by a direct letter count."""
+    weight = {1: (1, 0), -1: (-1, 0), 2: (0, 1), -2: (0, -1)}
+    return tuple(sum(weight[x][k] for x in letters) for k in (0, 1))
+
+
+def same_lattice(x: IntMatrix, y: IntMatrix) -> bool:
+    """Are x and y bases (as columns) of one sublattice of Z^2?"""
+
+    def inside(p, q):
+        return all(solve_linear(q, p.col_list(j)) is not None for j in range(p.cols))
+
+    return x.cols == y.cols and inside(x, y) and inside(y, x)
+
+
+relators_st = st.lists(letters_st.map(free_reduce).filter(bool).map(FreeWord), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relators=relators_st)
+# ranks 0 (no relators, zero-sum relators only), 1 and 2
+@example(relators=[])
+@example(relators=[parse_word("abAB")])
+@example(relators=[parse_word("abAB"), parse_word("aabAAB")])
+@example(relators=[parse_word(R1)])
+@example(relators=[parse_word("aab"), parse_word("aaabb")])
+@example(relators=[parse_word(R1), parse_word(R2)])
+@example(relators=[parse_word("aa"), parse_word("bb")])
+def test_character_lattice_is_the_kernel_of_the_full_transpose(relators):
+    """The rows of U past the rank span the kernel of the r x 2 matrix of
+    every relator's exponent sums, zero and repeated columns included."""
+    p = Presentation(tuple(relators))
+    full = IntMatrix(len(relators), 2, tuple(x for r in relators for x in exponent_sums(r.letters)))
+    lattice = fibering._character_lattice(p.exponent_matrix())
+    assert lattice.rows == 2
+    assert same_lattice(lattice, kernel_basis(full))
+
+
+def _lift_or_raise(p: Presentation, wa: int, wb: int):
+    try:
+        return integral_lift_exists(p, wa, wb)
+    except NotACharacter:
+        return NotACharacter
+
+
+@settings(max_examples=150, deadline=None)
+@given(relators=relators_st.filter(bool), data=st.data())
+def test_answers_ignore_repeats_order_and_zero_sum_relators(relators, data):
+    """abelianization, epimorphisms_to_Z and integral_lift_exists depend on
+    the lattice of exponent sums alone."""
+    base = Presentation(tuple(relators))
+    extra = data.draw(st.lists(st.sampled_from(relators), max_size=4))
+    u, v = (FreeWord(free_reduce(data.draw(letters_st))) for _ in range(2))
+    commutator = free_reduce(u.letters + v.letters + u.inverse().letters + v.inverse().letters)
+    zero_sum = [parse_word("abAB")] + ([FreeWord(commutator)] if commutator else [])
+    shuffled = data.draw(st.permutations(relators + extra + zero_sum))
+    other = Presentation(tuple(shuffled))
+    assert abelianization(other) == abelianization(base)
+    assert epimorphisms_to_Z(other) == epimorphisms_to_Z(base)
+    for wa in (0, 1):
+        for wb in (0, 1):
+            assert _lift_or_raise(other, wa, wb) == _lift_or_raise(base, wa, wb)
+

@@ -102,3 +102,14 @@ def test_shift_takes_no_subquotient_and_only_intalg_names_factor():
                 names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
                 naming += [f"{path.name}:{node.lineno}" for name in names if name == "_factor"]
     assert sorted(SRC.glob("*.py")) and naming == []
+
+
+def test_fibering_takes_no_kernel_basis_and_one_smith_form():
+    # the characters onto Z are the rows of U past the rank in the Smith
+    # form of the exponent matrix, and the abelianization is its cokernel
+    def in_fibering(name):
+        return [s for s in _scopes_calling(name) if s.split(".")[0] == "fibering"]
+
+    assert in_fibering("kernel_basis") == []
+    assert in_fibering("smith_normal_form") == ["fibering._character_lattice"]
+    assert in_fibering("cokernel") == ["fibering.abelianization"]
