@@ -76,6 +76,12 @@ def _parse_group(text: str) -> tuple[str, int | None]:
     raise _CliInput(f"unknown group {text!r}; use trivial, Z/n, Z, or Z4")
 
 
+def _check_two_power_order(k: int) -> None:
+    """Refuses Z/2^k past the cyclic order budget."""
+    if k > MAX_CYCLIC_ORDER.bit_length() - 1:
+        raise _CliInput(f"group order 2^{k} exceeds the budget of {MAX_CYCLIC_ORDER}")
+
+
 def _twist_bit(text: str) -> int:
     if text == "0":
         return 0
@@ -190,15 +196,11 @@ def _cmd_sq2w(args) -> int:
     elif family == "Z4":
         if args.w1 != "0":
             raise _CliInput("the rank-4 free-abelian group has w1 = 0 only")
-        table = {
-            "0": cohomology.z4_class(2, []),
-            "e12": cohomology.z4_class(2, [(1, 2)]),
-            "e12+e34": cohomology.z4_class(2, [(1, 2), (3, 4)]),
-        }
-        if args.w2 not in table:
-            raise _CliInput("w2 must be one of 0, e12, e12+e34")
+        try:
+            w2 = james._w2_class_z4(args.w2)
+        except ValueError:
+            raise _CliInput("w2 must be one of 0, e12, e12+e34") from None
         w1 = cohomology.z4_class(1, [])
-        w2 = table[args.w2]
         for mono in cohomology.z4_monomials(2):
             x = cohomology.z4_class(2, [mono])
             out = cohomology.sq2_w(w1, w2, x)
@@ -251,8 +253,7 @@ def _cmd_order_graph(args) -> int:
         raise _CliInput("only the cyclic family is available")
     if args.max_exp < 1:
         raise _CliInput("max-exp must be >= 1")
-    if args.max_exp > MAX_CYCLIC_ORDER.bit_length() - 1:
-        raise _CliInput(f"group order 2^{args.max_exp} exceeds the budget of {MAX_CYCLIC_ORDER}")
+    _check_two_power_order(args.max_exp)
     graph = order.order_graph(order.cyclic_family(args.max_exp, combined=args.combined))
     if args.format == "dot":
         sys.stdout.write(order.emit_dot(graph))
@@ -271,8 +272,7 @@ def _cmd_order_graph(args) -> int:
 
 def _cmd_model_cohomology(args) -> int:
     # the model complex lives over Z/2^k
-    if args.k > MAX_CYCLIC_ORDER.bit_length() - 1:
-        raise _CliInput(f"group order 2^{args.k} exceeds the budget of {MAX_CYCLIC_ORDER}")
+    _check_two_power_order(args.k)
     group = postnikov.model_cohomology(args.k, args.coeff)
     _emit({"k": args.k, "coeff": args.coeff, "group": str(group)})
     return 0

@@ -258,25 +258,27 @@ def _column_hermite(
     the pivot's column leaves the gcd as the pivot and a zero in the new
     column (a subtraction when the pivot divides the entry).  The first
     nonzero row with no pivot takes the new column as its pivot, made
-    positive; a column that clears to zero stays zero.  Each pivot column
-    is zero above its pivot row.  After each column, the entries left of
-    each pivot are reduced into [0, pivot), row by row from the first row
-    that changed.  The row of the newest pivot waits one column, because
-    the next column usually changes that pivot and its row is then reduced
-    once, not twice.  So the block built so far stays in Hermite form, and
-    its entries are bounded by minors of A, not by the length of the
-    elimination.
+    positive.  Each pivot column is zero above its pivot row.  After each
+    column, the entries left of each pivot are reduced into [0, pivot), row
+    by row from the first row that changed.  The row of the newest pivot
+    waits one column, because the next column usually changes that pivot
+    and its row is then reduced once, not twice.  So the block built so far
+    stays in Hermite form, and its entries are bounded by minors of A, not
+    by the length of the elimination.
 
-    While V is tracked, each column carries its row of V^T as a tail after
-    its n entries of A, so a column operation is one list operation from
-    the row where it starts; on the row pass the tails are U.  The tails
-    and the rows of V^-1 grow by one entry per column brought in, since
-    later columns are untouched, and the tails are split off at the end.
-
-    The columns that clear to zero are a basis of the kernel in V.  The
-    same pass, without tails, brings them to Hermite form, and every pivot
-    column of V is reduced against them: A V is unchanged and V bounded.
-    That step reads V, so V is tracked when V^-1 is.
+    When nothing is tracked, a column that clears to zero stays zero.
+    While V is tracked, each column carries its column of V as a tail after
+    its n entries of A and the scan runs on into the tail, so the pass is
+    the column Hermite form of the (n + m) x m matrix [A; I] (Cohen, *A
+    Course in Computational Algebraic Number Theory*, 1993, section 2.4).
+    A column that clears to zero in A takes its pivot in its tail: the
+    columns of V that A sends to zero come out as the Hermite basis of the
+    kernel, and every other column of V is reduced against them, which
+    keeps V bounded and changes no column of A V.  The tails steer the
+    pass, so V is tracked when V^-1 is.  A column operation is one list
+    operation from the row where it starts; on the row pass the tails are
+    U.  The tails and the rows of V^-1 grow by one entry per column brought
+    in, since later columns are untouched, and are split off at the end.
     """
     vi: list[list[int]] | None = [] if track_vinv else None
     piv: dict[int, int] = {}  # pivot row -> its column
@@ -328,8 +330,7 @@ def _column_hermite(
             vi.append([0] * j + [1])
         changed = None  # the first row whose pivot changed
         new = None  # the row of column j's pivot
-        for i in range(n):
-            x = cj[i]
+        for i, x in enumerate(cj):
             if not x:
                 continue
             p = piv.get(i)
@@ -365,28 +366,6 @@ def _column_hermite(
     vt = [c[n:] for c in cols] if track_v else None
     for c in cols:
         del c[n:]
-    zero = sorted(set(range(len(cols))) - set(piv.values()))
-    if zero and vt is not None:
-        kern = [vt[z] for z in zero]  # the pass below reduces them in place
-        _, ti = _column_hermite(kern, len(cols), False, vi is not None)
-        if vi is not None:
-            # V_Z <- V_Z T, so the rows Z of V^-1 become T^-1 times themselves
-            old = [vi[z] for z in zero]
-            for z, row in zip(zero, ti):
-                terms = (map(mul, repeat(c), r) for c, r in zip(row, old) if c)
-                acc = next(terms, (0,) * len(cols))
-                for vec in terms:
-                    acc = tuple(map(add, acc, vec))
-                vi[z] = list(acc)
-        lead = sorted((next(i for i, x in enumerate(vec) if x), z, vec) for z, vec in zip(zero, kern))
-        for p in piv.values():
-            for r, z, vec in lead:
-                # col_p -= f * col_z, a zero column of A V ; on V^-1 row_z += f * row_p
-                f = vt[p][r] // vec[r]
-                if f:
-                    vt[p] = [x - f * y for x, y in zip(vt[p], vec)]
-                    if vi is not None:
-                        vi[z] = [x + f * y for x, y in zip(vi[z], vi[p])]
     return vt, vi
 
 
@@ -403,10 +382,12 @@ def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> S
     When both sides of A are at least `_HERMITE_MIN_SIDE`, the Hermite
     pass (`_column_hermite`) runs first along the longer side, then along
     the other on its result; the column pass carries V^T, and the row pass
-    U, as tails of the columns and rows it eliminates.  The Euclid loop
-    finishes the diagonal and its divisibility chain.  Its pivot is the
-    first entry of least absolute value in row-major order, so the search
-    ends at an entry +-1, and a pivot of 1 divides the block unchecked.
+    U, as tails of the columns and rows it eliminates, and its scan runs on
+    into the tails: the column pass leaves the kernel of A in Hermite form
+    in V with no second elimination.  The Euclid loop finishes the diagonal
+    and its divisibility chain.  Its pivot is the first entry of least
+    absolute value in row-major order, so the search ends at an entry +-1,
+    and a pivot of 1 divides the block unchecked.
     With k the shorter side and b the bit length of the largest entry, the
     tests check that no transform entry passes 8 k (b + ceil(log2 k) + 1)
     bits.

@@ -246,12 +246,18 @@ def max_transform_bits(s) -> int:
 @st.composite
 def hermite_matrices(draw):
     """Matrices whose shorter side is 5 to 9, so the Hermite pass runs, with
-    entries of 1 to 64 bits, dense, sparse, or diagonal with shared factors."""
+    entries of 1 to 64 bits, dense, sparse, diagonal with shared factors,
+    or of low rank: an r x k times k x c product with k < min(r, c)."""
     r = draw(st.integers(min_value=intalg._HERMITE_MIN_SIDE, max_value=9))
     c = draw(st.integers(min_value=intalg._HERMITE_MIN_SIDE, max_value=9))
     bits = draw(st.sampled_from([1, 4, 16, 64]))
     values = st.integers(min_value=-(2**bits), max_value=2**bits)
-    kind = draw(st.sampled_from(["dense", "sparse", "diagonal"]))
+    kind = draw(st.sampled_from(["dense", "sparse", "diagonal", "low rank"]))
+    if kind == "low rank":
+        k = draw(st.integers(min_value=1, max_value=min(r, c) - 1))
+        left = IntMatrix(r, k, tuple(draw(st.lists(values, min_size=r * k, max_size=r * k))))
+        right = IntMatrix(k, c, tuple(draw(st.lists(values, min_size=k * c, max_size=k * c))))
+        return left @ right
     if kind == "diagonal":
         factors = st.sampled_from([1, 2, 6, 12, 60])
         ent = [draw(values) * draw(factors) if i == j else 0 for i in range(r) for j in range(c)]
@@ -290,10 +296,13 @@ def _snf_grid():
     spec = importlib.util.spec_from_file_location("snf_grid", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return list(module.grid())
+    return module
 
 
-@pytest.mark.parametrize("name, a", _snf_grid())
+SNF_GRID = _snf_grid()
+
+
+@pytest.mark.parametrize("name, a", list(SNF_GRID.grid()))
 def test_invariant_factors_match_the_euclid_loop_on_the_snf_grid(name, a):
     assert smith_normal_form(a, track=()).d == euclid_invariant_factors(a.to_rows())
 
@@ -311,7 +320,7 @@ def test_column_hermite_pass(a):
     its left, the other columns zero), V V^-1 = I, and V is reduced against
     the zero columns, whose V columns span the kernel.  The examples are
     the edges where the V tails are split off the columns: a side of 0 or
-    1, and zero columns, on which the kernel sub-pass runs without tails."""
+    1, and zero columns, whose pivots lie in their V tails."""
     cols = [a.col_list(j) for j in range(a.cols)]
     vt, vi = intalg._column_hermite(cols, a.rows, True, True)
     assert all(len(col) == a.rows for col in cols)
@@ -339,6 +348,26 @@ def test_column_hermite_pass(a):
         assert vt[z][r] > 0
         others = [p for p in range(a.cols) if p not in zero] + [kernel_lead[s] for s in kernel_lead if s < r]
         assert all(0 <= vt[p][r] < vt[z][r] for p in others)
+
+
+@settings(max_examples=120, deadline=None)
+@given(shaped_matrices())
+@example(IntMatrix.zeros(3, 4))
+@example(IntMatrix.from_rows([[0, 1, 2, 0, 3, 1, 2], [0, 2, 4, 1, 0, 3, 5], [0, 3, 6, 1, 3, 4, 7]]))
+@example(IntMatrix.from_rows([[3, 0, 6, 1, 0, -3], [1, 0, 2, 4, 0, -1], [2, 0, 4, 2, 0, -2]]))
+def test_column_hermite_pass_is_the_hermite_form_of_a_over_the_identity(a):
+    """While V is tracked, the pass leaves the columns [A V; V], and sorted
+    by pivot row they are the column Hermite basis of the (n + m) x m
+    matrix [A; I], which `hermite_columns` of `scripts/snf_grid.py` builds
+    by its own elimination.  That basis is unique, so this pins the result
+    and not the way the pass reaches it.  The examples put zero columns of
+    A V between pivot columns: a 3 x 7 of rank 2 whose first column is
+    zero, and a 3 x 6 of rank 2 with two zero columns."""
+    cols = [a.col_list(j) for j in range(a.cols)]
+    vt, _ = intalg._column_hermite(cols, a.rows, True, True)
+    stacked = sorted((c + v for c, v in zip(cols, vt)), key=lambda c: next(i for i, x in enumerate(c) if x))
+    a_over_i = IntMatrix(a.rows + a.cols, a.cols, a.entries + IntMatrix.identity(a.cols).entries)
+    assert stacked == SNF_GRID.hermite_columns(a_over_i)
 
 
 def test_small_matrices_take_no_hermite_pass(monkeypatch):
