@@ -15,14 +15,14 @@ asks it to track only the transforms it reads (see `SmithForm`), so a
 caller that reads only the invariant factors pays for no transform.  On a
 matrix whose sides are both at least 5 it starts with a Hermite pass in
 the reduced order of Kannan and Bachem (SIAM J. Comput. 8, 1979), along
-the longer side and then the other: every entry stays bounded by minors
+the shorter side and then the other: every entry stays bounded by minors
 of the matrix, and the Euclid loop that follows finds a generic matrix
 already diagonal.  Without the pass the loop's entries grow by the length
 of the elimination, the blow-up that Havas and Majewski (J. Symb. Comput.
 24, 1997) describe: on dense 18x18 matrices with entries in -9..9, whose
 invariant factors need at most 74 bits, the transforms reached 27,481
 bits, and they now stay under 200.  With CPython 3.11 on x86-64 a dense
-40x40 matrix takes about 0.03 s with all four transforms, where the loop
+40x40 matrix takes about 0.025 s with all four transforms, where the loop
 alone had not finished after 270 s.
 
 Every solve and kernel goes through one path, `Factorization`: one
@@ -187,11 +187,11 @@ TRANSFORMS = ("U", "V", "uinv", "vinv")
 # matrix are at least this long.  Below it the Euclid loop alone keeps its
 # transforms within a few times the entry size (at most 305 bits on 3 x 3
 # matrices with 31-bit entries, 44 bits on 4 x 40 with entries in -9..9),
-# and the passes would cost 1.3 to 1.5 times the time of the loop alone on
-# 2 x 2 to 6 x 4 matrices.  On 5 x 5 and 6 x 6 they cost about 1.1 times
-# the loop and cut its largest transform entry from 56 to 39 bits; from
-# 8 x 8 on they save time too (152 to 68 bits on 8 x 8).  Measured with
-# all four transforms, CPython 3.11, x86-64, entries -9..9 unless stated.
+# and the passes would cost 1.0 to 1.7 times the time of the loop alone on
+# 2 x 2 to 6 x 4 matrices.  On 5 x 5 they take 1.07 times the loop and cut
+# its largest transform entry from 56 to 39 bits; on 6 x 6 and 8 x 8 they
+# take 0.95 and 0.8 times it (152 to 68 bits on 8 x 8).  All with four
+# transforms, CPython 3.11, x86-64, entries -9..9 unless stated.
 _HERMITE_MIN_SIDE = 5
 
 # what `smith_normal_form` returns for a transform it does not track
@@ -204,7 +204,7 @@ class SmithForm:
 
     `d` lists the nonzero invariant factors only (positive, each dividing
     the next); the rank of A is len(d).  `uinv` and `vinv` are the exact
-    inverses of U and V, tracked during reduction.
+    inverses of U and V, read off each Hermite pass and kept by the loop.
 
     When both sides of A are at least 5, every entry of the four
     transforms is bounded by a function of the shape of A and the size of
@@ -277,32 +277,25 @@ def _column_hermite(
     keeps V bounded and changes no column of A V.  The tails steer the
     pass, so V is tracked when V^-1 is.  A column operation is one list
     operation from the row where it starts; on the row pass the tails are
-    U.  The tails and the rows of V^-1 grow by one entry per column brought
-    in, since later columns are untouched, and are split off at the end.
+    U.  The tails grow by one entry per column brought in and are split off
+    at the end, once V^-1 is read off the result (`_hermite_inverse`).
     """
-    vi: list[list[int]] | None = [] if track_vinv else None
+    rows = list(zip(*cols)) if track_vinv else None  # A, for V^-1
     piv: dict[int, int] = {}  # pivot row -> its column
     order: list[int] = []  # the pivot rows, in increasing order
 
     def addmul(q, p, f, r):
-        # col_q += f * col_p, col_p zero above row r ; on V^-1 row_p -= f * row_q
+        # col_q += f * col_p, col_p zero above row r
         cq = cols[q]
         cq[r:] = [x + f * y for x, y in zip(cq[r:], cols[p][r:])]
-        if vi is not None:
-            vi[p] = [x - f * y for x, y in zip(vi[p], vi[q])]
 
     def combine(p, j, r, s, t, x, y):
         # (col_p, col_j) <- (s col_p + t col_j, x col_p + y col_j), both zero
-        # above row r, with s y - t x = 1 ; on V^-1
-        # (row_p, row_j) <- (y row_p - x row_j, s row_j - t row_p)
+        # above row r, with s y - t x = 1
         cp, cj = cols[p], cols[j]
         rp, rj = cp[r:], cj[r:]
         cp[r:] = [s * c + t * e for c, e in zip(rp, rj)]
         cj[r:] = [x * c + y * e for c, e in zip(rp, rj)]
-        if vi is not None:
-            rp, rj = vi[p], vi[j]
-            vi[p] = [y * c - x * e for c, e in zip(rp, rj)]
-            vi[j] = [s * e - t * c for c, e in zip(rp, rj)]
 
     def reduce(first, skip):
         # reduce the entries left of the pivots of rows >= first, row by row,
@@ -324,10 +317,6 @@ def _column_hermite(
             for c in cols[:j]:
                 c.append(0)
             cj += [0] * j + [1]
-        if vi is not None:
-            for row in vi:
-                row.append(0)
-            vi.append([0] * j + [1])
         changed = None  # the first row whose pivot changed
         new = None  # the row of column j's pivot
         for i, x in enumerate(cj):
@@ -337,8 +326,6 @@ def _column_hermite(
             if p is None:
                 if x < 0:
                     cj[i:] = [-c for c in cj[i:]]
-                    if vi is not None:
-                        vi[j] = [-c for c in vi[j]]
                 piv[i] = j
                 insort(order, i)
                 new = i
@@ -348,13 +335,6 @@ def _column_hermite(
                 g, s, t = _xgcd(d, x)
                 combine(p, j, i, s, t, -x // g, d // g)
                 changed = i if changed is None else changed
-            elif changed is None:
-                # addmul(j, p, f, i), where row j of V^-1 is still e_j, so
-                # row_p -= f * row_j changes one entry
-                f = -x // d
-                cj[i:] = [c + f * e for c, e in zip(cj[i:], cols[p][i:])]
-                if vi is not None:
-                    vi[p][j] -= f
             else:
                 addmul(j, p, -x // d, i)
         starts = [r for r in (changed, new, late) if r is not None]
@@ -363,10 +343,30 @@ def _column_hermite(
         late = new
     if late is not None:
         reduce(late, None)
+    vi = _hermite_inverse(rows, cols, n, order, piv) if track_vinv else None
     vt = [c[n:] for c in cols] if track_v else None
     for c in cols:
         del c[n:]
     return vt, vi
+
+
+def _hermite_inverse(rows, hv, n, order, piv):
+    """The rows of V^-1, from the n rows of A and the columns `hv` of the
+    Hermite form [A V; V] of [A; I], with pivot rows `order` and `piv` their
+    columns.  [A; I] = [A V; V] V^-1, the factor lower triangular on those
+    rows: forward substitution, with ArithmeticError on a remainder."""
+    vi: list[list[int]] = [[]] * len(hv)
+    for k, r in enumerate(order):
+        s = list(rows[r]) if r < n else [int(i == r - n) for i in range(len(hv))]
+        for q in map(piv.get, order[:k]):
+            f = hv[q][r]
+            if f:
+                s = [x - f * y for x, y in zip(s, vi[q])]
+        d = hv[piv[r]][r]
+        if any(x % d for x in s):
+            raise ArithmeticError(f"pivot {d} at row {r} does not divide its row of [A; I]")
+        vi[piv[r]] = [x // d for x in s] if d != 1 else s
+    return vi
 
 
 def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> SmithForm:
@@ -380,7 +380,7 @@ def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> S
     transform is the same whatever else is tracked.
 
     When both sides of A are at least `_HERMITE_MIN_SIDE`, the Hermite
-    pass (`_column_hermite`) runs first along the longer side, then along
+    pass (`_column_hermite`) runs first along the shorter side, then along
     the other on its result; the column pass carries V^T, and the row pass
     U, as tails of the columns and rows it eliminates, and its scan runs on
     into the tails: the column pass leaves the kernel of A in Hermite form
@@ -407,11 +407,11 @@ def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> S
     if n < _HERMITE_MIN_SIDE or m < _HERMITE_MIN_SIDE:
         u, uit, vt, vi = eye(n, "U"), eye(n, "uinv"), eye(m, "V"), eye(m, "vinv")
     else:
-        # The Hermite pass runs along the longer side, so that what it
-        # leaves over is zero vectors, then along the other side on its
-        # result; a generic matrix comes out diagonal.  On the rows, the
-        # pass is the one on the columns of the transpose: its V^T, carried
-        # as tails of the rows, is U, and its V^-1 is U^-1 transposed.
+        # The Hermite pass runs first along the shorter side (the columns
+        # if square), with fewer vectors and tails, then along the other on
+        # its result; a generic matrix comes out diagonal.  The row pass is
+        # the one on the columns of A^T: its V^T, carried as tails of the
+        # rows, is U, and its V^-1 is U^-1 transposed.
         def by_rows():
             return _column_hermite(w, m, "U" in track or "uinv" in track, "uinv" in track)
 
@@ -421,7 +421,7 @@ def smith_normal_form(a: IntMatrix, *, track: Collection[str] = TRANSFORMS) -> S
             w[:] = map(list, zip(*cols))
             return vt, vi
 
-        if m >= n:
+        if m <= n:
             vt, vi = by_cols()
             u, uit = by_rows()
         else:

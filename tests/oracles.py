@@ -34,6 +34,17 @@ def det_int(rows: list[list[int]]) -> int:
     return int(m.det())
 
 
+def integer_inverse(rows: list[list[int]]) -> list[list[int]]:
+    """The inverse of a unimodular integer matrix, from sympy's exact
+    rational inverse; ValueError when that inverse is not integral."""
+    if not rows:
+        return []
+    inv = sympy.Matrix(rows).inv()
+    if not all(x.is_integer for x in inv):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in inv.row(i)] for i in range(inv.rows)]
+
+
 def invariant_factors_by_minors(rows: list[list[int]]) -> list[int]:
     """Invariant factors from the classical gcd-of-k-minors definition.
 

@@ -41,6 +41,7 @@ from oracles import (
     elementary_reachable,
     euclid_invariant_factors,
     in_column_lattice,
+    integer_inverse,
     invariant_factors_by_minors,
     oracle_homology_group,
     reference_shift_data,
@@ -244,15 +245,16 @@ def max_transform_bits(s) -> int:
 
 
 @st.composite
-def hermite_matrices(draw):
+def hermite_matrices(draw, kinds=("dense", "sparse", "diagonal", "low rank")):
     """Matrices whose shorter side is 5 to 9, so the Hermite pass runs, with
-    entries of 1 to 64 bits, dense, sparse, diagonal with shared factors,
-    or of low rank: an r x k times k x c product with k < min(r, c)."""
+    entries of 1 to 64 bits, of one of `kinds`: dense, sparse, diagonal with
+    shared factors, or of low rank: an r x k times k x c product with
+    k < min(r, c)."""
     r = draw(st.integers(min_value=intalg._HERMITE_MIN_SIDE, max_value=9))
     c = draw(st.integers(min_value=intalg._HERMITE_MIN_SIDE, max_value=9))
     bits = draw(st.sampled_from([1, 4, 16, 64]))
     values = st.integers(min_value=-(2**bits), max_value=2**bits)
-    kind = draw(st.sampled_from(["dense", "sparse", "diagonal", "low rank"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "low rank":
         k = draw(st.integers(min_value=1, max_value=min(r, c) - 1))
         left = IntMatrix(r, k, tuple(draw(st.lists(values, min_size=r * k, max_size=r * k))))
@@ -368,6 +370,66 @@ def test_column_hermite_pass_is_the_hermite_form_of_a_over_the_identity(a):
     stacked = sorted((c + v for c, v in zip(cols, vt)), key=lambda c: next(i for i, x in enumerate(c) if x))
     a_over_i = IntMatrix(a.rows + a.cols, a.cols, a.entries + IntMatrix.identity(a.cols).entries)
     assert stacked == SNF_GRID.hermite_columns(a_over_i)
+
+
+def _seeded(rows, cols, seed, bound=9):
+    rng = random.Random(seed)
+    return IntMatrix(rows, cols, tuple(rng.randint(-bound, bound) for _ in range(rows * cols)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_matrices() | hermite_matrices(kinds=("low rank",)))
+@example(_seeded(6, 10, 1))
+@example(_seeded(10, 6, 2))
+@example(_seeded(8, 3, 3, 4) @ _seeded(3, 7, 4, 4))
+def test_tracked_inverses_are_the_exact_inverses(a):
+    """U^-1 and V^-1 are sympy's exact inverses of U and V.  Each Hermite
+    pass reads its inverse off its Hermite form by forward substitution
+    over the pivot rows.  When a pass brings in more vectors than the rank
+    (the low-rank kind, and the examples: wide, tall, and 8 x 7 of rank 3),
+    some of those rows lie in the tails, where the row of [A; I] is a unit
+    vector."""
+    s = smith_normal_form(a)
+    assert s.uinv.to_rows() == integer_inverse(s.U.to_rows())
+    assert s.vinv.to_rows() == integer_inverse(s.V.to_rows())
+
+
+def test_hermite_inverse_refuses_a_pivot_that_does_not_divide():
+    """[A; I] = [[1], [1]] is not [H; V] V^-1 for the column [2; 1]: the
+    division by the pivot 2 leaves a remainder, and the substitution
+    raises instead of truncating, also under python -O."""
+    with pytest.raises(ArithmeticError, match="pivot 2 at row 0 does not divide"):
+        intalg._hermite_inverse([(1,)], [[2, 1]], 1, [0], {0: 0})
+    script = """
+from immorder import intalg
+try:
+    intalg._hermite_inverse([(1,)], [[2, 1]], 1, [0], {0: 0})
+except ArithmeticError as e:
+    print(e)
+"""
+    assert _run_under_python_O(script) == "pivot 2 at row 0 does not divide its row of [A; I]"
+
+
+def test_the_first_hermite_pass_runs_along_the_shorter_side(monkeypatch):
+    """The first pass brings in the vectors of the shorter side (the columns
+    of a square matrix), so a wide `kernel_basis`, which tracks V alone,
+    starts with a row pass that tracks nothing."""
+    calls = []
+    column_hermite = intalg._column_hermite
+
+    def recorded(cols, n, track_v, track_vinv):
+        calls.append(([list(c) for c in cols], track_v, track_vinv))
+        return column_hermite(cols, n, track_v, track_vinv)
+
+    monkeypatch.setattr(intalg, "_column_hermite", recorded)
+    for a in (_seeded(6, 9, 5), _seeded(9, 6, 6), _seeded(7, 7, 7)):
+        calls.clear()
+        smith_normal_form(a)
+        first = calls[0][0]
+        assert first == ([a.col_list(j) for j in range(a.cols)] if a.cols <= a.rows else a.to_rows())
+    calls.clear()
+    kernel_basis(_seeded(6, 9, 8))
+    assert [(len(c), v, vi) for c, v, vi in calls] == [(6, False, False), (9, True, False)]
 
 
 def test_small_matrices_take_no_hermite_pass(monkeypatch):
@@ -682,13 +744,18 @@ def test_tampered_factorization_fails_its_certificate():
             bad.solve(a)
 
 
-def test_tampered_factorization_fails_under_python_O():
+def _run_under_python_O(script: str) -> str:
+    """The stripped stdout of `script` in a fresh interpreter under python -O."""
     src = Path(intalg.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-O", "-c", _TAMPERED_V], env=env, capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60
     )
-    assert out.stdout.strip() == "solution fails the certificate a @ x == b"
+    return out.stdout.strip()
+
+
+def test_tampered_factorization_fails_under_python_O():
+    assert _run_under_python_O(_TAMPERED_V) == "solution fails the certificate a @ x == b"
 
 
 def test_class_of_reuses_the_subquotient_factorization(monkeypatch):
