@@ -1,12 +1,15 @@
 """Free-word algorithms for two-generator presentations.
 
 Words over the free group on a, b are written in ASCII with uppercase
-letters denoting inverses ("aBA" = a b^-1 a^-1, no separators).  The
-module parses and reduces such words, abelianizes two-generator
-presentations, decides Brown's fibering criterion for a character on a
-one-relator kernel (unique minimum and maximum of the prefix sums), lists
-the primitive characters onto the integers, and decides whether a mod-2
-character admits an integral lift.
+letters denoting inverses ("aBA" = a b^-1 a^-1, no separators), and a
+word is stored as that text from parse to echo: inversion is reversal
+plus swapcase, exponent sums are letter counts, and free reduction
+cancels a letter against its swapcase (Lyndon and Schupp, Combinatorial
+Group Theory, 1977, ch. I.1).  The module parses and reduces such words,
+abelianizes two-generator presentations, decides Brown's fibering
+criterion for a character on a one-relator kernel (unique minimum and
+maximum of the prefix sums), lists the primitive characters onto the
+integers, and decides whether a mod-2 character admits an integral lift.
 
 Every presentation question reads one 2-row exponent matrix E, whose
 columns are the relators' distinct nonzero exponent sums: the
@@ -17,15 +20,14 @@ and Schupp, Combinatorial Group Theory, 1977, ch. II).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
 
 from .intalg import FgAbelianGroup, IntMatrix, cokernel, f2_solvable, smith_normal_form
 
-# letters are encoded as +-1 (a, a^-1) and +-2 (b, b^-1)
-_CHAR_TO_LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
-_LETTER_TO_CHAR = {v: k for k, v in _CHAR_TO_LETTER.items()}
+_BAD_CHARACTER = re.compile("[^abAB]")
+_INVERSE_PAIR = re.compile("aA|Aa|bB|Bb")
 
 
 class BadCharacter(ValueError):
@@ -42,67 +44,56 @@ class NotACharacter(ValueError):
 
 @dataclass(frozen=True)
 class FreeWord:
-    """A word in the free group on a and b, stored as signed letters."""
+    """A word in the free group on a and b, stored as its text over a, A,
+    b, B (not necessarily freely reduced; `parse_word` reduces).  The
+    alphabet is checked on construction, so no other character can reach
+    a reduction."""
 
-    letters: tuple[int, ...]
+    text: str
 
     def __post_init__(self) -> None:
-        for x in self.letters:
-            if x not in (-2, -1, 1, 2):
-                raise ValueError(f"invalid letter code {x}")
+        bad = _BAD_CHARACTER.search(self.text)
+        if bad:
+            raise BadCharacter(f"invalid word character {bad.group()!r}")
 
     def __str__(self) -> str:
-        return "".join(_LETTER_TO_CHAR[x] for x in self.letters)
+        return self.text
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.text)
 
     def is_empty(self) -> bool:
-        return not self.letters
+        return not self.text
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple(-x for x in reversed(self.letters)))
+        return FreeWord(self.text[::-1].swapcase())
 
     def exponents(self) -> tuple[int, int]:
         """Exponent sums (on a, on b)."""
-        count = self.letters.count
-        return count(1) - count(-1), count(2) - count(-2)
+        count = self.text.count
+        return count("a") - count("A"), count("b") - count("B")
 
     def is_freely_reduced(self) -> bool:
-        """No letter stands next to its inverse: with codes +-1 and +-2,
-        exactly such a pair sums to 0."""
-        return 0 not in map(add, self.letters, self.letters[1:])
+        """No letter stands next to its inverse."""
+        return _INVERSE_PAIR.search(self.text) is None
 
 
-def free_reduce(letters) -> tuple[int, ...]:
+def free_reduce(text: str) -> str:
     """Cancel adjacent inverse pairs until none remain."""
-    out: list[int] = []
-    for x in letters:
-        if out and out[-1] == -x:
+    out: list[str] = []
+    for ch in text:
+        if out and out[-1] == ch.swapcase():
             out.pop()
         else:
-            out.append(x)
-    return tuple(out)
+            out.append(ch)
+    return "".join(out)
 
 
 def parse_word(s: str) -> FreeWord:
-    """Parse ASCII text into a freely reduced word."""
-    letters = []
-    for ch in s:
-        if ch not in _CHAR_TO_LETTER:
-            raise BadCharacter(f"invalid word character {ch!r}")
-        letters.append(_CHAR_TO_LETTER[ch])
-    return FreeWord(free_reduce(letters))
-
-
-def cyclically_reduce(w: FreeWord) -> FreeWord:
-    """Shortest word conjugate to w: free reduction plus end-cancellation
-    (the middle of a freely reduced word is freely reduced, so one slice)."""
-    letters = free_reduce(w.letters)
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i, j = i + 1, j - 1
-    return FreeWord(letters[i:j])
+    """Parse ASCII text into a freely reduced word; the stack reduction
+    runs only when the text holds an adjacent inverse pair."""
+    w = FreeWord(s)
+    return w if w.is_freely_reduced() else FreeWord(free_reduce(s))
 
 
 @dataclass(frozen=True)
@@ -115,7 +106,7 @@ class Presentation:
         for r in self.relators:
             if not r.is_freely_reduced():
                 raise ValueError("relators must be freely reduced")
-            if not r.letters:
+            if r.is_empty():
                 raise ValueError("relators must be nonempty after free reduction")
 
     @staticmethod
@@ -157,10 +148,6 @@ class ZMap:
     a: int
     b: int
 
-    def on_letter(self, x: int) -> int:
-        v = self.a if x in (1, -1) else self.b
-        return v if x > 0 else -v
-
     def on_word(self, w: FreeWord) -> int:
         ea, eb = w.exponents()
         return ea * self.a + eb * self.b
@@ -199,13 +186,15 @@ def brown_fibered(relator: FreeWord, phi: ZMap) -> BrownVerdict:
     """
     if relator.is_empty():
         raise PreconditionViolated("the relator must be nontrivial")
-    if not relator.is_freely_reduced() or relator.letters[0] == -relator.letters[-1]:
+    text = relator.text
+    if not relator.is_freely_reduced() or text[0] == text[-1].swapcase():
         raise PreconditionViolated("the relator must be cyclically reduced")
     if phi.a == 0 or phi.b == 0:
         raise PreconditionViolated("the character must be nonzero on both generators")
     if phi.on_word(relator) != 0:
         raise PreconditionViolated("the character must kill the relator")
-    values = list(accumulate(map(phi.on_letter, relator.letters)))
+    weights = {"a": phi.a, "A": -phi.a, "b": phi.b, "B": -phi.b}
+    values = list(accumulate(map(weights.__getitem__, text)))
     lo, hi = min(values), max(values)
     reasons = [f"{name} attained more than once" for name, v in (("minimum", lo), ("maximum", hi)) if values.count(v) != 1]
     return BrownVerdict(

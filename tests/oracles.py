@@ -12,7 +12,9 @@ matrix of a group-ring element, which the package no longer builds:
 `reference_factorization_obstruction` keep the solves against it that
 `postnikov.shift`, `postnikov.chain_map_exists` and
 `postnikov.factorization_obstruction` replaced with closed forms in the
-group ring.
+group ring.  The `code_*` functions keep the signed letter codes (a, A,
+b, B as +1, -1, +2, -2) that `fibering` used before it stored words as
+their text.
 """
 
 from __future__ import annotations
@@ -749,3 +751,63 @@ def reference_factorization_obstruction(k: int, full_module: bool = False) -> bo
         rows.append([1] * n)
         b.append(0)
     return solve_linear(IntMatrix.from_rows(rows), b) is None
+
+
+# ---------------------------------------------------------------------------
+# free words by signed letter codes
+
+_LETTER_CODE = {"a": 1, "A": -1, "b": 2, "B": -2}
+_CODE_LETTER = {v: k for k, v in _LETTER_CODE.items()}
+
+
+def _codes(text: str) -> list[int]:
+    return [_LETTER_CODE[ch] for ch in text]
+
+
+def _text(codes) -> str:
+    return "".join(_CODE_LETTER[x] for x in codes)
+
+
+def code_free_reduce(text: str) -> str:
+    """Free reduction by a stack of codes: a code cancels its negative."""
+    out: list[int] = []
+    for x in _codes(text):
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return _text(out)
+
+
+def code_is_freely_reduced(text: str) -> bool:
+    """No two adjacent codes sum to 0."""
+    codes = _codes(text)
+    return all(map(add, codes, codes[1:]))
+
+
+def code_inverse(text: str) -> str:
+    return _text(-x for x in reversed(_codes(text)))
+
+
+def code_exponents(text: str) -> tuple[int, int]:
+    codes = _codes(text)
+    return codes.count(1) - codes.count(-1), codes.count(2) - codes.count(-2)
+
+
+def code_prefix_values(text: str, a: int, b: int) -> tuple[int, ...]:
+    """Prefix sums of the character with phi(a) = a, phi(b) = b."""
+    value = {1: a, -1: -a, 2: b, -2: -b}
+    return tuple(itertools.accumulate(value[x] for x in _codes(text)))
+
+
+def cyclically_reduce(w):
+    """Shortest word conjugate to the `FreeWord` w: free reduction plus
+    end-cancellation (the middle of a freely reduced word is freely
+    reduced, so one slice)."""
+    from immorder.fibering import FreeWord
+
+    text = code_free_reduce(str(w))
+    i, j = 0, len(text)
+    while j - i >= 2 and text[i] == text[j - 1].swapcase():
+        i, j = i + 1, j - 1
+    return FreeWord(text[i:j])

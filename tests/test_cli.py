@@ -182,11 +182,48 @@ def test_word_text_past_the_budget_exits_2(argv):
     assert "exceeds the budget of 1000000" in payload["error"]
 
 
-def test_word_text_at_the_budget_answers():
-    presentation = "<a,b|" + "a" * (cli.MAX_WORD_TEXT - 7) + "b>"
-    assert len(presentation) == cli.MAX_WORD_TEXT
-    payload, _ = run_json("integral-lift", "--presentation", presentation, "--w1", "a=1,b=1", schema="integral_lift")
-    assert payload["lift_exists"] is True
+# a + (bB)^m + b reduces to ab, so the stack reduction runs on the whole text
+PAIRS_AT_BUDGET = "a" + "bB" * ((cli.MAX_WORD_TEXT - 8) // 2) + "b"
+# a^k b: exponent column (k, 1), characters spanned by (1, -k), = (1, 1) mod 2
+POWER_AT_BUDGET = "a" * (cli.MAX_WORD_TEXT - 7) + "b"
+# a^k B^k under a = b = 1: prefix values 1 .. k, then k - 1 .. 0, each
+# extremum attained once
+HALVES_AT_BUDGET = "a" * (cli.MAX_WORD_TEXT // 2) + "B" * (cli.MAX_WORD_TEXT // 2)
+
+
+@pytest.mark.parametrize(
+    "argv, schema, expected",
+    [
+        pytest.param(
+            ("abelianization", "--presentation", f"<a,b|{PAIRS_AT_BUDGET}>"),
+            "abelianization",
+            {"presentation": "<a,b|ab>", "abelianization": "Z"},
+            id="abelianization",
+        ),
+        pytest.param(
+            ("integral-lift", "--presentation", f"<a,b|{POWER_AT_BUDGET}>", "--w1", "a=1,b=1"),
+            "integral_lift",
+            {"lift_exists": True, "w1": {"a": 1, "b": 1}},
+            id="integral-lift",
+        ),
+        pytest.param(
+            ("fibered", "--phi", "a=1,b=1", "--relator", HALVES_AT_BUDGET),
+            "fibered",
+            {
+                "fibered": True,
+                "min": 0,
+                "min_index": cli.MAX_WORD_TEXT,
+                "max": cli.MAX_WORD_TEXT // 2,
+                "max_index": cli.MAX_WORD_TEXT // 2,
+            },
+            id="fibered",
+        ),
+    ],
+)
+def test_word_text_at_the_budget_answers(argv, schema, expected):
+    assert max(map(len, argv)) == cli.MAX_WORD_TEXT
+    payload, _ = run_json(*argv, schema=schema)
+    assert payload == expected
 
 
 def test_homology_untwisted_cyclic_vanishes():
@@ -562,6 +599,9 @@ def test_abelianization_rejects_bad_presentation():
     code, out = run_cli("abelianization", "--presentation", "<a,c|ab>")
     assert code == 2
     Draft7Validator(load_schema("error")).validate(json.loads(out))
+    # refused at the alphabet check, before "xX" could cancel
+    payload, _ = run_json("abelianization", "--presentation", "<a,b|xX>", schema="error", expect_code=2)
+    assert payload["error"] == "invalid word character 'x'"
 
 
 # ---------------------------------------------------------------------------

@@ -21,28 +21,35 @@ from immorder.fibering import (
     ZMap,
     abelianization,
     brown_fibered,
-    cyclically_reduce,
     epimorphisms_to_Z,
     free_reduce,
     integral_lift_exists,
     parse_word,
 )
 from immorder.intalg import FgAbelianGroup, IntMatrix, kernel_basis, solve_linear
+from oracles import (
+    code_exponents,
+    code_free_reduce,
+    code_inverse,
+    code_is_freely_reduced,
+    code_prefix_values,
+    cyclically_reduce,
+)
 
 R1 = "aaaBAAAbbaaababb"
 R2 = "aaabAAbbaaaBABAAAB"
 M313 = f"<a,b|{R1},{R2}>"
 
-letters_st = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=20)
+letters_st = st.text(alphabet="aAbB", max_size=20)
 
 
 def scan_cyclically_reduced(w: FreeWord) -> bool:
     """Direct-scan oracle: no adjacent cancellation and no wrap cancellation."""
-    ls = w.letters
+    ls = w.text
     for x, y in zip(ls, ls[1:]):
-        if x == -y:
+        if x == y.swapcase():
             return False
-    return not (len(ls) >= 2 and ls[0] == -ls[-1])
+    return not (len(ls) >= 2 and ls[0] == ls[-1].swapcase())
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +70,7 @@ def test_cyclic_reduction_of_a_long_conjugate():
     # a^k b a^-k: k end pairs cancel; a reduction quadratic in k takes
     # about 35 s at this k
     k = 20_000
-    assert cyclically_reduce(FreeWord((1,) * k + (2,) + (-1,) * k)) == FreeWord((2,))
+    assert cyclically_reduce(FreeWord("a" * k + "b" + "A" * k)) == FreeWord("b")
 
 
 def test_parse_rejects_bad_characters():
@@ -71,6 +78,44 @@ def test_parse_rejects_bad_characters():
         parse_word("abc")
     with pytest.raises(BadCharacter):
         parse_word("a b")
+    # the alphabet is checked before any reduction, so "cC" and "xX"
+    # cannot cancel, and a word built directly is checked too
+    with pytest.raises(BadCharacter):
+        parse_word("acCb")
+    with pytest.raises(BadCharacter):
+        parse_word("ab\nBA")
+    with pytest.raises(BadCharacter):
+        FreeWord("ac")
+    with pytest.raises(BadCharacter):
+        Presentation.parse("<a,b|xX>")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="aAbB"))
+@example(text="")
+@example(text="a" * 50 + "A" * 50)
+@example(text="abAB" * 25 + "baBA" * 25)
+@example(text="bB" * 30 + R1 + "Aa" * 30)
+@example(text="aB" * 40)
+def test_text_words_match_the_signed_code_reference(text):
+    """Every word operation agrees with the signed-code path of
+    `oracles`, on reduced and unreduced text alike."""
+    w = FreeWord(text)
+    assert w.is_freely_reduced() == code_is_freely_reduced(text)
+    assert w.exponents() == code_exponents(text)
+    assert str(w.inverse()) == code_inverse(text)
+    reduced = parse_word(text)
+    assert str(reduced) == code_free_reduce(text)
+    # a character nonzero on both generators kills r exactly when the
+    # exponent sums of r are both zero or both nonzero
+    r = cyclically_reduce(reduced)
+    ea, eb = r.exponents()
+    phi = ZMap(eb, -ea) if ea and eb else ZMap(2, -3)
+    if r.is_empty() or (ea == 0) != (eb == 0):
+        with pytest.raises(PreconditionViolated):
+            brown_fibered(r, phi)
+    else:
+        assert brown_fibered(r, phi).values == code_prefix_values(str(r), phi.a, phi.b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -111,11 +156,11 @@ def test_presentation_parse_and_errors():
 
 def test_presentation_rejects_unreduced_and_empty_relators_built_directly():
     with pytest.raises(ValueError, match="relators must be freely reduced"):
-        Presentation((FreeWord((1, -1, 2)),))
+        Presentation((FreeWord("aAb"),))
     with pytest.raises(ValueError, match="relators must be freely reduced"):
-        Presentation((parse_word("ab"), FreeWord((2, 1, -1))))
+        Presentation((parse_word("ab"), FreeWord("baA")))
     with pytest.raises(ValueError, match="nonempty"):
-        Presentation((FreeWord(()),))
+        Presentation((FreeWord(""),))
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,12 +168,12 @@ def test_presentation_rejects_unreduced_and_empty_relators_built_directly():
 def test_reducedness_checks_agree_with_reduction(letters):
     """The scans of Presentation and brown_fibered reject exactly the words
     that free or cyclic reduction would change."""
-    w = FreeWord(tuple(letters))
-    assert w.is_freely_reduced() == (free_reduce(w.letters) == w.letters)
+    w = FreeWord(letters)
+    assert w.is_freely_reduced() == (free_reduce(w.text) == w.text)
     if not w.is_freely_reduced():
         with pytest.raises(ValueError, match="freely reduced"):
             Presentation((w,))
-    if w.letters and cyclically_reduce(w) != w:
+    if w.text and cyclically_reduce(w) != w:
         with pytest.raises(PreconditionViolated, match="cyclically reduced"):
             brown_fibered(w, ZMap(1, 1))
 
@@ -150,7 +195,7 @@ def test_abelianization_invariance(letters1, letters2, conj, data):
     base = Presentation((w1, w2))
     # conjugate one relator, invert the other, swap the order
     c = FreeWord(free_reduce(conj))
-    conjugated = FreeWord(free_reduce(c.letters + w1.letters + c.inverse().letters))
+    conjugated = FreeWord(free_reduce(c.text + w1.text + c.inverse().text))
     assume(not conjugated.is_empty())
     modified = Presentation((w2.inverse(), conjugated))
     assert abelianization(modified) == abelianization(base)
@@ -191,13 +236,13 @@ def test_fibering_preconditions():
     with pytest.raises(PreconditionViolated):
         brown_fibered(parse_word("abab"), ZMap(1, 1))  # not killed
     with pytest.raises(PreconditionViolated):
-        brown_fibered(FreeWord(tuple()), ZMap(1, 1))
+        brown_fibered(FreeWord(""), ZMap(1, 1))
     with pytest.raises(PreconditionViolated):
-        brown_fibered(FreeWord((2, 1, 1, -2)), ZMap(-1, 1))  # baaB not cyclically reduced
+        brown_fibered(FreeWord("baaB"), ZMap(-1, 1))  # not cyclically reduced
     with pytest.raises(PreconditionViolated, match="cyclically reduced"):
-        brown_fibered(FreeWord((1, 2, -2, -1, 2, 1)), ZMap(1, -1))  # abBAba not freely reduced
+        brown_fibered(FreeWord("abBAba"), ZMap(1, -1))  # not freely reduced
     with pytest.raises(PreconditionViolated, match="cyclically reduced"):
-        brown_fibered(FreeWord((1, 2, -1)), ZMap(1, -1))  # abA: first letter inverse to last
+        brown_fibered(FreeWord("abA"), ZMap(1, -1))  # first letter inverse to last
 
 
 def balanced_word(letters, phi: ZMap) -> FreeWord:
@@ -208,14 +253,14 @@ def balanced_word(letters, phi: ZMap) -> FreeWord:
     running total shares their parity.
     """
     ls = list(letters)
-    total = sum(phi.on_letter(x) for x in ls)
-    options = [(1, phi.a), (-1, -phi.a), (2, phi.b), (-2, -phi.b)]
+    options = [("a", phi.a), ("A", -phi.a), ("b", phi.b), ("B", -phi.b)]
+    total = sum(dict(options)[x] for x in ls)
     while total != 0:
         letter, v = min(options, key=lambda lv: abs(total + lv[1]))
         assert abs(total + v) < abs(total)
         ls.append(letter)
         total += v
-    return cyclically_reduce(FreeWord(free_reduce(ls)))
+    return cyclically_reduce(FreeWord(free_reduce("".join(ls))))
 
 
 @settings(max_examples=120, deadline=None)
@@ -239,13 +284,13 @@ def test_fibering_invariances(letters, pa, pb):
     assert inv.min_value == v.min_value and inv.max_value == v.max_value
     # cyclic rotation (conjugation by a prefix) never changes the verdict
     for k in range(len(w)):
-        assert brown_fibered(FreeWord(w.letters[k:] + w.letters[:k]), phi).fibered == v.fibered
+        assert brown_fibered(FreeWord(w.text[k:] + w.text[:k]), phi).fibered == v.fibered
 
 
 def test_fibering_rotation_invariance_pinned():
     r = parse_word(R1)
     phi = ZMap(-1, 1)
-    assert all(brown_fibered(FreeWord(r.letters[k:] + r.letters[:k]), phi).fibered for k in range(len(r)))
+    assert all(brown_fibered(FreeWord(r.text[k:] + r.text[:k]), phi).fibered for k in range(len(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +361,7 @@ def test_zero_character_always_lifts(letters1, letters2):
 
 def exponent_sums(letters) -> tuple[int, int]:
     """Exponent sums by a direct letter count."""
-    weight = {1: (1, 0), -1: (-1, 0), 2: (0, 1), -2: (0, -1)}
+    weight = {"a": (1, 0), "A": (-1, 0), "b": (0, 1), "B": (0, -1)}
     return tuple(sum(weight[x][k] for x in letters) for k in (0, 1))
 
 
@@ -346,7 +391,7 @@ def test_character_lattice_is_the_kernel_of_the_full_transpose(relators):
     """The rows of U past the rank span the kernel of the r x 2 matrix of
     every relator's exponent sums, zero and repeated columns included."""
     p = Presentation(tuple(relators))
-    full = IntMatrix(len(relators), 2, tuple(x for r in relators for x in exponent_sums(r.letters)))
+    full = IntMatrix(len(relators), 2, tuple(x for r in relators for x in exponent_sums(r.text)))
     lattice = fibering._character_lattice(p.exponent_matrix())
     assert lattice.rows == 2
     assert same_lattice(lattice, kernel_basis(full))
@@ -367,7 +412,7 @@ def test_answers_ignore_repeats_order_and_zero_sum_relators(relators, data):
     base = Presentation(tuple(relators))
     extra = data.draw(st.lists(st.sampled_from(relators), max_size=4))
     u, v = (FreeWord(free_reduce(data.draw(letters_st))) for _ in range(2))
-    commutator = free_reduce(u.letters + v.letters + u.inverse().letters + v.inverse().letters)
+    commutator = free_reduce(u.text + v.text + u.inverse().text + v.inverse().text)
     zero_sum = [parse_word("abAB")] + ([FreeWord(commutator)] if commutator else [])
     shuffled = data.draw(st.permutations(relators + extra + zero_sum))
     other = Presentation(tuple(shuffled))

@@ -1,9 +1,11 @@
 """Package-wide properties: no `assert` and no unused import in the
-sources, and no third-party import behind the command line."""
+sources, no third-party import behind the command line, and an anchor in
+the sources for every planted fault of `scripts/mutants.py`."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -113,3 +115,14 @@ def test_fibering_takes_no_kernel_basis_and_one_smith_form():
     assert in_fibering("kernel_basis") == []
     assert in_fibering("smith_normal_form") == ["fibering._character_lattice"]
     assert in_fibering("cokernel") == ["fibering.abelianization"]
+
+
+def test_every_planted_fault_anchor_occurs_once_in_src():
+    # the register runs no mutant here; a refactor that moves an anchor
+    # must move its entry in scripts/mutants.py with it
+    path = Path(__file__).resolve().parent.parent / "scripts" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    assert mutants.anchor_problems(SRC.parent) == []
