@@ -20,14 +20,13 @@ and malformed ones; `order-graph` for `--max-exp` -1..17, with and
 without `--combined`, in both formats; and `leq` on every ordered pair
 of a fixed list of type payloads, canonical, non-canonical and invalid,
 which are written to a temporary directory (the command lines print
-their file names only); and argv that argparse refuses: none, an unknown
-subcommand, a missing required option, a non-integer `--degree` and
-invalid choices.  Commands run in-process, through
-`immorder.cli.run`, which builds its parser once; the whole grid takes
-about 2 s with CPython 3.11 on a 2-core x86-64 machine (about 17 s when
-the parser was rebuilt for every command).  Comparing the output of two
-versions byte for byte shows whether a refactor changed any answer,
-error message or exit code:
+their file names only); and argv that the parser refuses: none, an
+unknown subcommand, a missing required option, a non-integer `--degree`
+and invalid choices.  Commands run in-process, through
+`immorder.cli.run`; the whole grid takes about 0.6 s with CPython 3.11 on
+a 2-core x86-64 machine.  Comparing the output of two versions byte for
+byte shows whether a refactor changed any answer, error message or exit
+code:
 
     PYTHONPATH=src python3 scripts/cli_grid.py > grid.txt
 """
@@ -85,7 +84,7 @@ PAYLOADS = (
 # every w1 and w2 symbol of the cyclic and rank-4 families, and one of neither
 SQ2W_W1 = ("0", "t", "x")
 SQ2W_W2 = ("0", "s", "e12", "e12+e34", "x")
-# argv that argparse itself refuses
+# argv that the parser refuses before any handler runs
 PARSER_FAILURES = (
     [],
     ["no-such-command"],

@@ -46,6 +46,8 @@ class Mutant(NamedTuple):
 
 
 WORD_REFERENCE = ("tests/test_fibering.py::test_text_words_match_the_signed_code_reference",)
+PARSE_REFERENCE = ("tests/test_cli_fuzz.py::test_cli_parse_matches_the_argparse_reference",)
+EXACT_INVERSES = ("tests/test_intalg.py::test_tracked_inverses_are_the_exact_inverses",)
 
 MUTANTS = (
     Mutant(
@@ -78,6 +80,54 @@ MUTANTS = (
         'count("a") - count("A")',
         'count("A") - count("a")',
         WORD_REFERENCE,
+        120,
+    ),
+    Mutant(
+        "cli: the choices check is skipped",
+        "immorder/cli.py",
+        "if option.choices and out not in option.choices:",
+        "if False:",
+        PARSE_REFERENCE,
+        120,
+    ),
+    Mutant(
+        "cli: the first value of a repeated option wins",
+        "immorder/cli.py",
+        "given[option] = _read_value(option, flag, value)",
+        "given.setdefault(option, _read_value(option, flag, value))",
+        PARSE_REFERENCE,
+        120,
+    ),
+    Mutant(
+        "cli: an ambiguous prefix takes its first match",
+        "immorder/cli.py",
+        "if len(matches) > 1:",
+        "if False:",
+        PARSE_REFERENCE,
+        120,
+    ),
+    Mutant(
+        "cli: the required check is skipped",
+        "immorder/cli.py",
+        "missing = [o.flag for o in options if o.required and o not in given]",
+        "missing = []",
+        PARSE_REFERENCE,
+        120,
+    ),
+    Mutant(
+        "intalg: a tail pivot row is read as a row of A",
+        "immorder/intalg.py",
+        "s = list(rows[r]) if r < n else [int(i == r - n) for i in range(len(hv))]",
+        "s = list(rows[r % n])",
+        EXACT_INVERSES,
+        120,
+    ),
+    Mutant(
+        "intalg: the pivot division is skipped",
+        "immorder/intalg.py",
+        "vi[piv[r]] = [x // d for x in s] if d != 1 else s",
+        "vi[piv[r]] = s",
+        EXACT_INVERSES,
         120,
     ),
 )

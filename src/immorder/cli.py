@@ -1,4 +1,4 @@
-"""Command-line front end: every computation behind one dispatcher.
+"""Command-line front end: every computation behind one option table and one dispatcher.
 
 JSON outputs are byte-deterministic (sorted keys, compact separators,
 one trailing newline) and validate against the schemas shipped under
@@ -14,12 +14,14 @@ the reason.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
+import re
 import sys
+from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 from . import cohomology, fibering, james, order, postnikov
 from .intalg import FgAbelianGroup
@@ -43,11 +45,6 @@ _WORD_HELP = f"at most {MAX_WORD_TEXT} characters"
 
 class _CliInput(ValueError):
     """Invalid command-line input (maps to exit code 2)."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # noqa: A003 - argparse API
-        raise _CliInput(message)
 
 
 def _emit(obj) -> None:
@@ -118,7 +115,7 @@ def _read_payload(arg: str, stdin_used: list[bool]):
 
 def _word_text(text: str) -> str:
     if len(text) > MAX_WORD_TEXT:
-        raise argparse.ArgumentTypeError(f"text of {len(text)} characters exceeds the budget of {MAX_WORD_TEXT}")
+        raise _CliInput(f"text of {len(text)} characters exceeds the budget of {MAX_WORD_TEXT}")
     return text
 
 
@@ -349,89 +346,161 @@ def _cmd_chain_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# option table and parser
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="immorder", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+# An option of a subcommand, or a positional when its flag has no dashes.  The
+# type converts its text; bool marks a switch, which takes none.
+_Option = namedtuple("_Option", "flag type default choices required help", defaults=(str, None, (), False, ""))
+_HELP = _Option("-h/--help", bool, help="show this help message and exit")
+# subcommand -> (handler, help, options), in the order of the help listing
+_COMMANDS = {
+    "homology": (_cmd_homology, "twisted homology of a supported group", (
+        _Option("--group", required=True, help=_GROUP_HELP),
+        _Option("--twist", default="0", choices=("0", "w")),
+        _Option("--coeff", default="Z", choices=("Z", "Z2")),
+        _Option("--degree", int, required=True, help=f"0 <= degree <= {MAX_DEGREE}"))),
+    "sq2w": (_cmd_sq2w, "twisted square on degree-2 classes", (
+        _Option("--group", required=True, help=_GROUP_HELP),
+        _Option("--w1", default="0"),
+        _Option("--w2", default="0"),
+        _Option("--degree", int, default=2))),
+    "realizable": (_cmd_realizable, "realizable fundamental classes", (
+        _Option("--group", required=True, help=_GROUP_HELP),
+        _Option("--w1", int, default=0, choices=(0, 1)),
+        _Option("--w2", default="0"))),
+    "leq": (_cmd_leq, "decide immersion partial order between two types", (
+        _Option("a", required=True, help="JSON file for the source type, or - for stdin"),
+        _Option("b", required=True, help="JSON file for the target type, or - for stdin"))),
+    "order-graph": (_cmd_order_graph, "Hasse diagram of a family of types", (
+        _Option("--family", default="cyclic"),
+        _Option("--max-exp", int, required=True, help=f"orders up to 2^max-exp <= {MAX_CYCLIC_ORDER}; max-exp >= 1"),
+        _Option("--combined", bool, default=False),
+        _Option("--format", default="dot", choices=("dot", "json")))),
+    "model-cohomology": (_cmd_model_cohomology, "degree-2 cohomology of the chain model", (
+        _Option("--k", int, required=True, help=f"the group is Z/2^k; 2^k <= {MAX_CYCLIC_ORDER}"),
+        _Option("--coeff", required=True, choices=("Z", "Z2", "ZZ2w")))),
+    "shift": (_cmd_shift, "composite connecting homomorphism on H_4", (
+        _Option("--group", required=True, help=f"Z/n with n <= {MAX_CYCLIC_ORDER}"),
+        _Option("--w", default="w", choices=("0", "w")),
+        _Option("--c", int, default=1),
+        _Option("--seed", int, default=0))),
+    "fibered": (_cmd_fibered, "unique-extrema fibering criterion", (
+        _Option("--relator", _word_text, required=True, help=_WORD_HELP),
+        _Option("--phi", required=True, help="a=INT,b=INT"))),
+    "abelianization": (_cmd_abelianization, "abelianization of a presentation", (
+        _Option("--presentation", _word_text, required=True, help=_WORD_HELP),)),
+    "integral-lift": (_cmd_integral_lift, "integral lift of a mod-2 character", (
+        _Option("--presentation", _word_text, required=True, help=_WORD_HELP),
+        _Option("--w1", required=True, help="a=BIT,b=BIT"))),
+    "chain-verify": (_cmd_chain_verify, "projection diagram between chain models", (
+        _Option("--source", int, required=True, help=f"k of the source group Z/2k; k >= 1 and 2k <= {MAX_CYCLIC_ORDER}"),
+        _Option("--target", int, required=True, help="k of the target group Z/2k; k >= 1 and the source is an odd multiple of k"))),
+}
+# the flags of each subcommand, -h and --help first: an ambiguous prefix lists its matches in this order
+_TOP_FLAGS = {"-h": _HELP, "--help": _HELP}
+_FLAGS = {name: _TOP_FLAGS | {o.flag: o for o in c[2] if o.flag[0] == "-"} for name, c in _COMMANDS.items()}
 
-    p = sub.add_parser("homology", help="twisted homology of a supported group")
-    p.add_argument("--group", required=True, help=_GROUP_HELP)
-    p.add_argument("--twist", default="0", choices=["0", "w"])
-    p.add_argument("--coeff", default="Z", choices=["Z", "Z2"])
-    p.add_argument("--degree", type=int, required=True, help=f"0 <= degree <= {MAX_DEGREE}")
-    p.set_defaults(func=_cmd_homology)
 
-    p = sub.add_parser("sq2w", help="twisted square on degree-2 classes")
-    p.add_argument("--group", required=True, help=_GROUP_HELP)
-    p.add_argument("--w1", default="0")
-    p.add_argument("--w2", default="0")
-    p.add_argument("--degree", type=int, default=2)
-    p.set_defaults(func=_cmd_sq2w)
+def _classify(tok: str, flags: dict[str, _Option]):
+    """None for a value, else (the option, None for an unknown flag; its flag;
+    the text given with it or None).  A unique prefix names its flag."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    flag, eq, value = tok.partition("=")
+    value = value if eq else None
+    if flag in flags:
+        return flags[flag], flag, value
+    matches = [f for f in flags if f.startswith(flag)] if tok[1] == "-" else ["-h"] * (tok[1] == "h")
+    if len(matches) > 1:
+        raise _CliInput(f"ambiguous option: {tok} could match {', '.join(matches)}")
+    if matches:  # -hX is -h given X
+        return flags[matches[0]], matches[0], value if tok[1] == "-" else tok[2:]
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", tok) or " " in tok else (None, tok, None)
 
-    p = sub.add_parser("realizable", help="realizable fundamental classes")
-    p.add_argument("--group", required=True, help=_GROUP_HELP)
-    p.add_argument("--w1", type=int, default=0, choices=[0, 1])
-    p.add_argument("--w2", default="0")
-    p.set_defaults(func=_cmd_realizable)
 
-    p = sub.add_parser("leq", help="decide immersion partial order between two types")
-    p.add_argument("a", help="JSON file for the source type, or - for stdin")
-    p.add_argument("b", help="JSON file for the target type, or - for stdin")
-    p.set_defaults(func=_cmd_leq)
+def _read_value(option: _Option, flag: str, value: str | None):
+    """True for a switch (`-hh` is `-h -h`), else the text converted and checked against the choices."""
+    if option.type is bool:
+        rest = value.lstrip("h") if flag == "-h" and value else value
+        if rest is not None and (rest or not value):
+            raise _CliInput(f"argument {option.flag}: ignored explicit argument {rest!r}")
+        return True
+    if value == "--":  # `--flag=--`: argparse dropped the `--` and kept the empty list
+        return []
+    try:
+        out = option.type(value)
+    except ValueError as e:  # _word_text states its budget
+        reason = e if isinstance(e, _CliInput) else f"invalid {option.type.__name__} value: {value!r}"
+        raise _CliInput(f"argument {option.flag}: {reason}") from None
+    if option.choices and out not in option.choices:
+        choices = ", ".join(map(repr, option.choices))
+        raise _CliInput(f"argument {option.flag}: invalid choice: {out!r} (choose from {choices})")
+    return out
 
-    p = sub.add_parser("order-graph", help="Hasse diagram of a family of types")
-    p.add_argument("--family", default="cyclic")
-    p.add_argument("--max-exp", type=int, required=True, help=f"orders up to 2^max-exp <= {MAX_CYCLIC_ORDER}; max-exp >= 1")
-    p.add_argument("--combined", action="store_true")
-    p.add_argument("--format", default="dot", choices=["dot", "json"])
-    p.set_defaults(func=_cmd_order_graph)
 
-    p = sub.add_parser("model-cohomology", help="degree-2 cohomology of the chain model")
-    p.add_argument("--k", type=int, required=True, help=f"the group is Z/2^k; 2^k <= {MAX_CYCLIC_ORDER}")
-    p.add_argument("--coeff", required=True, choices=["Z", "Z2", "ZZ2w"])
-    p.set_defaults(func=_cmd_model_cohomology)
+def _help(name: str | None) -> int:
+    """Print the usage and help of the top level (None) or of a subcommand."""
+    if name is None:
+        head, rows = f"[-h] COMMAND ...\n\n{__doc__}\ncommands:", [(n, c[1]) for n, c in _COMMANDS.items()]
+    else:
+        head, rows = f"{name} [-h] [options]\n\n{_COMMANDS[name][1]}\n\noptions:", []
+        for o in (_HELP, *_COMMANDS[name][2]):
+            choices = "{" + ",".join(map(str, o.choices)) + "} " if o.choices else ""
+            rows.append((o.flag, "(required) " * o.required + choices + o.help))
+    sys.stdout.write(f"usage: immorder {head}\n" + "".join(f"  {a:<18} {b}".rstrip() + "\n" for a, b in rows))
+    return 0
 
-    p = sub.add_parser("shift", help="composite connecting homomorphism on H_4")
-    p.add_argument("--group", required=True, help=f"Z/n with n <= {MAX_CYCLIC_ORDER}")
-    p.add_argument("--w", default="w", choices=["0", "w"])
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_shift)
 
-    p = sub.add_parser("fibered", help="unique-extrema fibering criterion")
-    p.add_argument("--relator", required=True, type=_word_text, help=_WORD_HELP)
-    p.add_argument("--phi", required=True, help="a=INT,b=INT")
-    p.set_defaults(func=_cmd_fibered)
-
-    p = sub.add_parser("abelianization", help="abelianization of a presentation")
-    p.add_argument("--presentation", required=True, type=_word_text, help=_WORD_HELP)
-    p.set_defaults(func=_cmd_abelianization)
-
-    p = sub.add_parser("integral-lift", help="integral lift of a mod-2 character")
-    p.add_argument("--presentation", required=True, type=_word_text, help=_WORD_HELP)
-    p.add_argument("--w1", required=True, help="a=BIT,b=BIT")
-    p.set_defaults(func=_cmd_integral_lift)
-
-    p = sub.add_parser("chain-verify", help="projection diagram between chain models")
-    p.add_argument("--source", type=int, required=True, help=f"k of the source group Z/2k; k >= 1 and 2k <= {MAX_CYCLIC_ORDER}")
-    p.add_argument("--target", type=int, required=True, help="k of the target group Z/2k; k >= 1 and the source is an odd multiple of k")
-    p.set_defaults(func=_cmd_chain_verify)
-
-    return parser
+def _parse(argv) -> tuple[Callable, object]:
+    """(handler, arguments) for argv, or `_help` and the subcommand to describe:
+    one pass against the table reads argv as argparse did, and refuses it in argparse's words."""
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    handler, _, options = _COMMANDS.get(name, (None, None, ()))
+    # before the subcommand only -h or --help is read, and only as the first token
+    flags, rest = _FLAGS.get(name, _TOP_FLAGS), argv[1:] if name else argv[:1]
+    # each token before the first `--` is a flag or a value, and every one after it a value
+    cut = rest.index("--") if "--" in rest else len(rest)
+    hits = [_classify(tok, flags) for tok in rest[:cut]] + [None] * (len(rest) - cut)
+    positionals, given, extras, i = [o for o in options if o.flag[0] != "-"], {}, [], 0
+    while i < len(rest):
+        tok, hit, i = rest[i], hits[i], i + 1
+        if i - 1 == cut:  # a `--` not taken with the positional value before it goes with the next one
+            if positionals and i < len(rest):
+                given[positionals.pop(0)], i = rest[i], i + 1
+            else:
+                extras.append(tok)
+        elif hit is None and positionals:  # argparse drops one `--` of a positional's tokens
+            given[positionals.pop(0)] = [] if tok == "--" else tok
+            if i == cut:  # the `--` right after the value goes with it
+                i += 1
+        elif hit is None or hit[0] is None:
+            extras.append(tok)
+        else:
+            option, flag, value = hit
+            if value is None and option.type is not bool:
+                if i >= cut or hits[i] is not None:
+                    raise _CliInput(f"argument {option.flag}: expected one argument")
+                value, i = rest[i], i + 1
+            given[option] = _read_value(option, flag, value)
+            if option is _HELP:
+                return _help, name
+    if not argv:
+        raise _CliInput("a subcommand is required")
+    if name is None:
+        raise _CliInput(f"argument command: invalid choice: {argv[0]!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+    missing = [o.flag for o in options if o.required and o not in given]
+    if missing:
+        raise _CliInput(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _CliInput(f"unrecognized arguments: {' '.join(extras)}")
+    return handler, SimpleNamespace(**{o.flag.lstrip("-").replace("-", "_"): given.get(o, o.default) for o in options})
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not hasattr(args, "func"):
-            raise _CliInput("a subcommand is required")
-        return args.func(args)
-    except SystemExit as e:  # argparse --help
-        return int(e.code or 0)
+        handler, args = _parse(argv)
+        return handler(args)
     except _CliInput as e:
         _emit({"error": str(e)})
         return 2

@@ -103,15 +103,18 @@ class Presentation:
     relators: tuple[FreeWord, ...]
 
     def __post_init__(self) -> None:
-        for r in self.relators:
-            if not r.is_freely_reduced():
-                raise ValueError("relators must be freely reduced")
-            if r.is_empty():
-                raise ValueError("relators must be nonempty after free reduction")
+        texts = [r.text for r in self.relators]
+        # a comma cannot pair with a letter, so one search covers every relator
+        if _INVERSE_PAIR.search(",".join(texts)):
+            raise ValueError("relators must be freely reduced")
+        if "" in texts:
+            raise ValueError("relators must be nonempty after free reduction")
 
     @staticmethod
     def parse(text: str) -> "Presentation":
-        """Parse `<a,b|word1,word2>`; the relator list may be empty."""
+        """Parse `<a,b|word1,word2>`; the relator list may be empty.  One
+        search of the whole relator text for an inverse pair decides whether
+        any relator needs `parse_word`'s reduction."""
         t = text.strip()
         if not (t.startswith("<") and t.endswith(">")):
             raise ValueError("presentation must be delimited by angle brackets")
@@ -124,11 +127,12 @@ class Presentation:
         rel_text = rel_text.strip()
         relators = []
         if rel_text:
+            word = parse_word if _INVERSE_PAIR.search(rel_text) else FreeWord
             for piece in rel_text.split(","):
                 piece = piece.strip()
                 if not piece:
                     raise ValueError("empty relator entry")
-                relators.append(parse_word(piece))
+                relators.append(word(piece))
         return Presentation(tuple(relators))
 
     def __str__(self) -> str:

@@ -14,11 +14,13 @@ matrix of a group-ring element, which the package no longer builds:
 `postnikov.factorization_obstruction` replaced with closed forms in the
 group ring.  The `code_*` functions keep the signed letter codes (a, A,
 b, B as +1, -1, +2, -2) that `fibering` used before it stored words as
-their text.
+their text.  `reference_parse` keeps the argparse parser that
+`immorder.cli` built before it read argv from its own option table.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 from math import gcd
@@ -811,3 +813,132 @@ def cyclically_reduce(w):
     while j - i >= 2 and text[i] == text[j - 1].swapcase():
         i, j = i + 1, j - 1
     return FreeWord(text[i:j])
+
+
+# ---------------------------------------------------------------------------
+# the argparse parser of the command line
+
+
+class _Refused(ValueError):
+    """The argparse parser refused an argv."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # noqa: A003 - argparse API
+        raise _Refused(message)
+
+
+def _word_text(text: str) -> str:
+    from immorder.cli import MAX_WORD_TEXT
+
+    if len(text) > MAX_WORD_TEXT:
+        raise argparse.ArgumentTypeError(f"text of {len(text)} characters exceeds the budget of {MAX_WORD_TEXT}")
+    return text
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    from immorder.cli import (
+        MAX_CYCLIC_ORDER,
+        MAX_DEGREE,
+        _GROUP_HELP,
+        _WORD_HELP,
+        __doc__,
+        _cmd_abelianization,
+        _cmd_chain_verify,
+        _cmd_fibered,
+        _cmd_homology,
+        _cmd_integral_lift,
+        _cmd_leq,
+        _cmd_model_cohomology,
+        _cmd_order_graph,
+        _cmd_realizable,
+        _cmd_shift,
+        _cmd_sq2w,
+    )
+
+    parser = _Parser(prog="immorder", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+
+    p = sub.add_parser("homology", help="twisted homology of a supported group")
+    p.add_argument("--group", required=True, help=_GROUP_HELP)
+    p.add_argument("--twist", default="0", choices=["0", "w"])
+    p.add_argument("--coeff", default="Z", choices=["Z", "Z2"])
+    p.add_argument("--degree", type=int, required=True, help=f"0 <= degree <= {MAX_DEGREE}")
+    p.set_defaults(func=_cmd_homology)
+
+    p = sub.add_parser("sq2w", help="twisted square on degree-2 classes")
+    p.add_argument("--group", required=True, help=_GROUP_HELP)
+    p.add_argument("--w1", default="0")
+    p.add_argument("--w2", default="0")
+    p.add_argument("--degree", type=int, default=2)
+    p.set_defaults(func=_cmd_sq2w)
+
+    p = sub.add_parser("realizable", help="realizable fundamental classes")
+    p.add_argument("--group", required=True, help=_GROUP_HELP)
+    p.add_argument("--w1", type=int, default=0, choices=[0, 1])
+    p.add_argument("--w2", default="0")
+    p.set_defaults(func=_cmd_realizable)
+
+    p = sub.add_parser("leq", help="decide immersion partial order between two types")
+    p.add_argument("a", help="JSON file for the source type, or - for stdin")
+    p.add_argument("b", help="JSON file for the target type, or - for stdin")
+    p.set_defaults(func=_cmd_leq)
+
+    p = sub.add_parser("order-graph", help="Hasse diagram of a family of types")
+    p.add_argument("--family", default="cyclic")
+    p.add_argument("--max-exp", type=int, required=True, help=f"orders up to 2^max-exp <= {MAX_CYCLIC_ORDER}; max-exp >= 1")
+    p.add_argument("--combined", action="store_true")
+    p.add_argument("--format", default="dot", choices=["dot", "json"])
+    p.set_defaults(func=_cmd_order_graph)
+
+    p = sub.add_parser("model-cohomology", help="degree-2 cohomology of the chain model")
+    p.add_argument("--k", type=int, required=True, help=f"the group is Z/2^k; 2^k <= {MAX_CYCLIC_ORDER}")
+    p.add_argument("--coeff", required=True, choices=["Z", "Z2", "ZZ2w"])
+    p.set_defaults(func=_cmd_model_cohomology)
+
+    p = sub.add_parser("shift", help="composite connecting homomorphism on H_4")
+    p.add_argument("--group", required=True, help=f"Z/n with n <= {MAX_CYCLIC_ORDER}")
+    p.add_argument("--w", default="w", choices=["0", "w"])
+    p.add_argument("--c", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=_cmd_shift)
+
+    p = sub.add_parser("fibered", help="unique-extrema fibering criterion")
+    p.add_argument("--relator", required=True, type=_word_text, help=_WORD_HELP)
+    p.add_argument("--phi", required=True, help="a=INT,b=INT")
+    p.set_defaults(func=_cmd_fibered)
+
+    p = sub.add_parser("abelianization", help="abelianization of a presentation")
+    p.add_argument("--presentation", required=True, type=_word_text, help=_WORD_HELP)
+    p.set_defaults(func=_cmd_abelianization)
+
+    p = sub.add_parser("integral-lift", help="integral lift of a mod-2 character")
+    p.add_argument("--presentation", required=True, type=_word_text, help=_WORD_HELP)
+    p.add_argument("--w1", required=True, help="a=BIT,b=BIT")
+    p.set_defaults(func=_cmd_integral_lift)
+
+    p = sub.add_parser("chain-verify", help="projection diagram between chain models")
+    p.add_argument("--source", type=int, required=True, help=f"k of the source group Z/2k; k >= 1 and 2k <= {MAX_CYCLIC_ORDER}")
+    p.add_argument("--target", type=int, required=True, help="k of the target group Z/2k; k >= 1 and the source is an odd multiple of k")
+    p.set_defaults(func=_cmd_chain_verify)
+
+    return parser
+
+
+def reference_parse(argv) -> tuple:
+    """What the argparse parser made of argv: ("help",), ("error", text) or
+    ("ok", handler, values), where values maps each option's dest to its
+    value."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit:
+        return ("help",)
+    except _Refused as e:
+        return ("error", str(e))
+    if not hasattr(args, "func"):
+        return ("error", "a subcommand is required")
+    values = vars(args)
+    handler = values.pop("func")
+    del values["command"]
+    return ("ok", handler, values)

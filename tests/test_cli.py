@@ -688,11 +688,7 @@ def test_dot_output_is_byte_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
-
-
-def test_the_parser_is_built_once():
-    assert cli._build_parser() is cli._build_parser()
+# one option table per process
 
 
 def test_reused_parser_leaks_no_state(tmp_path):

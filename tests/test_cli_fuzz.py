@@ -7,7 +7,10 @@ writing to stderr; stdout must validate against the subcommand's schema
 on exit 0, against the `error` schema on exit 2, and against the
 undetermined verdict on exit 3, and a `leq` payload that is not JSON or
 fails the shipped `immersion_type` schema must exit 2.  The inputs stay
-small, so the budgets, not a clock, keep every case fast.
+small, so the budgets, not a clock, keep every case fast.  A third test
+draws argv from the words of the option table and checks that the parse
+agrees with the argparse parser kept in `tests/oracles.py`, apart from the
+text of a refusal when a flag other than -h or --help comes first.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from jsonschema import Draft7Validator
 
 from immorder import cli
+from oracles import reference_parse
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 
@@ -239,3 +243,84 @@ def test_leq_payload_outside_the_type_schema_exits_2(a, b):
     if not (_fits_type_schema(a) and _fits_type_schema(b)):
         assert code == 2, (a, b, out)
         validator("error").validate(json.loads(out))
+
+
+# ---------------------------------------------------------------------------
+# the parse against the argparse reference
+
+HELP_WORDS = ["-h", "--help", "--he", "-hh", "-hx", "--help=x", "-h="]
+VALUE_WORDS = [
+    "0", "1", "2", "w", "Z", "Z2", "Q", "x", "Z/8", "two", "", " 2 ", "1.5", "0x10", "1_0", "+3",
+    "-3", "-0", "-1.5", "-.5", "-1e3", "-a", "-", "--", "--x", "-a b", "a=1,b=1", "extra",
+]
+
+
+def flag_spellings(flags: list[str]) -> list[str]:
+    """Each long flag, and every shorter prefix of it past `--`: unique
+    ones name their flag, the others are ambiguous."""
+    return sorted({flag[:k] for flag in flags if flag.startswith("--") for k in range(3, len(flag) + 1)})
+
+
+def subcommand_argv(name: str) -> st.SearchStrategy[list[str]]:
+    spellings = flag_spellings(list(cli._FLAGS[name]))
+    values = st.one_of(st.sampled_from(VALUE_WORDS), st.integers(-5, 5).map(str))
+    option = st.one_of(
+        st.tuples(st.sampled_from(spellings), values).map(list),  # --flag value
+        st.tuples(st.sampled_from(spellings), values).map(lambda fv: [f"{fv[0]}={fv[1]}"]),  # --flag=value
+        st.sampled_from(spellings).map(lambda f: [f]),  # a flag whose value is missing, or a switch
+    )
+    loose = st.sampled_from(VALUE_WORDS + ["x.json", "-"]).map(lambda v: [v])  # a positional or an extra token
+    return st.lists(st.one_of(option, option, loose), max_size=6).map(lambda parts: [name, *(t for p in parts for t in p)])
+
+
+parse_argvs = st.tuples(
+    st.lists(st.sampled_from(["--foo", "-x", "-3", "--", "--he"]), max_size=1),  # before the subcommand
+    st.one_of(*(subcommand_argv(name) for name in cli._COMMANDS), st.sampled_from([[], ["frobnicate"], ["Homology"], [""]])),
+).map(lambda parts: parts[0] + parts[1]).flatmap(
+    lambda argv: st.one_of(
+        st.just(argv),
+        st.tuples(st.integers(0, len(argv)), st.sampled_from(HELP_WORDS)).map(lambda ih: [*argv[: ih[0]], ih[1], *argv[ih[0] :]]),
+    )
+)
+
+
+def new_parse(argv: list[str]) -> tuple:
+    """The outcome of `cli._parse` in the form of `reference_parse`."""
+    try:
+        handler, args = cli._parse(argv)
+    except cli._CliInput as e:
+        return ("error", str(e))
+    return ("help",) if handler is cli._help else ("ok", handler, vars(args))
+
+
+def typed(outcome: tuple) -> tuple:
+    """Values as (type name, value), so True and 1 stay apart."""
+    if outcome[0] != "ok":
+        return outcome
+    return (*outcome[:2], sorted((k, type(v).__name__, v) for k, v in outcome[2].items()))
+
+
+@settings(max_examples=600, deadline=None)
+@given(parse_argvs)
+@example(["homology", "--gr", "Z/8", "--deg", "2"])
+@example(["sq2w", "--group", "Z/4", "--w", "0"])
+@example(["homology", "--group=Z/8", "--degree=2"])
+@example(["homology", "--group", "Z/8", "--degree", "2", "extra"])
+@example(["shift", "--group", "Z/8", "--c", "-3"])
+@example(["fibered", "--relator", "-a", "--phi", "a=1,b=1"])
+@example(["homology", "--group", "Z/8", "--group", "Z/4", "--degree", "2"])
+@example(["homology", "--degree"])
+@example(["leq", "-"])
+@example(["homology", "--group", "Z/8", "--degree", " 2 "])
+@example(["Homology"])
+@example(["leq", "x.json", "y.json", "--"])
+@example(["fibered", "--relator", "ab" * (cli.MAX_WORD_TEXT // 2) + "a", "--phi", "a=1,b=1"])
+def test_cli_parse_matches_the_argparse_reference(argv):
+    with redirect_stdout(io.StringIO()):
+        expected = reference_parse(list(argv))
+        got = new_parse(list(argv))
+    if argv and argv[0] not in cli._COMMANDS and argv[0][:1] == "-":
+        # before the subcommand only a first -h or --help is read; any other flag is refused
+        assert got[0] == "error" or typed(got) == typed(expected), argv
+    else:
+        assert typed(got) == typed(expected), argv
