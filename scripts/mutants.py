@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 WORD_REFERENCE = ("tests/test_fibering.py::test_text_words_match_the_signed_code_reference",)
 PARSE_REFERENCE = ("tests/test_cli_fuzz.py::test_cli_parse_matches_the_argparse_reference",)
 EXACT_INVERSES = ("tests/test_intalg.py::test_tracked_inverses_are_the_exact_inverses",)
+RECORD_TWINS = ("tests/test_package.py::test_records_behave_as_their_dataclass_twins",)
 
 MUTANTS = (
     Mutant(
@@ -128,6 +129,30 @@ MUTANTS = (
         "vi[piv[r]] = [x // d for x in s] if d != 1 else s",
         "vi[piv[r]] = s",
         EXACT_INVERSES,
+        120,
+    ),
+    Mutant(
+        "intalg: record equality drops the same-class check",
+        "immorder/intalg.py",
+        "if other.__class__ is self.__class__:",
+        "if True:",
+        RECORD_TWINS,
+        120,
+    ),
+    Mutant(
+        "intalg: a record's hash skips its first field",
+        "immorder/intalg.py",
+        "return hash(self._values(self))",
+        "return hash(self._values(self)[1:])",
+        RECORD_TWINS,
+        120,
+    ),
+    Mutant(
+        "intalg: assigning a record field no longer raises",
+        "immorder/intalg.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "set_field(self, name, value)",
+        RECORD_TWINS,
         120,
     ),
 )

@@ -426,8 +426,8 @@ def _read_value(option: _Option, flag: str, value: str | None):
         if rest is not None and (rest or not value):
             raise _CliInput(f"argument {option.flag}: ignored explicit argument {rest!r}")
         return True
-    if value == "--":  # `--flag=--`: argparse dropped the `--` and kept the empty list
-        return []
+    if value == "--":  # argparse kept `--flag=--` as an empty list, which no handler reads
+        raise _CliInput(f"argument {option.flag}: expected one argument, not '--'")
     try:
         out = option.type(value)
     except ValueError as e:  # _word_text states its budget

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .groupring import (
     InvalidTwist,
@@ -39,7 +38,7 @@ from .groupring import (
     coefficients_complex,
     standard_resolution,
 )
-from .intalg import FgAbelianGroup, Subquotient
+from .intalg import FgAbelianGroup, Record, Subquotient, set_field
 
 TOP_DEGREE = 4
 
@@ -100,8 +99,7 @@ def h_twisted(n: int, w: int, k: int) -> FgAbelianGroup:
 # mod-2 cohomology classes
 
 
-@dataclass(frozen=True)
-class CyclicMod2Class:
+class CyclicMod2Class(Record):
     """An element of H^degree(Z/n; Z/2), degrees 0..4.
 
     Each group is Z/2 (even n) or 0 (odd n, positive degree), so a single
@@ -110,19 +108,20 @@ class CyclicMod2Class:
     is the degree-1 generator and s the degree-2 polynomial generator.
     """
 
-    n: int
-    degree: int
-    value: int
+    __slots__ = ("n", "degree", "value")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int, degree: int, value: int) -> None:
+        if n < 2:
             raise ValueError("cyclic group order must be >= 2")
-        if not 0 <= self.degree <= TOP_DEGREE:
-            raise DegreeOutOfRange(f"degree {self.degree} outside 0..{TOP_DEGREE}")
-        if self.value not in (0, 1):
+        if not 0 <= degree <= TOP_DEGREE:
+            raise DegreeOutOfRange(f"degree {degree} outside 0..{TOP_DEGREE}")
+        if value not in (0, 1):
             raise ValueError("mod-2 class value must be 0 or 1")
-        if self.value and self.degree > 0 and self.n % 2 == 1:
+        if value and degree > 0 and n % 2 == 1:
             raise ValueError("positive-degree mod-2 cohomology of an odd-order cyclic group vanishes")
+        set_field(self, "n", n)
+        set_field(self, "degree", degree)
+        set_field(self, "value", value)
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -172,23 +171,23 @@ def z4_monomials(degree: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations((1, 2, 3, 4), degree))
 
 
-@dataclass(frozen=True)
-class Z4Mod2Class:
+class Z4Mod2Class(Record):
     """An element of H^degree(Z^4; Z/2): exterior algebra on e1..e4.
 
     `bits` are coefficients over the sorted monomial basis of the given
     degree (z4_monomials).
     """
 
-    degree: int
-    bits: tuple[int, ...]
+    __slots__ = ("degree", "bits")
 
-    def __post_init__(self) -> None:
-        basis = z4_monomials(self.degree)
-        if len(self.bits) != len(basis):
-            raise ValueError(f"degree {self.degree} needs {len(basis)} coefficients")
-        if any(b not in (0, 1) for b in self.bits):
+    def __init__(self, degree: int, bits: tuple[int, ...]) -> None:
+        basis = z4_monomials(degree)
+        if len(bits) != len(basis):
+            raise ValueError(f"degree {degree} needs {len(basis)} coefficients")
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("mod-2 coefficients must be 0 or 1")
+        set_field(self, "degree", degree)
+        set_field(self, "bits", bits)
 
     def is_zero(self) -> bool:
         return all(b == 0 for b in self.bits)
@@ -321,21 +320,21 @@ def sq2_w(w1, w2, x):
 # homomorphisms of cyclic groups and pullbacks
 
 
-@dataclass(frozen=True)
-class CyclicHom:
+class CyclicHom(Record):
     """The homomorphism Z/l1 -> Z/l2 sending the generator to m-th power."""
 
-    l1: int
-    l2: int
-    m: int
+    __slots__ = ("l1", "l2", "m")
 
-    def __post_init__(self) -> None:
-        if self.l1 < 2 or self.l2 < 2:
+    def __init__(self, l1: int, l2: int, m: int) -> None:
+        if l1 < 2 or l2 < 2:
             raise IllFormedHom("cyclic group orders must be >= 2")
-        if not 0 <= self.m < self.l2:
+        if not 0 <= m < l2:
             raise IllFormedHom("power must be reduced modulo the target order")
-        if (self.m * self.l1) % self.l2 != 0:
-            raise IllFormedHom(f"a -> a^{self.m} does not define Z/{self.l1} -> Z/{self.l2}")
+        if (m * l1) % l2 != 0:
+            raise IllFormedHom(f"a -> a^{m} does not define Z/{l1} -> Z/{l2}")
+        set_field(self, "l1", l1)
+        set_field(self, "l2", l2)
+        set_field(self, "m", m)
 
 
 def pullback(phi: CyclicHom, x: CyclicMod2Class) -> CyclicMod2Class:

@@ -21,10 +21,9 @@ and Schupp, Combinatorial Group Theory, 1977, ch. II).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .intalg import FgAbelianGroup, IntMatrix, cokernel, f2_solvable, smith_normal_form
+from .intalg import FgAbelianGroup, IntMatrix, Record, cokernel, f2_solvable, set_field, smith_normal_form
 
 _BAD_CHARACTER = re.compile("[^abAB]")
 _INVERSE_PAIR = re.compile("aA|Aa|bB|Bb")
@@ -42,19 +41,19 @@ class NotACharacter(ValueError):
     """The mod-2 assignment does not vanish on all relators."""
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Record):
     """A word in the free group on a and b, stored as its text over a, A,
     b, B (not necessarily freely reduced; `parse_word` reduces).  The
     alphabet is checked on construction, so no other character can reach
     a reduction."""
 
-    text: str
+    __slots__ = ("text",)
 
-    def __post_init__(self) -> None:
-        bad = _BAD_CHARACTER.search(self.text)
+    def __init__(self, text: str) -> None:
+        bad = _BAD_CHARACTER.search(text)
         if bad:
             raise BadCharacter(f"invalid word character {bad.group()!r}")
+        set_field(self, "text", text)
 
     def __str__(self) -> str:
         return self.text
@@ -96,19 +95,19 @@ def parse_word(s: str) -> FreeWord:
     return w if w.is_freely_reduced() else FreeWord(free_reduce(s))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """A presentation with the two fixed generators a and b."""
 
-    relators: tuple[FreeWord, ...]
+    __slots__ = ("relators",)
 
-    def __post_init__(self) -> None:
-        texts = [r.text for r in self.relators]
+    def __init__(self, relators: tuple[FreeWord, ...]) -> None:
+        texts = [r.text for r in relators]
         # a comma cannot pair with a letter, so one search covers every relator
         if _INVERSE_PAIR.search(",".join(texts)):
             raise ValueError("relators must be freely reduced")
         if "" in texts:
             raise ValueError("relators must be nonempty after free reduction")
+        set_field(self, "relators", relators)
 
     @staticmethod
     def parse(text: str) -> "Presentation":
@@ -145,12 +144,14 @@ class Presentation:
         return IntMatrix.from_rows([[c[0] for c in cols], [c[1] for c in cols]])
 
 
-@dataclass(frozen=True)
-class ZMap:
+class ZMap(Record):
     """A character on the free group, determined by its values on a, b."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     def on_word(self, w: FreeWord) -> int:
         ea, eb = w.exponents()
@@ -163,8 +164,7 @@ def abelianization(p: Presentation) -> FgAbelianGroup:
     return cokernel(p.exponent_matrix())
 
 
-@dataclass(frozen=True)
-class BrownVerdict:
+class BrownVerdict(Record):
     """Outcome of the fibering criterion on one relator.
 
     fibered is True exactly when the prefix sums attain their minimum
@@ -172,13 +172,25 @@ class BrownVerdict:
     first attainment.  reason explains a False verdict.
     """
 
-    fibered: bool
-    values: tuple[int, ...]
-    min_index: int
-    min_value: int
-    max_index: int
-    max_value: int
-    reason: str | None = None
+    __slots__ = ("fibered", "values", "min_index", "min_value", "max_index", "max_value", "reason")
+
+    def __init__(
+        self,
+        fibered: bool,
+        values: tuple[int, ...],
+        min_index: int,
+        min_value: int,
+        max_index: int,
+        max_value: int,
+        reason: str | None = None,
+    ) -> None:
+        set_field(self, "fibered", fibered)
+        set_field(self, "values", values)
+        set_field(self, "min_index", min_index)
+        set_field(self, "min_value", min_value)
+        set_field(self, "max_index", max_index)
+        set_field(self, "max_value", max_value)
+        set_field(self, "reason", reason)
 
 
 def brown_fibered(relator: FreeWord, phi: ZMap) -> BrownVerdict:
@@ -212,8 +224,7 @@ def brown_fibered(relator: FreeWord, phi: ZMap) -> BrownVerdict:
     )
 
 
-@dataclass(frozen=True)
-class Epimorphisms:
+class Epimorphisms(Record):
     """Primitive characters onto Z up to sign.
 
     With first Betti number one the list holds the unique character; with
@@ -221,8 +232,11 @@ class Epimorphisms:
     and multiple_exist is set; an empty list means none exist.
     """
 
-    maps: tuple[ZMap, ...]
-    multiple_exist: bool
+    __slots__ = ("maps", "multiple_exist")
+
+    def __init__(self, maps: tuple[ZMap, ...], multiple_exist: bool) -> None:
+        set_field(self, "maps", maps)
+        set_field(self, "multiple_exist", multiple_exist)
 
 
 def _character_lattice(e: IntMatrix) -> IntMatrix:

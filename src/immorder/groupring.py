@@ -30,11 +30,10 @@ its regular representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import add, mul, neg, sub
 
-from .intalg import IntComplex, IntMatrix
+from .intalg import IntComplex, IntMatrix, Record, set_field
 
 
 class RingMismatch(ValueError):
@@ -45,18 +44,18 @@ class InvalidTwist(ValueError):
     """Requested orientation character does not exist for this group."""
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
+class GroupRingElement(Record):
     """An element of Z[Z/n]: coeffs[i] is the coefficient of a^i."""
 
-    n: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("n", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, coeffs: tuple[int, ...]) -> None:
+        if n < 1:
             raise ValueError("group order must be >= 1")
-        if len(self.coeffs) != self.n:
+        if len(coeffs) != n:
             raise ValueError("coefficient vector length must equal the group order")
+        set_field(self, "n", n)
+        set_field(self, "coeffs", coeffs)
 
     # -- constructors -------------------------------------------------------
 
@@ -114,14 +113,6 @@ class GroupRingElement:
         """Image under the ring map a -> 1."""
         return sum(self.coeffs)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                unit = "1" if i == 0 else ("a" if i == 1 else f"a^{i}")
-                terms.append(f"{c}*{unit}")
-        return " + ".join(terms) if terms else "0"
-
 
 def _shift_and_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The product of coefficient vectors a and b in Z[Z/n]: the sum over
@@ -158,8 +149,7 @@ def twisted_norm(n: int) -> GroupRingElement:
 # coefficient systems
 
 
-@dataclass(frozen=True)
-class CoefficientModule:
+class CoefficientModule(Record):
     """A Z[Z/n]-module structure on Z^rank (or (Z/2)^rank when modulus=2).
 
     `action` is the matrix by which the generator a acts: a symmetric
@@ -173,20 +163,21 @@ class CoefficientModule:
       ring of the order-2 quotient with its twist; n must be even).
     """
 
-    name: str
-    n: int
-    rank: int
-    action: IntMatrix
-    modulus: int
+    __slots__ = ("name", "n", "rank", "action", "modulus")
 
-    def __post_init__(self) -> None:
-        r, a = self.rank, self.action
+    def __init__(self, name: str, n: int, rank: int, action: IntMatrix, modulus: int) -> None:
+        r, a = rank, action
         if (a.rows, a.cols) != (r, r):
-            raise ValueError(f"module {self.name!r}: action must be a {r}x{r} matrix")
+            raise ValueError(f"module {name!r}: action must be a {r}x{r} matrix")
         if a != a.transpose() or a @ a != IntMatrix.identity(r):
-            raise ValueError(f"module {self.name!r}: the action is not a symmetric involution")
-        if self.n % 2 and a != IntMatrix.identity(r):
-            raise ValueError(f"module {self.name!r}: a group of odd order {self.n} acts trivially")
+            raise ValueError(f"module {name!r}: the action is not a symmetric involution")
+        if n % 2 and a != IntMatrix.identity(r):
+            raise ValueError(f"module {name!r}: a group of odd order {n} acts trivially")
+        set_field(self, "name", name)
+        set_field(self, "n", n)
+        set_field(self, "rank", rank)
+        set_field(self, "action", action)
+        set_field(self, "modulus", modulus)
 
     def rho(self, x: GroupRingElement) -> IntMatrix:
         """Matrix by which x acts on the module: a^i acts as the identity
@@ -225,8 +216,7 @@ def coefficient_module(name: str, n: int) -> CoefficientModule:
 # complexes of free modules
 
 
-@dataclass(frozen=True)
-class GroupRingComplex:
+class GroupRingComplex(Record):
     """A bounded complex of free Z[Z/n]-modules of rank one.
 
     C_0, ..., C_top are each Z[Z/n], and d_k : C_k -> C_(k-1) is
@@ -236,8 +226,12 @@ class GroupRingComplex:
     takes one.
     """
 
-    n: int
-    boundaries: tuple[GroupRingElement, ...]
+    __slots__ = ("n", "boundaries")
+
+    def __init__(self, n: int, boundaries: tuple[GroupRingElement, ...]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "boundaries", boundaries)
+        self.__post_init__()  # a method of its own: immbench's tracer wraps it to time the check
 
     def __post_init__(self) -> None:
         if any(d.n != self.n for d in self.boundaries):

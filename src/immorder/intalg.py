@@ -45,10 +45,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections.abc import Collection
-from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from math import gcd
-from operator import add, index, mul
+from operator import add, attrgetter, index, mul
 
 
 class DimensionMismatch(ValueError):
@@ -60,23 +59,76 @@ class NotAComplex(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# records
+
+# a record's `__init__` sets each field with this, past the frozen `__setattr__`
+set_field = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A record lists its fields in `__slots__`, checks its arguments in its
+    own `__init__` and sets each field with `set_field`.  The base gives
+    equality only between instances of the same class whose compared
+    fields are equal, the hash of the tuple of those fields, the repr
+    `Name(field=value, ...)`, and AttributeError on assigning or deleting
+    an attribute.  The fields named by the class keyword `hidden` are
+    left out of all three.  Nothing is generated: a class decorator that
+    wrote and compiled these methods for each record, with the modules it
+    imports, took about a third of `import immorder.cli` from source.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hidden: tuple[str, ...] = ()) -> None:
+        fields = tuple(f for f in cls.__slots__ if f not in hidden)
+        values = attrgetter(*fields)
+        cls._fields = fields
+        # the tuple of the compared fields, also for a record of one field
+        cls._values = staticmethod(values if len(fields) > 1 else lambda self: (values(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        # pickle and copy restore the slots through this, as `__setattr__` refuses
+        for name, value in state[1].items():
+            set_field(self, name, value)
+
+
+# ---------------------------------------------------------------------------
 # matrices
 
-@dataclass(frozen=True)
-class IntMatrix:
+
+class IntMatrix(Record):
     """Immutable integer matrix, row-major storage."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+        if len(entries) != rows * cols:
+            raise DimensionMismatch(f"entry count {len(entries)} != {rows}x{cols}")
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", entries)
 
     # -- constructors ------------------------------------------------------
 
@@ -198,8 +250,7 @@ _HERMITE_MIN_SIDE = 5
 _UNTRACKED = IntMatrix(0, 0, ())
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Record):
     """Decomposition U @ A @ V = diag(d), with U, V unimodular.
 
     `d` lists the nonzero invariant factors only (positive, each dividing
@@ -223,13 +274,18 @@ class SmithForm:
     default tracks all four, for callers that read them all.
     """
 
-    d: tuple[int, ...]
-    U: IntMatrix
-    V: IntMatrix
-    uinv: IntMatrix
-    vinv: IntMatrix
-    rows: int
-    cols: int
+    __slots__ = ("d", "U", "V", "uinv", "vinv", "rows", "cols")
+
+    def __init__(
+        self, d: tuple[int, ...], U: IntMatrix, V: IntMatrix, uinv: IntMatrix, vinv: IntMatrix, rows: int, cols: int
+    ) -> None:
+        set_field(self, "d", d)
+        set_field(self, "U", U)
+        set_field(self, "V", V)
+        set_field(self, "uinv", uinv)
+        set_field(self, "vinv", vinv)
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
 
     @property
     def rank(self) -> int:
@@ -543,8 +599,7 @@ def _factor(a: IntMatrix, track: Collection[str]) -> "Factorization":
     return Factorization(a, smith_normal_form(a, track=track))
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """A matrix `a` factored to solve a @ X = B for many B and to read its
     kernel: one Smith form U a V = D of the whole matrix.
 
@@ -554,14 +609,15 @@ class Factorization:
     factorization that tracks V alone, enough for `kernel`.
     """
 
-    a: IntMatrix
-    snf: SmithForm
+    __slots__ = ("a", "snf")
 
-    def __post_init__(self) -> None:
-        if (self.snf.rows, self.snf.cols) != (self.a.rows, self.a.cols):
+    def __init__(self, a: IntMatrix, snf: SmithForm) -> None:
+        if (snf.rows, snf.cols) != (a.rows, a.cols):
             raise DimensionMismatch("Smith form does not belong to this matrix")
-        if self.snf.V.rows != self.snf.cols:
+        if snf.V.rows != snf.cols:
             raise ValueError("a factorization needs a Smith form that tracks V")
+        set_field(self, "a", a)
+        set_field(self, "snf", snf)
 
     @staticmethod
     def of(a: IntMatrix) -> "Factorization":
@@ -628,26 +684,26 @@ def solve_linear(a: IntMatrix, b: list[int] | tuple) -> tuple[int, ...] | None:
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Record):
     """Canonical form of a finitely generated abelian group.
 
     free_rank copies of Z plus cyclic factors Z/d_i with each d_i >= 2 and
     d_i | d_{i+1}.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]) -> None:
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise ValueError("torsion coefficients must be >= 2")
-        for x, y in zip(self.torsion, self.torsion[1:]):
+        for x, y in zip(torsion, torsion[1:]):
             if y % x != 0:
                 raise ValueError("torsion coefficients must form a divisibility chain")
+        set_field(self, "free_rank", free_rank)
+        set_field(self, "torsion", torsion)
 
     @staticmethod
     def zero() -> "FgAbelianGroup":
@@ -700,8 +756,7 @@ def cokernel(a: IntMatrix) -> FgAbelianGroup:
 # subquotients with named generators
 
 
-@dataclass(frozen=True)
-class Subquotient:
+class Subquotient(Record, hidden=("_basis",)):
     """The group L / R with canonical coordinates.
 
     L is the sublattice of Z^ambient spanned by the columns of sub_basis
@@ -713,12 +768,23 @@ class Subquotient:
     `group.torsion` followed by `group.free_rank` copies of Z.
     """
 
-    sub_basis: IntMatrix
-    group: FgAbelianGroup
-    _dfull: tuple[int, ...]
-    _u: IntMatrix
-    _uinv: IntMatrix
-    _basis: Factorization = field(compare=False, repr=False)
+    __slots__ = ("sub_basis", "group", "_dfull", "_u", "_uinv", "_basis")
+
+    def __init__(
+        self,
+        sub_basis: IntMatrix,
+        group: FgAbelianGroup,
+        _dfull: tuple[int, ...],
+        _u: IntMatrix,
+        _uinv: IntMatrix,
+        _basis: Factorization,
+    ) -> None:
+        set_field(self, "sub_basis", sub_basis)
+        set_field(self, "group", group)
+        set_field(self, "_dfull", _dfull)
+        set_field(self, "_u", _u)
+        set_field(self, "_uinv", _uinv)
+        set_field(self, "_basis", _basis)
 
     @property
     def _rank(self) -> int:
@@ -803,8 +869,7 @@ def homology_data(d_in: IntMatrix, d_out: IntMatrix) -> Subquotient:
     return subquotient(k, d_in)
 
 
-@dataclass(frozen=True)
-class IntComplex:
+class IntComplex(Record):
     """A bounded chain complex of free modules presented by integer matrices.
 
     `down[k]` is the boundary C_{k+1} -> C_k.  `modulus` 0 means
@@ -814,18 +879,19 @@ class IntComplex:
     complex, whose coboundary C^k -> C^{k+1} is `down[k]` transposed.
     """
 
-    dims: tuple[int, ...]
-    down: tuple[IntMatrix, ...]
-    modulus: int = 0
+    __slots__ = ("dims", "down", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus not in (0, 2):
-            raise ValueError(f"unsupported modulus {self.modulus}")
-        if len(self.down) != max(len(self.dims) - 1, 0):
+    def __init__(self, dims: tuple[int, ...], down: tuple[IntMatrix, ...], modulus: int = 0) -> None:
+        if modulus not in (0, 2):
+            raise ValueError(f"unsupported modulus {modulus}")
+        if len(down) != max(len(dims) - 1, 0):
             raise DimensionMismatch("wrong number of structure maps")
-        for k, m in enumerate(self.down):
-            if (m.rows, m.cols) != (self.dims[k], self.dims[k + 1]):
+        for k, m in enumerate(down):
+            if (m.rows, m.cols) != (dims[k], dims[k + 1]):
                 raise DimensionMismatch(f"map {k} has shape {m.rows}x{m.cols}")
+        set_field(self, "dims", dims)
+        set_field(self, "down", down)
+        set_field(self, "modulus", modulus)
 
     @property
     def top(self) -> int:

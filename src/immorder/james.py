@@ -36,7 +36,6 @@ as `__wrapped__`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import gcd
 
 from .cohomology import (
@@ -50,7 +49,7 @@ from .cohomology import (
     z4_class,
     z4_monomials,
 )
-from .intalg import FgAbelianGroup, IntMatrix, f2_rank
+from .intalg import FgAbelianGroup, IntMatrix, Record, f2_rank, set_field
 
 FAMILIES = ("trivial", "cyclic", "Z", "Z4")
 
@@ -95,23 +94,23 @@ def _validate(family: str, n: int | None, w1: int, w2: str) -> None:
         raise ValueError("exterior degree-2 symbols require the rank-4 free-abelian family")
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A subgroup of Z (modulus 0) or of Z/modulus, generated by one element.
 
     modulus = 1 encodes the trivial ambient group.  `generator` is a
     non-negative representative; the subgroup consists of its multiples.
     """
 
-    modulus: int
-    generator: int
+    __slots__ = ("modulus", "generator")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 0 or self.generator < 0:
+    def __init__(self, modulus: int, generator: int) -> None:
+        if modulus < 0 or generator < 0:
             raise ValueError("modulus and generator must be non-negative")
-        if self.modulus:
-            if self.generator >= max(self.modulus, 1):
+        if modulus:
+            if generator >= max(modulus, 1):
                 raise ValueError("generator must be reduced modulo the ambient order")
+        set_field(self, "modulus", modulus)
+        set_field(self, "generator", generator)
 
     def contains(self, c: int) -> bool:
         if self.modulus == 0:
@@ -144,8 +143,7 @@ class Subgroup:
         return "all" if g == 1 else f"{g}*(Z/{self.modulus})"
 
 
-@dataclass(frozen=True)
-class D2Map:
+class D2Map(Record):
     """A differential on the 4-line in canonical mod-2 coordinates.
 
     `matrix` has one row per codomain coordinate and one column per domain
@@ -154,11 +152,21 @@ class D2Map:
     cokernel is recorded.
     """
 
-    domain: FgAbelianGroup
-    codomain: FgAbelianGroup
-    matrix: tuple[tuple[int, ...], ...]
-    kernel: Subgroup | None = None
-    cokernel: FgAbelianGroup | None = None
+    __slots__ = ("domain", "codomain", "matrix", "kernel", "cokernel")
+
+    def __init__(
+        self,
+        domain: FgAbelianGroup,
+        codomain: FgAbelianGroup,
+        matrix: tuple[tuple[int, ...], ...],
+        kernel: Subgroup | None = None,
+        cokernel: FgAbelianGroup | None = None,
+    ) -> None:
+        set_field(self, "domain", domain)
+        set_field(self, "codomain", codomain)
+        set_field(self, "matrix", matrix)
+        set_field(self, "kernel", kernel)
+        set_field(self, "cokernel", cokernel)
 
 
 def _w_classes_cyclic(n: int, w1: int, w2: str) -> tuple[CyclicMod2Class, CyclicMod2Class]:
@@ -263,8 +271,7 @@ def d2_31(family: str, n: int | None = None, w1: int = 0, w2: str = "0") -> D2Ma
     return D2Map(FgAbelianGroup(0, (2,) * 4), FgAbelianGroup(0, (2,) * 4), tuple(rows), cokernel=ck)
 
 
-@dataclass(frozen=True)
-class RealizableSet:
+class RealizableSet(Record):
     """Which multiples of a degree-4 class occur for the given family.
 
     `ambient` is H_4(pi; Z^w1) in canonical form; `subgroup` the set of
@@ -272,9 +279,12 @@ class RealizableSet:
     False, an upper bound) classes.
     """
 
-    ambient: FgAbelianGroup
-    determined: bool
-    subgroup: Subgroup
+    __slots__ = ("ambient", "determined", "subgroup")
+
+    def __init__(self, ambient: FgAbelianGroup, determined: bool, subgroup: Subgroup) -> None:
+        set_field(self, "ambient", ambient)
+        set_field(self, "determined", determined)
+        set_field(self, "subgroup", subgroup)
 
 
 def ambient_subgroup_modulus(family: str, n: int | None, w1: int) -> int:

@@ -23,10 +23,10 @@ type with w2 = 0 is the twisted circle-times-3-sphere class.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from . import james
 from .cohomology import two_adic_valuation
+from .intalg import Record, set_field
 
 
 class InvalidType(ValueError):
@@ -49,8 +49,7 @@ GROUPS = ("trivial", "cyclic", "Z", "Z4")
 _W2_INDEX = {"0": 0, "1": 1, "inf": 2, "e12": 3, "e12+e34": 4}
 
 
-@dataclass(frozen=True)
-class ImmersionType:
+class ImmersionType(Record, hidden=("key",)):
     """Invariants (pi_1, w1, w2, c) of a stable class.
 
     `group` is one of "trivial", "cyclic", "Z", "Z4"; `n` the order for
@@ -64,12 +63,15 @@ class ImmersionType:
     `leq` compares it instead of calling the field-by-field `__eq__`.
     """
 
-    group: str
-    n: int | None = None
-    w1: int = 0
-    w2: str = "0"
-    c: int = 0
-    key: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("group", "n", "w1", "w2", "c", "key")
+
+    def __init__(self, group: str, n: int | None = None, w1: int = 0, w2: str = "0", c: int = 0) -> None:
+        set_field(self, "group", group)
+        set_field(self, "n", n)
+        set_field(self, "w1", w1)
+        set_field(self, "w2", w2)
+        set_field(self, "c", c)
+        self.__post_init__()  # a method of its own: immbench's tracer wraps it to count constructions
 
     def __post_init__(self) -> None:
         try:
@@ -87,8 +89,8 @@ class ImmersionType:
                 f"class multiple {self.c} is not {kind} for this family "
                 f"(allowed subgroup: {realizable.subgroup.pretty()})"
             )
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "key", (GROUPS.index(self.group), self.n or 0, self.w1, _W2_INDEX[self.w2], c))
+        set_field(self, "c", c)
+        set_field(self, "key", (GROUPS.index(self.group), self.n or 0, self.w1, _W2_INDEX[self.w2], c))
 
     def exponent(self) -> int:
         """v_2 of the cyclic order (canonical types: n = 2^exponent)."""
@@ -129,13 +131,15 @@ def canonicalize(t: ImmersionType) -> ImmersionType:
     return ImmersionType(group, n, t.w1, t.w2, t.c)
 
 
-@dataclass(frozen=True)
-class LeqVerdict:
+class LeqVerdict(Record):
     """Outcome of a comparison: answer True/False/None with a rule trace."""
 
-    answer: bool | None
-    trace: tuple[str, ...]
-    reason: str | None = None
+    __slots__ = ("answer", "trace", "reason")
+
+    def __init__(self, answer: bool | None, trace: tuple[str, ...], reason: str | None = None) -> None:
+        set_field(self, "answer", answer)
+        set_field(self, "trace", trace)
+        set_field(self, "reason", reason)
 
 
 @functools.cache  # verdicts are frozen, so one object serves each (answer, rule)
@@ -268,12 +272,14 @@ def node_label(t: ImmersionType) -> str:
     return f"Z4({t.w2},{t.c})"
 
 
-@dataclass(frozen=True)
-class OrderGraph:
+class OrderGraph(Record):
     """Canonical class representatives plus the transitive reduction edges."""
 
-    nodes: tuple[ImmersionType, ...]
-    edges: tuple[tuple[str, str], ...]
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes: tuple[ImmersionType, ...], edges: tuple[tuple[str, str], ...]) -> None:
+        set_field(self, "nodes", nodes)
+        set_field(self, "edges", edges)
 
 
 def order_graph(types) -> OrderGraph:

@@ -22,7 +22,6 @@ I^w is Z N^w cut with I, modulo 2 N^w; H_4 = H_2 is `cyclic_homology`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import add
 
 from .cohomology import CyclicHom, IllFormedHom, cyclic_homology
@@ -37,7 +36,7 @@ from .groupring import (
     norm,
     twisted_norm,
 )
-from .intalg import FgAbelianGroup, IntMatrix, f2_solvable, kernel_basis
+from .intalg import FgAbelianGroup, IntMatrix, Record, f2_solvable, kernel_basis, set_field
 
 
 class UnsupportedCoefficient(ValueError):
@@ -173,8 +172,7 @@ def chain_map_exists(
     return h
 
 
-@dataclass(frozen=True)
-class ProjectionDiagram:
+class ProjectionDiagram(Record):
     """Result of certifying the odd-index projection diagram X(km) -> X(k).
 
     The candidate degree-2 vertical is m*p (p the generator-to-generator
@@ -183,12 +181,23 @@ class ProjectionDiagram:
     agrees with the candidate in augmentation.
     """
 
-    source_k: int
-    target_k: int
-    index: int
-    exists: bool
-    witness: GroupRingElement | None
-    candidate: GroupRingElement
+    __slots__ = ("source_k", "target_k", "index", "exists", "witness", "candidate")
+
+    def __init__(
+        self,
+        source_k: int,
+        target_k: int,
+        index: int,
+        exists: bool,
+        witness: GroupRingElement | None,
+        candidate: GroupRingElement,
+    ) -> None:
+        set_field(self, "source_k", source_k)
+        set_field(self, "target_k", target_k)
+        set_field(self, "index", index)
+        set_field(self, "exists", exists)
+        set_field(self, "witness", witness)
+        set_field(self, "candidate", candidate)
 
 
 def verify_projection_diagram(source_k: int, target_k: int) -> ProjectionDiagram:
@@ -265,8 +274,7 @@ def factorization_obstruction(k: int, full_module: bool = False) -> bool:
 # the shift homomorphism
 
 
-@dataclass(frozen=True)
-class ShiftData:
+class ShiftData(Record):
     """The twisted boundaries behind the three short exact sequences.
 
     Modules: R = Z[Z/n], Z (trivial), I = ker(eps) = ker(N), and the norm
@@ -285,9 +293,12 @@ class ShiftData:
     = H_3 on I^w is read by `_ideal_class`.
     """
 
-    n: int
-    w: int
-    norm_w: tuple[int, ...]
+    __slots__ = ("n", "w", "norm_w")
+
+    def __init__(self, n: int, w: int, norm_w: tuple[int, ...]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "w", w)
+        set_field(self, "norm_w", norm_w)
 
 
 def _ideal_coordinates(block: IntMatrix, message: str) -> IntMatrix:
@@ -380,8 +391,7 @@ def _ideal_class(y: tuple[int, ...], data: ShiftData) -> tuple[int, ...]:
 _IDEAL_HOMOLOGY = (FgAbelianGroup.zero(), FgAbelianGroup.cyclic(2))
 
 
-@dataclass(frozen=True)
-class ShiftResult:
+class ShiftResult(Record):
     """The shifted class and everything met along the way.
 
     groups/classes/cycles are indexed by stage: degree 4 with Z^w
@@ -391,12 +401,23 @@ class ShiftResult:
     depend on the seed, unlike the classes).
     """
 
-    n: int
-    w: int
-    input_multiple: int
-    groups: tuple[FgAbelianGroup, FgAbelianGroup, FgAbelianGroup, FgAbelianGroup]
-    classes: tuple[tuple[int, ...], ...]
-    cycles: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "w", "input_multiple", "groups", "classes", "cycles")
+
+    def __init__(
+        self,
+        n: int,
+        w: int,
+        input_multiple: int,
+        groups: tuple[FgAbelianGroup, FgAbelianGroup, FgAbelianGroup, FgAbelianGroup],
+        classes: tuple[tuple[int, ...], ...],
+        cycles: tuple[tuple[int, ...], ...],
+    ) -> None:
+        set_field(self, "n", n)
+        set_field(self, "w", w)
+        set_field(self, "input_multiple", input_multiple)
+        set_field(self, "groups", groups)
+        set_field(self, "classes", classes)
+        set_field(self, "cycles", cycles)
 
 
 def shift(n: int, w: int, c: int, seed: int = 0) -> ShiftResult:

@@ -16,11 +16,14 @@ group ring.  The `code_*` functions keep the signed letter codes (a, A,
 b, B as +1, -1, +2, -2) that `fibering` used before it stored words as
 their text.  `reference_parse` keeps the argparse parser that
 `immorder.cli` built before it read argv from its own option table.
+`dataclass_twin` keeps the frozen dataclasses that the package's records
+were before they became slotted classes on `intalg.Record`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 from math import gcd
@@ -942,3 +945,56 @@ def reference_parse(argv) -> tuple:
     handler = values.pop("func")
     del values["command"]
     return ("ok", handler, values)
+
+
+# ---------------------------------------------------------------------------
+# the records as frozen dataclasses
+
+# each record's fields in order; those after "|" are left out of eq, hash
+# and repr, as `field(compare=False, repr=False)` left them
+RECORD_FIELDS = {
+    "IntMatrix": "rows cols entries",
+    "SmithForm": "d U V uinv vinv rows cols",
+    "Factorization": "a snf",
+    "FgAbelianGroup": "free_rank torsion",
+    "Subquotient": "sub_basis group _dfull _u _uinv | _basis",
+    "IntComplex": "dims down modulus",
+    "GroupRingElement": "n coeffs",
+    "CoefficientModule": "name n rank action modulus",
+    "GroupRingComplex": "n boundaries",
+    "CyclicMod2Class": "n degree value",
+    "Z4Mod2Class": "degree bits",
+    "CyclicHom": "l1 l2 m",
+    "FreeWord": "text",
+    "Presentation": "relators",
+    "ZMap": "a b",
+    "BrownVerdict": "fibered values min_index min_value max_index max_value reason",
+    "Epimorphisms": "maps multiple_exist",
+    "Subgroup": "modulus generator",
+    "D2Map": "domain codomain matrix kernel cokernel",
+    "RealizableSet": "ambient determined subgroup",
+    "ImmersionType": "group n w1 w2 c | key",
+    "LeqVerdict": "answer trace reason",
+    "OrderGraph": "nodes edges",
+    "ProjectionDiagram": "source_k target_k index exists witness candidate",
+    "ShiftData": "n w norm_w",
+    "ShiftResult": "n w input_multiple groups classes cycles",
+}
+
+
+def _frozen_dataclass(name: str, spec: str):
+    shown, _, hidden = spec.partition("|")
+    fields = [(f, object) for f in shown.split()]
+    fields += [(f, object, dataclasses.field(compare=False, repr=False)) for f in hidden.split()]
+    return dataclasses.make_dataclass(name, fields, frozen=True)
+
+
+DATACLASS_TWINS = {name: _frozen_dataclass(name, spec) for name, spec in RECORD_FIELDS.items()}
+
+
+def dataclass_twin(record):
+    """The frozen dataclass of the record's class name holding the record's
+    field values: what equality, hash, repr and assignment did before the
+    records became slotted classes."""
+    twin = DATACLASS_TWINS[type(record).__name__]
+    return twin(*(getattr(record, f.name) for f in dataclasses.fields(twin)))

@@ -658,6 +658,22 @@ def test_bad_group_string_exits_2():
     assert "Q8" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homology", "--group=--", "--degree", "2"),
+        ("shift", "--group=--"),
+        ("abelianization", "--presentation=--"),
+        ("fibered", "--relator=--", "--phi", "a=1,b=1"),
+        ("order-graph", "--max-exp=--"),
+    ],
+    ids=lambda a: a[0],
+)
+def test_an_option_given_as_double_dash_exits_2(argv):
+    payload, _ = run_json(*argv, schema="error", expect_code=2)
+    assert payload["error"].endswith("expected one argument, not '--'")
+
+
 JSON_INVOCATIONS = [
     ("homology", "--group", "Z/8", "--twist", "w", "--coeff", "Z", "--degree", "4"),
     ("sq2w", "--group", "Z4", "--w2", "e12+e34"),

@@ -315,11 +315,19 @@ def typed(outcome: tuple) -> tuple:
 @example(["Homology"])
 @example(["leq", "x.json", "y.json", "--"])
 @example(["fibered", "--relator", "ab" * (cli.MAX_WORD_TEXT // 2) + "a", "--phi", "a=1,b=1"])
+@example(["homology", "--group=--", "--degree", "2"])
+@example(["shift", "--group=--"])
+@example(["abelianization", "--presentation=--"])
 def test_cli_parse_matches_the_argparse_reference(argv):
     with redirect_stdout(io.StringIO()):
         expected = reference_parse(list(argv))
         got = new_parse(list(argv))
-    if argv and argv[0] not in cli._COMMANDS and argv[0][:1] == "-":
+    if got[0] == "error" and got[1].endswith("expected one argument, not '--'"):
+        # the one difference: argparse keeps `--flag=--` as an empty list, which
+        # no handler reads, and the parse refuses it where it meets it
+        flag = got[1].split()[1].rstrip(":")
+        assert any(tok.endswith("=--") and flag.startswith(tok[:-3]) for tok in argv), argv
+    elif argv and argv[0] not in cli._COMMANDS and argv[0][:1] == "-":
         # before the subcommand only a first -h or --help is read; any other flag is refused
         assert got[0] == "error" or typed(got) == typed(expected), argv
     else:

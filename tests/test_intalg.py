@@ -9,7 +9,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +23,7 @@ from immorder.intalg import (
     IntComplex,
     IntMatrix,
     NotAComplex,
+    SmithForm,
     cokernel,
     f2_rank,
     f2_solvable,
@@ -711,20 +711,19 @@ def test_factorization_rejects_a_foreign_smith_form():
     f = Factorization.of(IntMatrix.identity(2))
     assert (f.snf.rows, f.snf.cols, f.snf.d) == (2, 2, (1, 1))
     with pytest.raises(DimensionMismatch):
-        replace(f, snf=smith_normal_form(IntMatrix.identity(3)))
+        Factorization(f.a, smith_normal_form(IntMatrix.identity(3)))
     with pytest.raises(DimensionMismatch):
-        replace(f, a=IntMatrix.identity(3))
+        Factorization(IntMatrix.identity(3), f.snf)
     with pytest.raises(DimensionMismatch):
         f.solve(IntMatrix.zeros(3, 1))
 
 
 # a script for a fresh interpreter under python -O, which imports what it uses
 _TAMPERED_V = """
-from dataclasses import replace
-from immorder.intalg import Factorization, IntMatrix
+from immorder.intalg import Factorization, IntMatrix, SmithForm
 a = IntMatrix.from_rows([[2, 1], [0, 3]])
-good = Factorization.of(a)
-bad = replace(good, snf=replace(good.snf, V=good.snf.V.scale(2)))
+s = Factorization.of(a).snf
+bad = Factorization(a, SmithForm(s.d, s.U, s.V.scale(2), s.uinv, s.vinv, s.rows, s.cols))
 try:
     bad.solve(a)
 except AssertionError as e:
@@ -738,8 +737,12 @@ def test_tampered_factorization_fails_its_certificate():
     assert good.snf.d == (1, 6)
     assert good.solve(a) == [(1, 0), (0, 1)]
     # a doubled V or U doubles every solution, which the certificate refuses
-    for name in ("V", "U"):
-        bad = replace(good, snf=replace(good.snf, **{name: getattr(good.snf, name).scale(2)}))
+    s = good.snf
+    for snf in (
+        SmithForm(s.d, s.U, s.V.scale(2), s.uinv, s.vinv, s.rows, s.cols),
+        SmithForm(s.d, s.U.scale(2), s.V, s.uinv, s.vinv, s.rows, s.cols),
+    ):
+        bad = Factorization(a, snf)
         with pytest.raises(AssertionError, match="certificate"):
             bad.solve(a)
 
