@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -672,6 +673,18 @@ def test_bad_group_string_exits_2():
 def test_an_option_given_as_double_dash_exits_2(argv):
     payload, _ = run_json(*argv, schema="error", expect_code=2)
     assert payload["error"].endswith("expected one argument, not '--'")
+
+
+def test_negative_numbers_are_read_as_argparse_reads_them():
+    # every `-` word of up to five characters over digits (ASCII, Arabic-Indic,
+    # fullwidth, and a superscript and a numeral that are not decimal), dots,
+    # newlines and a few other characters
+    pattern = re.compile(r"^-\d+$|^-\d*\.\d+$")
+    alphabet = ["0", "7", "٣", "１", "²", "Ⅷ", ".", "\n", "a", " ", "e", "-"]
+    for n in range(6):
+        for chars in itertools.product(alphabet, repeat=n):
+            tok = "-" + "".join(chars)
+            assert cli._negative_number(tok) == bool(pattern.match(tok)), repr(tok)
 
 
 JSON_INVOCATIONS = [
