@@ -49,6 +49,10 @@ WORD_REFERENCE = ("tests/test_fibering.py::test_text_words_match_the_signed_code
 PARSE_REFERENCE = ("tests/test_cli_fuzz.py::test_cli_parse_matches_the_argparse_reference",)
 EXACT_INVERSES = ("tests/test_intalg.py::test_tracked_inverses_are_the_exact_inverses",)
 RECORD_TWINS = ("tests/test_package.py::test_records_behave_as_their_dataclass_twins",)
+NORM_PRODUCTS = ("tests/test_groupring.py::test_product_with_the_norm_matches_dense_reference",)
+DISTINCT_RHO = ("tests/test_groupring.py::test_coefficients_complex_runs_rho_once_per_distinct_boundary",)
+ELEMENT_BASICS = ("tests/test_groupring.py::test_element_basics",)
+PUSH_FORWARD = ("tests/test_postnikov.py::test_push_forward_matches_the_per_term_definition",)
 
 MUTANTS = (
     Mutant(
@@ -153,6 +157,46 @@ MUTANTS = (
         'raise AttributeError(f"cannot assign to field {name!r}")',
         "set_field(self, name, value)",
         RECORD_TWINS,
+        120,
+    ),
+    Mutant(
+        "groupring: the norm guard skips its count of ones",
+        "immorder/groupring.py",
+        "if y[-1] == 1 and y.count(1) == n:",
+        "if y[-1] == 1:",
+        NORM_PRODUCTS,
+        120,
+    ),
+    Mutant(
+        "groupring: degrees of the same parity share rho past the resolutions",
+        "immorder/groupring.py",
+        "down = tuple(rhos[id(d)] for d in cx.boundaries)",
+        "down = tuple(rhos[id(cx.boundaries[k % 2])] for k, d in enumerate(cx.boundaries))",
+        DISTINCT_RHO,
+        120,
+    ),
+    Mutant(
+        "groupring: is_zero accepts one nonzero term",
+        "immorder/groupring.py",
+        "return self.coeffs.count(0) == self.n",
+        "return self.coeffs.count(0) >= self.n - 1",
+        ELEMENT_BASICS,
+        120,
+    ),
+    Mutant(
+        "postnikov: push_forward drops the zero padding",
+        "immorder/postnikov.py",
+        "c = x.coeffs + (0,) * (-phi.l1 % l2)",
+        "c = x.coeffs",
+        PUSH_FORWARD,
+        120,
+    ),
+    Mutant(
+        "postnikov: the strided fold of push_forward skips the first block",
+        "immorder/postnikov.py",
+        "folded = [sum(c[r::l2]) for r in range(l2)]",
+        "folded = [sum(c[r + l2 :: l2]) for r in range(l2)]",
+        PUSH_FORWARD,
         120,
     ),
 )

@@ -434,7 +434,7 @@ def _read_value(option: _Option, flag: str, value: str | None):
         if rest is not None and (rest or not value):
             raise _CliInput(f"argument {option.flag}: ignored explicit argument {rest!r}")
         return True
-    if value == "--":  # argparse kept `--flag=--` as an empty list, which no handler reads
+    if value == "--":  # argparse kept `--flag=--` and a positional's second `--` as [], which no handler reads
         raise _CliInput(f"argument {option.flag}: expected one argument, not '--'")
     try:
         out = option.type(value)
@@ -479,7 +479,7 @@ def _parse(argv) -> tuple[Callable, object]:
             else:
                 extras.append(tok)
         elif hit is None and positionals:  # argparse drops one `--` of a positional's tokens
-            given[positionals.pop(0)] = [] if tok == "--" else tok
+            given[o] = _read_value(o := positionals.pop(0), o.flag, tok)
             if i == cut:  # the `--` right after the value goes with it
                 i += 1
         elif hit is None or hit[0] is None:

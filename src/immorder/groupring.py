@@ -7,19 +7,20 @@ free resolutions of Z over Z[Z/n], and the functor that turns a complex
 of free Z[Z/n]-modules into an integer chain complex for a chosen
 coefficient system; cohomology is read off its transpose.
 
-Cost.  A product of two elements with t and u nonzero terms, t <= u,
-adds t rotations of the longer factor, O(t n) with its loops in C, and is
-exact at every size.  The package's own products have a factor of at
-most two terms, such as 1 - a, or the norm element N, the sum of the
-group, as a factor; N x = augmentation(x) N is read in closed form, and
-so is the twisted norm, with no product.
+Cost.  A product first tests each factor for the norm element N, the
+sum of the group, by its last coefficient and then one count of its
+ones; N x = augmentation(x) N is read in closed form, and so is the
+twisted norm, with no product.  Otherwise, with t and u nonzero terms,
+t <= u, it counts the zeros and adds t rotations of the longer factor,
+O(t n) with its loops in C, exact at every size; the package's own
+products have a factor of at most two terms, such as 1 - a.
 
 Every complex here has rank one in each degree, so a boundary is one
 element.  The resolution of Z has period 2: from degree 1 on, d_k = d_(k-2),
 so the homology in any degree k >= 1 is that of degree 1 or 2 and needs no
 resolution past top degree 3.  `cohomology.cyclic_homology` builds only
 that window; a resolution of top degree t >= 2 costs one product to
-check, N (1 - a), and t `rho` calls to expand.
+check, N (1 - a), and two `rho` calls, one per distinct boundary.
 
 A coefficient module is one of the four named ones, of rank at most 2,
 whose generator acts by a symmetric involution, so `rho(x)` is O(n): the
@@ -60,18 +61,12 @@ class GroupRingElement(Record):
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(n: int) -> "GroupRingElement":
-        return GroupRingElement(n, (0,) * n)
-
-    @staticmethod
     def one(n: int) -> "GroupRingElement":
         return GroupRingElement(n, (1,) + (0,) * (n - 1))
 
     @staticmethod
     def gen(n: int, power: int = 1) -> "GroupRingElement":
-        c = [0] * n
-        c[power % n] = 1
-        return GroupRingElement(n, tuple(c))
+        return GroupRingElement(n, (0,) * (power % n) + (1,) + (0,) * (n - 1 - power % n))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -93,21 +88,21 @@ class GroupRingElement(Record):
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check(other)
         n, a, b = self.n, self.coeffs, other.coeffs
+        # the norm element N, the sum of the group, has x N = augmentation(x) N;
+        # a last coefficient other than 1 rules a factor out before any scan
+        for x, y in ((a, b), (b, a)):
+            if y[-1] == 1 and y.count(1) == n:
+                return GroupRingElement(n, (sum(x),) * n)
         # the ring is commutative: let a be the factor with fewer terms
         if a.count(0) < b.count(0):
             a, b = b, a
-        if 0 not in b:
-            # the norm element N, the sum of the group, has x N = augmentation(x) N
-            for x, y in ((a, b), (b, a)):
-                if y.count(1) == n:
-                    return GroupRingElement(n, (sum(x),) * n)
         return GroupRingElement(n, _shift_and_add(a, b))
 
     def scale(self, c: int) -> "GroupRingElement":
         return GroupRingElement(self.n, tuple(map(mul, repeat(c), self.coeffs)))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.coeffs.count(0) == self.n
 
     def augmentation(self) -> int:
         """Image under the ring map a -> 1."""
@@ -129,6 +124,11 @@ def _shift_and_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def norm(n: int) -> GroupRingElement:
     """The norm element 1 + a + ... + a^(n-1)."""
     return GroupRingElement(n, (1,) * n)
+
+
+def one_minus_a(n: int, s: int = 1) -> GroupRingElement:
+    """1 - s a, built as one tuple; in Z[Z/1], a = 1 and it is 1 - s."""
+    return GroupRingElement(n, (1, -s) + (0,) * (n - 2) if n > 1 else (1 - s,))
 
 
 def twisted_norm(n: int) -> GroupRingElement:
@@ -265,9 +265,8 @@ def standard_resolution(n: int, top_degree: int) -> GroupRingComplex:
         raise ValueError("group order must be >= 1")
     if top_degree < 0:
         raise ValueError("top degree must be >= 0")
-    one_minus_a = GroupRingElement(n, (1, -1) + (0,) * (n - 2) if n > 1 else (0,))
-    nm = norm(n)
-    return GroupRingComplex(n, tuple(one_minus_a if k % 2 else nm for k in range(1, top_degree + 1)))
+    d1, nm = one_minus_a(n), norm(n)
+    return GroupRingComplex(n, tuple(d1 if k % 2 else nm for k in range(1, top_degree + 1)))
 
 
 def coefficients_complex(cx: GroupRingComplex, coeff: CoefficientModule) -> IntComplex:
@@ -276,7 +275,8 @@ def coefficients_complex(cx: GroupRingComplex, coeff: CoefficientModule) -> IntC
     Each degree is M itself, `coeff.rank` integer coordinates, and the
     degree-k boundary is rho(d_k), the matrix by which the boundary element
     acts on M.  Its homology is H_k(cx; M), independent of how far cx
-    extends beyond the queried degree.  `rho` runs once per degree.
+    extends beyond the queried degree.  `rho` runs once per distinct
+    boundary object: degrees of the same parity share one matrix.
 
     Cohomology needs no second complex.  The coboundary of Hom(cx, M)
     sends f to f o d_k, which is f followed by rho(d_k).  rho(d_k) is a
@@ -286,5 +286,7 @@ def coefficients_complex(cx: GroupRingComplex, coeff: CoefficientModule) -> IntC
     """
     if coeff.n != cx.n:
         raise RingMismatch("complex and coefficients over different group rings")
-    down = tuple(coeff.rho(d) for d in cx.boundaries)
+    distinct = {id(d): d for d in cx.boundaries}
+    rhos = {key: coeff.rho(d) for key, d in distinct.items()}
+    down = tuple(rhos[id(d)] for d in cx.boundaries)
     return IntComplex(dims=(coeff.rank,) * (cx.top + 1), down=down, modulus=coeff.modulus)

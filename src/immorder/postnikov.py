@@ -34,6 +34,7 @@ from .groupring import (
     coefficient_module,
     coefficients_complex,
     norm,
+    one_minus_a,
     twisted_norm,
 )
 from .intalg import FgAbelianGroup, IntMatrix, Record, f2_solvable, kernel_basis, set_field
@@ -60,8 +61,7 @@ def model_complex_X(k: int) -> GroupRingComplex:
     if k < 1:
         raise ValueError("k must be >= 1")
     n = 2 * k
-    d1 = GroupRingElement.one(n) - GroupRingElement.gen(n)
-    return GroupRingComplex(n, (d1, norm(n), twisted_norm(n)))
+    return GroupRingComplex(n, (one_minus_a(n), norm(n), twisted_norm(n)))
 
 
 def model_cohomology(k_exp: int, coeff_name: str) -> FgAbelianGroup:
@@ -263,8 +263,7 @@ def factorization_obstruction(k: int, full_module: bool = False) -> bool:
     if k < 1:
         raise ValueError("k must be >= 1")
     n = 2 * k
-    one = GroupRingElement.one(n)
-    d1 = one - GroupRingElement.gen(n)
+    one, d1 = GroupRingElement.one(n), one_minus_a(n)
     if d1 * one != d1 or not (d1 * norm(n)).is_zero():
         raise AssertionError("1 - a fails to fix 1 or to annihilate the norm")
     return not full_module
@@ -329,11 +328,10 @@ def shift_data(n: int, w: int) -> ShiftData:
     if w == 1 and n % 2 != 0:
         raise InvalidTwist("a nontrivial character needs an even group order")
     s = -1 if w else 1
-    one, gen = GroupRingElement.one(n), GroupRingElement.gen(n)
     norm_w = GroupRingElement(n, tuple(s if i % 2 else 1 for i in range(n)))
     # (1 - a) N = 0 makes the middle sequence compose, and (1 - s a) N^w = 0
     # makes the twisted boundaries a complex with N^w in the kernel
-    if not ((one - gen) * norm(n)).is_zero() or not ((one - gen.scale(s)) * norm_w).is_zero():
+    if not (one_minus_a(n) * norm(n)).is_zero() or not (one_minus_a(n, s) * norm_w).is_zero():
         raise AssertionError("the boundaries fail to compose to zero")
     return ShiftData(n, w, norm_w.coeffs)
 

@@ -667,6 +667,7 @@ def test_bad_group_string_exits_2():
         ("abelianization", "--presentation=--"),
         ("fibered", "--relator=--", "--phi", "a=1,b=1"),
         ("order-graph", "--max-exp=--"),
+        ("leq", "x.json", "--", "--"),  # argparse gave the positional b the second `--` as []
     ],
     ids=lambda a: a[0],
 )

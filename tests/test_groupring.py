@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from immorder import groupring
 from immorder.groupring import (
@@ -45,6 +45,9 @@ def test_element_basics():
     assert norm(3).augmentation() == 3
     with pytest.raises(RingMismatch):
         GroupRingElement.one(2) + GroupRingElement.one(3)
+    for n in (1, 2, 5):
+        assert GroupRingElement(n, (0,) * n).is_zero()
+        assert not any(GroupRingElement.gen(n, p).scale(c).is_zero() for p in range(n) for c in (1, -3))
 
 
 def test_twisted_norm_small_values():
@@ -103,18 +106,42 @@ def test_product_matches_dense_reference(data):
     assert (y * x).coeffs == want
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_product_with_the_norm_matches_dense_reference(data):
-    """N x = augmentation(x) N in closed form, against the double loop, with
-    N on either side; elements that are all ones but one entry are not N."""
-    n = data.draw(st.integers(min_value=1, max_value=120))
+@st.composite
+def norm_products(draw):
+    """(a, b) with a the norm N, an element one entry away from N, or one
+    whose last coefficient is 1 with a 0 elsewhere, and b anything."""
+    n = draw(st.integers(min_value=1, max_value=120))
     nrm = (1,) * n
     near = list(nrm)
-    near[data.draw(st.integers(min_value=0, max_value=n - 1))] = data.draw(st.sampled_from([0, 2, -1]))
-    x = data.draw(sparse_coeffs(n) | st.sampled_from([nrm, tuple(near)]))
-    for a, b in ((nrm, x), (x, nrm), (tuple(near), x), (x, tuple(near))):
-        assert (GroupRingElement(n, a) * GroupRingElement(n, b)).coeffs == cyclic_convolution(a, b)
+    near[draw(st.integers(min_value=0, max_value=n - 1))] = draw(st.sampled_from([0, 2, -1]))
+    guarded = list(draw(sparse_coeffs(n)))
+    guarded[draw(st.integers(min_value=0, max_value=n - 1))] = 0
+    guarded[-1] = 1
+    a = draw(st.sampled_from([nrm, tuple(near), tuple(guarded)]))
+    return a, draw(sparse_coeffs(n) | st.sampled_from([nrm, tuple(near)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(norm_products())
+@example(((1, 1, 0, 1, 1), (3, -1, 2, 0, 7)))  # all ones but one 0
+@example(((1, 1, 1, 2, 1), (3, -1, 2, 0, 7)))  # all ones but one 2
+@example(((0, 5, -2, 1), (1, 2, 3, 4)))  # last coefficient 1, a 0 elsewhere
+@example(((1, 1, 0, 1), (1, 1, 1, 1)))
+@example(((1,), (7,)))
+@example(((0,), (1,)))
+@example(((1,), (1,)))
+@example(((1, 1), (4, -3)))
+@example(((0, 1), (1, 1)))
+@example(((1, 1), (1, 1)))
+def test_product_with_the_norm_matches_dense_reference(pair):
+    """N x = augmentation(x) N in closed form, against the double loop, with
+    N on either side; elements that are all ones but one entry, or pass the
+    last-coefficient guard with a 0 elsewhere, are not N."""
+    a, b = pair
+    want = cyclic_convolution(a, b)
+    x, y = GroupRingElement(len(a), a), GroupRingElement(len(b), b)
+    assert (x * y).coeffs == want
+    assert (y * x).coeffs == want
 
 
 def test_product_with_the_norm_takes_the_closed_form(monkeypatch):
@@ -425,6 +452,27 @@ def test_expanded_boundaries_compose_to_zero(n, name, top):
         # the coboundaries that cohomology reads
         assert (chain.down[k + 1].transpose() @ chain.down[k].transpose()).is_zero()
     assert chain.dims == tuple(mod.rank for _ in range(top + 1))
+
+
+@pytest.mark.parametrize(
+    "n,name", [(n, name) for n in (1, 2, 7, 64, 1000) for name in COEFFICIENT_NAMES if n % 2 == 0 or name in ("Z", "Z2")]
+)
+def test_coefficients_complex_runs_rho_once_per_distinct_boundary(monkeypatch, n, name):
+    """A resolution repeats the objects 1 - a and N, so it takes two `rho`
+    calls at any top degree, and the model complex (1 - a, N, N_w) three;
+    the complex is the one that a `rho` per degree builds."""
+    mod = coefficient_module(name, n)
+    rho, calls = CoefficientModule.rho, []
+    monkeypatch.setattr(CoefficientModule, "rho", lambda self, x: calls.append(x) or rho(self, x))
+    cases = [(standard_resolution(n, 3), 2), (standard_resolution(n, 40), 2)]
+    if n % 2 == 0:
+        cases.append((model_complex_X(n // 2), 3))
+    for cx, distinct in cases:
+        calls.clear()
+        got = coefficients_complex(cx, mod)
+        assert len(calls) == distinct
+        assert (got.down[0] is got.down[2]) == (distinct == 2)
+        assert got == IntComplex((mod.rank,) * (cx.top + 1), tuple(rho(mod, d) for d in cx.boundaries), mod.modulus)
 
 
 def test_coefficients_complex_ring_mismatch():

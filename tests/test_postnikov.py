@@ -415,7 +415,7 @@ def test_chain_map_refuses_a_target_boundary_off_the_norm_line():
     x, phi, a2 = model_complex_X(2), CyclicHom(4, 4, 1), gen(4, 2)
     for d in (
         GroupRingComplex(4, (one(4) - a2, one(4) + a2)),
-        GroupRingComplex(4, (one(4) - gen(4), GroupRingElement.zero(4))),
+        GroupRingComplex(4, (one(4) - gen(4), GroupRingElement(4, (0,) * 4))),
     ):
         with pytest.raises(ValueError, match="nonzero multiple of the norm"):
             chain_map_exists(x, d, phi, one(4))
