@@ -53,6 +53,15 @@ NORM_PRODUCTS = ("tests/test_groupring.py::test_product_with_the_norm_matches_de
 DISTINCT_RHO = ("tests/test_groupring.py::test_coefficients_complex_runs_rho_once_per_distinct_boundary",)
 ELEMENT_BASICS = ("tests/test_groupring.py::test_element_basics",)
 PUSH_FORWARD = ("tests/test_postnikov.py::test_push_forward_matches_the_per_term_definition",)
+RECORD_BINDER = ("tests/test_package.py::test_records_bind_arguments_as_their_old_signatures",)
+# without its defaults no `leq` type can be built, so the package tests stop
+# at collection (exit 2, not a catch); the first D2Map left without a cokernel fails
+D2_DEFAULTS = ("tests/test_james.py::test_d2_40_cyclic_nonorientable",)
+SOLVE_ORACLES = ("tests/test_intalg.py::test_factorization_matches_independent_oracles",)
+SMITH_ORACLES = (
+    "tests/test_intalg.py::test_smith_diag_2_3_equals_1_6_oracle_first",
+    "tests/test_intalg.py::test_smith_matches_minors_oracle",
+)
 
 MUTANTS = (
     Mutant(
@@ -157,6 +166,46 @@ MUTANTS = (
         'raise AttributeError(f"cannot assign to field {name!r}")',
         "set_field(self, name, value)",
         RECORD_TWINS,
+        120,
+    ),
+    Mutant(
+        "intalg: the record binder accepts leftover keywords",
+        "immorder/intalg.py",
+        "        if kwargs:\n",
+        "        if False:\n",
+        RECORD_BINDER,
+        120,
+    ),
+    Mutant(
+        "intalg: the record binder ignores the declared defaults",
+        "immorder/intalg.py",
+        "elif name in defaults:",
+        "elif False:",
+        D2_DEFAULTS,
+        120,
+    ),
+    Mutant(
+        "intalg: solve ignores a remainder at rows from 12 on",
+        "immorder/intalg.py",
+        "                    if r:\n",
+        "                    if r and i < 12:\n",
+        SOLVE_ORACLES,
+        120,
+    ),
+    Mutant(
+        "intalg: solve ignores a remainder at rows from 40 on",
+        "immorder/intalg.py",
+        "                    if r:\n",
+        "                    if r and i < 40:\n",
+        SOLVE_ORACLES,
+        120,
+    ),
+    Mutant(
+        "intalg: the Euclid loop skips its divisibility fix-up",
+        "immorder/intalg.py",
+        "offender = None if p == 1 else next((i for i in range(t + 1, n) if any(x % p for x in w[i][t + 1 :])), None)",
+        "offender = None",
+        SMITH_ORACLES,
         120,
     ),
     Mutant(

@@ -108,8 +108,10 @@ def _read_payload(arg: str, stdin_used: list[bool]):
         if stdin_used[0]:
             raise _CliInput("stdin (-) may supply at most one payload")
         stdin_used[0] = True
-        return json.load(sys.stdin)
-    return json.loads(Path(arg).read_text())
+    try:
+        return json.load(sys.stdin) if arg == "-" else json.loads(Path(arg).read_text())
+    except RecursionError:
+        raise _CliInput(f"payload {arg!r} nests too deeply to be read") from None
 
 
 def _word_text(text: str) -> str:

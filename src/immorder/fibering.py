@@ -149,10 +149,6 @@ class ZMap(Record):
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: int, b: int) -> None:
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-
     def on_word(self, w: FreeWord) -> int:
         ea, eb = w.exponents()
         return ea * self.a + eb * self.b
@@ -164,7 +160,7 @@ def abelianization(p: Presentation) -> FgAbelianGroup:
     return cokernel(p.exponent_matrix())
 
 
-class BrownVerdict(Record):
+class BrownVerdict(Record, defaults={"reason": None}):
     """Outcome of the fibering criterion on one relator.
 
     fibered is True exactly when the prefix sums attain their minimum
@@ -173,24 +169,6 @@ class BrownVerdict(Record):
     """
 
     __slots__ = ("fibered", "values", "min_index", "min_value", "max_index", "max_value", "reason")
-
-    def __init__(
-        self,
-        fibered: bool,
-        values: tuple[int, ...],
-        min_index: int,
-        min_value: int,
-        max_index: int,
-        max_value: int,
-        reason: str | None = None,
-    ) -> None:
-        set_field(self, "fibered", fibered)
-        set_field(self, "values", values)
-        set_field(self, "min_index", min_index)
-        set_field(self, "min_value", min_value)
-        set_field(self, "max_index", max_index)
-        set_field(self, "max_value", max_value)
-        set_field(self, "reason", reason)
 
 
 def brown_fibered(relator: FreeWord, phi: ZMap) -> BrownVerdict:
@@ -233,10 +211,6 @@ class Epimorphisms(Record):
     """
 
     __slots__ = ("maps", "multiple_exist")
-
-    def __init__(self, maps: tuple[ZMap, ...], multiple_exist: bool) -> None:
-        set_field(self, "maps", maps)
-        set_field(self, "multiple_exist", multiple_exist)
 
 
 def _character_lattice(e: IntMatrix) -> IntMatrix:

@@ -68,25 +68,49 @@ set_field = object.__setattr__
 class Record:
     """Base of the package's immutable records.
 
-    A record lists its fields in `__slots__`, checks its arguments in its
-    own `__init__` and sets each field with `set_field`.  The base gives
-    equality only between instances of the same class whose compared
-    fields are equal, the hash of the tuple of those fields, the repr
-    `Name(field=value, ...)`, and AttributeError on assigning or deleting
-    an attribute.  The fields named by the class keyword `hidden` are
-    left out of all three.  Nothing is generated: a class decorator that
-    wrote and compiled these methods for each record, with the modules it
-    imports, took about a third of `import immorder.cli` from source.
+    A record lists its fields in `__slots__`.  The base `__init__` binds its
+    arguments to them in order, by position or keyword; a field left out
+    takes its value from the class keyword `defaults` (field -> value), and
+    too many arguments or a missing, unknown or repeated field raise
+    TypeError.  A record has its own `__init__`, which sets each field with
+    `set_field` and so skips the binder's cost, exactly when it checks its
+    arguments.  The base gives equality only between instances of the same
+    class whose compared fields are equal, the hash of the tuple of those
+    fields, the repr `Name(field=value, ...)`, and AttributeError on
+    assigning or deleting an attribute.  The fields named by the class
+    keyword `hidden` are left out of all three.  Nothing is generated: a
+    class decorator that wrote and compiled these methods for each record,
+    with the modules it imports, took about a third of `import immorder.cli`
+    from source.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, hidden: tuple[str, ...] = ()) -> None:
+    def __init_subclass__(cls, hidden: tuple[str, ...] = (), defaults: dict[str, object] | None = None) -> None:
         fields = tuple(f for f in cls.__slots__ if f not in hidden)
         values = attrgetter(*fields)
         cls._fields = fields
+        cls._defaults = defaults or {}
         # the tuple of the compared fields, also for a record of one field
         cls._values = staticmethod(values if len(fields) > 1 else lambda self: (values(self),))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names, defaults = self.__slots__, self._defaults
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} arguments but {len(args)} were given")
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        for name in names[len(args) :]:
+            if name in kwargs:
+                set_field(self, name, kwargs.pop(name))
+            elif name in defaults:
+                set_field(self, name, defaults[name])
+            else:
+                raise TypeError(f"{type(self).__qualname__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{type(self).__qualname__}() got {problem} argument {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -275,17 +299,6 @@ class SmithForm(Record):
     """
 
     __slots__ = ("d", "U", "V", "uinv", "vinv", "rows", "cols")
-
-    def __init__(
-        self, d: tuple[int, ...], U: IntMatrix, V: IntMatrix, uinv: IntMatrix, vinv: IntMatrix, rows: int, cols: int
-    ) -> None:
-        set_field(self, "d", d)
-        set_field(self, "U", U)
-        set_field(self, "V", V)
-        set_field(self, "uinv", uinv)
-        set_field(self, "vinv", vinv)
-        set_field(self, "rows", rows)
-        set_field(self, "cols", cols)
 
     @property
     def rank(self) -> int:
@@ -769,22 +782,6 @@ class Subquotient(Record, hidden=("_basis",)):
     """
 
     __slots__ = ("sub_basis", "group", "_dfull", "_u", "_uinv", "_basis")
-
-    def __init__(
-        self,
-        sub_basis: IntMatrix,
-        group: FgAbelianGroup,
-        _dfull: tuple[int, ...],
-        _u: IntMatrix,
-        _uinv: IntMatrix,
-        _basis: Factorization,
-    ) -> None:
-        set_field(self, "sub_basis", sub_basis)
-        set_field(self, "group", group)
-        set_field(self, "_dfull", _dfull)
-        set_field(self, "_u", _u)
-        set_field(self, "_uinv", _uinv)
-        set_field(self, "_basis", _basis)
 
     @property
     def _rank(self) -> int:

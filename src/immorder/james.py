@@ -143,7 +143,7 @@ class Subgroup(Record):
         return "all" if g == 1 else f"{g}*(Z/{self.modulus})"
 
 
-class D2Map(Record):
+class D2Map(Record, defaults={"kernel": None, "cokernel": None}):
     """A differential on the 4-line in canonical mod-2 coordinates.
 
     `matrix` has one row per codomain coordinate and one column per domain
@@ -153,20 +153,6 @@ class D2Map(Record):
     """
 
     __slots__ = ("domain", "codomain", "matrix", "kernel", "cokernel")
-
-    def __init__(
-        self,
-        domain: FgAbelianGroup,
-        codomain: FgAbelianGroup,
-        matrix: tuple[tuple[int, ...], ...],
-        kernel: Subgroup | None = None,
-        cokernel: FgAbelianGroup | None = None,
-    ) -> None:
-        set_field(self, "domain", domain)
-        set_field(self, "codomain", codomain)
-        set_field(self, "matrix", matrix)
-        set_field(self, "kernel", kernel)
-        set_field(self, "cokernel", cokernel)
 
 
 def _w_classes_cyclic(n: int, w1: int, w2: str) -> tuple[CyclicMod2Class, CyclicMod2Class]:
@@ -280,11 +266,6 @@ class RealizableSet(Record):
     """
 
     __slots__ = ("ambient", "determined", "subgroup")
-
-    def __init__(self, ambient: FgAbelianGroup, determined: bool, subgroup: Subgroup) -> None:
-        set_field(self, "ambient", ambient)
-        set_field(self, "determined", determined)
-        set_field(self, "subgroup", subgroup)
 
 
 def ambient_subgroup_modulus(family: str, n: int | None, w1: int) -> int:

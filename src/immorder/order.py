@@ -131,15 +131,10 @@ def canonicalize(t: ImmersionType) -> ImmersionType:
     return ImmersionType(group, n, t.w1, t.w2, t.c)
 
 
-class LeqVerdict(Record):
+class LeqVerdict(Record, defaults={"reason": None}):
     """Outcome of a comparison: answer True/False/None with a rule trace."""
 
     __slots__ = ("answer", "trace", "reason")
-
-    def __init__(self, answer: bool | None, trace: tuple[str, ...], reason: str | None = None) -> None:
-        set_field(self, "answer", answer)
-        set_field(self, "trace", trace)
-        set_field(self, "reason", reason)
 
 
 @functools.cache  # verdicts are frozen, so one object serves each (answer, rule)
@@ -276,10 +271,6 @@ class OrderGraph(Record):
     """Canonical class representatives plus the transitive reduction edges."""
 
     __slots__ = ("nodes", "edges")
-
-    def __init__(self, nodes: tuple[ImmersionType, ...], edges: tuple[tuple[str, str], ...]) -> None:
-        set_field(self, "nodes", nodes)
-        set_field(self, "edges", edges)
 
 
 def order_graph(types) -> OrderGraph:

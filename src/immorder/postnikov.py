@@ -37,7 +37,7 @@ from .groupring import (
     one_minus_a,
     twisted_norm,
 )
-from .intalg import FgAbelianGroup, IntMatrix, Record, f2_solvable, kernel_basis, set_field
+from .intalg import FgAbelianGroup, IntMatrix, Record, f2_solvable, kernel_basis
 
 
 class UnsupportedCoefficient(ValueError):
@@ -166,7 +166,7 @@ def chain_map_exists(
     c = rhs.coeffs[0]
     if rhs.coeffs.count(c) != rhs.n or c % m:
         return None
-    h = GroupRingElement.one(d_complex.n).scale(c // m)
+    h = GroupRingElement(d_complex.n, (c // m,) + (0,) * (d_complex.n - 1))
     if d2_d * h != rhs:
         raise AssertionError("solver produced a witness that fails the commutation identity")
     return h
@@ -182,22 +182,6 @@ class ProjectionDiagram(Record):
     """
 
     __slots__ = ("source_k", "target_k", "index", "exists", "witness", "candidate")
-
-    def __init__(
-        self,
-        source_k: int,
-        target_k: int,
-        index: int,
-        exists: bool,
-        witness: GroupRingElement | None,
-        candidate: GroupRingElement,
-    ) -> None:
-        set_field(self, "source_k", source_k)
-        set_field(self, "target_k", target_k)
-        set_field(self, "index", index)
-        set_field(self, "exists", exists)
-        set_field(self, "witness", witness)
-        set_field(self, "candidate", candidate)
 
 
 def verify_projection_diagram(source_k: int, target_k: int) -> ProjectionDiagram:
@@ -225,7 +209,7 @@ def verify_projection_diagram(source_k: int, target_k: int) -> ProjectionDiagram
         raise AssertionError("degree-1 square fails for the projection")
     # candidate degree-2 vertical m*p satisfies the identity on the nose:
     # N(2k) * (m*p) = p * phi#(N(2km)) = m * N(2k)
-    candidate = p.scale(m)
+    candidate = GroupRingElement(d.n, (m,) + (0,) * (d.n - 1))
     lhs = d.boundary(2) * candidate
     rhs = p * push_forward(phi, c.boundary(2))
     if lhs != rhs:
@@ -293,11 +277,6 @@ class ShiftData(Record):
     """
 
     __slots__ = ("n", "w", "norm_w")
-
-    def __init__(self, n: int, w: int, norm_w: tuple[int, ...]) -> None:
-        set_field(self, "n", n)
-        set_field(self, "w", w)
-        set_field(self, "norm_w", norm_w)
 
 
 def _ideal_coordinates(block: IntMatrix, message: str) -> IntMatrix:
@@ -400,22 +379,6 @@ class ShiftResult(Record):
     """
 
     __slots__ = ("n", "w", "input_multiple", "groups", "classes", "cycles")
-
-    def __init__(
-        self,
-        n: int,
-        w: int,
-        input_multiple: int,
-        groups: tuple[FgAbelianGroup, FgAbelianGroup, FgAbelianGroup, FgAbelianGroup],
-        classes: tuple[tuple[int, ...], ...],
-        cycles: tuple[tuple[int, ...], ...],
-    ) -> None:
-        set_field(self, "n", n)
-        set_field(self, "w", w)
-        set_field(self, "input_multiple", input_multiple)
-        set_field(self, "groups", groups)
-        set_field(self, "classes", classes)
-        set_field(self, "cycles", cycles)
 
 
 def shift(n: int, w: int, c: int, seed: int = 0) -> ShiftResult:

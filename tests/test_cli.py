@@ -407,6 +407,18 @@ def test_leq_malformed_json_exits_2(tmp_path):
     assert run_cli("leq", str(bad), b)[0] == 2
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_leq_payload_nested_past_the_json_reader_exits_2(tmp_path, monkeypatch, source):
+    # the JSON reader recurses once per bracket and raises RecursionError here
+    deep = "[" * 200_000 + "]" * 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+    a = "-" if source == "stdin" else str(path)
+    payload, _ = run_json("leq", a, payload_file(tmp_path, "b.json", S4), schema="error", expect_code=2)
+    assert payload["error"] == f"payload {a!r} nests too deeply to be read"
+
+
 @pytest.mark.parametrize(
     "bad, key",
     [

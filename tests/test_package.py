@@ -1,7 +1,9 @@
 """Package-wide properties: no `assert` and no unused import in the
 sources, none of networkx, argparse, dataclasses and inspect behind the
 command line, an anchor in the sources for every planted fault of
-`scripts/mutants.py`, and records that behave as frozen dataclasses."""
+`scripts/mutants.py`, records that behave as frozen dataclasses, and a
+base `__init__` that binds a record's arguments as the hand-written one
+it replaced did."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import ast
 import copy
 import dataclasses
 import importlib.util
+import inspect
 import os
 import pickle
 import subprocess
@@ -204,6 +207,77 @@ def test_every_record_has_a_strategy_and_a_twin():
     # every module that defines a record is imported above
     records = {cls.__name__ for cls in Record.__subclasses__() if cls.__module__.startswith("immorder.")}
     assert len(records) == 26 and records == set(RECORDS) == set(RECORD_FIELDS)
+
+
+# the hand-written `__init__`s that `Record.__init__` replaced: fields in
+# order, and the defaults they declared
+BOUND_RECORDS = {
+    intalg.SmithForm: "d U V uinv vinv rows cols",
+    intalg.Subquotient: "sub_basis group _dfull _u _uinv _basis",
+    fibering.ZMap: "a b",
+    fibering.BrownVerdict: "fibered values min_index min_value max_index max_value reason=None",
+    fibering.Epimorphisms: "maps multiple_exist",
+    james.D2Map: "domain codomain matrix kernel=None cokernel=None",
+    james.RealizableSet: "ambient determined subgroup",
+    order.LeqVerdict: "answer trace reason=None",
+    order.OrderGraph: "nodes edges",
+    postnikov.ProjectionDiagram: "source_k target_k index exists witness candidate",
+    postnikov.ShiftData: "n w norm_w",
+    postnikov.ShiftResult: "n w input_multiple groups classes cycles",
+}
+
+
+def _old_signature(spec: str) -> inspect.Signature:
+    kind, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+    return inspect.Signature(
+        [inspect.Parameter(p.removesuffix("=None"), kind, default=None if "=" in p else empty) for p in spec.split()]
+    )
+
+
+def test_exactly_the_records_that_check_nothing_bind_from_slots():
+    records = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("immorder.")}
+    assert {cls for cls in records if "__init__" not in vars(cls)} == set(BOUND_RECORDS)
+
+
+@pytest.mark.parametrize("cls", BOUND_RECORDS, ids=lambda cls: cls.__name__)
+def test_records_bind_arguments_as_their_old_signatures(cls):
+    # every call of up to one argument too many, with every set of keywords
+    # among the fields and one unknown name: positional, keyword and mixed
+    # calls, each default left out or given, and the four refusals
+    sig = _old_signature(BOUND_RECORDS[cls])
+    fields = tuple(sig.parameters)
+    assert fields == cls.__slots__
+    names, outcomes = (*fields, "extra"), set()
+    for k in range(len(fields) + 2):
+        args = tuple(range(k))
+        for mask in range(2 ** len(names)):
+            kwargs = {name: -i - 1 for i, name in enumerate(names) if mask >> i & 1}
+            try:
+                bound = sig.bind(*args, **kwargs)
+            except TypeError as e:
+                outcomes.add(str(e).split(" ")[0])
+                with pytest.raises(TypeError):
+                    cls(*args, **kwargs)
+                continue
+            bound.apply_defaults()
+            record = cls(*args, **kwargs)
+            assert tuple(map(record.__getattribute__, fields)) == tuple(bound.arguments.values())
+            outcomes.add("defaulted" if len(args) + len(kwargs) < len(fields) else "bound")
+    # each of those was met: inspect names too many, missing, unknown and repeated arguments
+    assert {"too", "missing", "got", "multiple"} <= outcomes and "bound" in outcomes
+    assert ("defaulted" in outcomes) == any(p.default is None for p in sig.parameters.values())
+
+
+def test_the_binder_names_what_it_refuses():
+    for call, message in (
+        (lambda: fibering.ZMap(1, 2, 3), "ZMap() takes 2 arguments but 3 were given"),
+        (lambda: fibering.ZMap(1), "ZMap() missing argument 'b'"),
+        (lambda: order.LeqVerdict(True, (), b=()), "LeqVerdict() got an unexpected keyword argument 'b'"),
+        (lambda: order.LeqVerdict(True, (), answer=False), "LeqVerdict() got multiple values for argument 'answer'"),
+    ):
+        with pytest.raises(TypeError) as e:
+            call()
+        assert str(e.value) == message
 
 
 def _rebuilt(record, cls=None, **changes):
